@@ -1,6 +1,6 @@
 """End-to-end and per-layer benchmark of wmcvar.
 
-    python3 perfbench/run.py --workload chain --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload chain --seed 1 --seconds 40 --trace 0
 
 Run from the root of a source checkout: the program is imported from
 ./src and its command line runs as `python -m wmcvar.cli` with ./src on
@@ -11,22 +11,22 @@ One run:
 2. computes their references in a child process that does not import
    wmcvar (reference.py);
 3. sets the program up (compile every CNF, build the network pipeline);
-4. repeats whole rounds of the same operations until --seconds have
-   passed, timing each operation and checking its output; each round
-   also times one more set-up, whose result it drops;
+4. repeats whole rounds of the same operations while another round
+   fits in --seconds, timing each operation and checking its output;
+   each round also times one more set-up, whose result it drops;
 5. prints one JSON line: correct, attempted, failed and the metrics.
 
-Timings are fastest repetitions.  On the shared 2-vCPU VM this was
-written on, the load of other tenants moves the speed by a fifth or more
-over seconds.  Over 20 s windows the median time of a fixed piece of work
-spreads by about 0.2 from window to window, its minimum by about 0.06
-(README.md).  So an end-to-end time is the mean, over the operations of
-one kind in a round (each target circuit, evidence set or command), of
-each operation's fastest repetition in the run; setup_s is the fastest
-set-up.  With --trace 1 the set-ups and the first half of the rounds
-record spans (spans.py) and the rest run untraced, to give the tracing
-overhead; the spans go to .perfbench/trace-<workload>-<seed>.json and
-the per-layer metrics are printed instead.
+Timings are medians.  An end-to-end time is the mean, over the
+operations of one kind in a round (each target circuit, evidence set or
+command), of each operation's median time in the run; setup_s is the
+median set-up.  On the shared 2-vCPU VM this was written on, the load
+of other tenants moves the speed of a whole run by a tenth or more, and
+over paired runs the median spread less between runs than the fastest
+repetition did (README.md).  With --trace 1 the set-ups and the first
+half of the rounds record spans (spans.py) and the rest run untraced, to
+give the tracing overhead; the spans go to
+.perfbench/trace-<workload>-<seed>.json and the per-layer metrics are
+printed instead.
 """
 
 import argparse
@@ -54,7 +54,8 @@ import workloads  # noqa: E402
 
 RTOL = 1e-9             # engine float result against a float reference
 EXACT_RTOL = 1e-12      # Fraction variance against the engine's float one
-QUERY_BLOCKS = 4       # query blocks per round, over all targets
+QUERY_BLOCKS = 4        # runs of the cheap queries per round
+HEAVY_BLOCKS = 2        # runs of the exact variance, sweep and CLI per round
 CLI_TIMEOUT = 120
 
 END_TO_END = (('setup_s', 's'), ('exp_s', 's'), ('var_s', 's'),
@@ -271,19 +272,22 @@ class Bench:
         return json.loads(out), stages
 
     def round(self, st):
-        """One round: the query block (exp, var, cov, count and exact
-        variance on every target, the network queries, the sweep) about
-        QUERY_BLOCKS times over all targets, spread between the
-        operations done once per round (load, selector identity, CLI).
-        Each operation's time is its fastest repetition, so the
-        operations on few targets are repeated more."""
-        once = (self.load, self.ite_check, self.cli_round)
-        repeats = -(-QUERY_BLOCKS // len(st.targets))
-        for k in range(max(repeats, len(once))):
-            if k < repeats:
+        """One round: the cheap query block (exp, var, cov and count on
+        every target, the network queries) QUERY_BLOCKS times and the
+        heavy block (exact variance on every target, the sweep, the CLI
+        commands) HEAVY_BLOCKS times, interleaved, then the load and the
+        selector identity.  The heavy operations fit the fewest
+        repetitions in a run, and a CLI command's time varies most from
+        one repetition to the next, so they repeat within a round."""
+        for k in range(max(QUERY_BLOCKS, HEAVY_BLOCKS)):
+            if k < QUERY_BLOCKS:
                 self.queries(st)
-            if k < len(once):
-                once[k](st)
+            if k < HEAVY_BLOCKS:
+                self.exact_var(st)
+                self.sweep(st)
+                self.cli_round(st)
+        self.load(st)
+        self.ite_check(st)
 
     def queries(self, st):
         P, rc = self.P, self.refs['cnfs']
@@ -308,7 +312,6 @@ class Bench:
                     lambda x: None if x == rc['count'][i]
                     else 'count %r, reference %r' % (x, rc['count'][i]),
                     target=i)
-        self.exact_var(st)
         rn = self.refs['network']
         for e, ev in enumerate(self.inputs['network']['evidence']):
             for method in ('conjoin', 'zero_weights'):
@@ -324,7 +327,6 @@ class Bench:
                     self.queried.add(e)
                 elif e == 0 and got is not None:
                     self.zero_var0 = got['variance']
-        self.sweep(st)
 
     def exact_var(self, st):
         P, rc = self.P, self.refs['cnfs']
@@ -459,13 +461,14 @@ class Bench:
     # ---- metrics ------------------------------------------------------------
 
     def end_to_end(self, setup_times):
-        out = {'setup_s': min(setup_times)}
+        out = {'setup_s': statistics.median(setup_times)}
         for name, _ in END_TO_END:
             if name in ('setup_s', 'peak_rss_mb'):
                 continue
             per_op = self.samples.get(name)
             out[name] = statistics.fmean(
-                min(v) for v in per_op.values()) if per_op else None
+                statistics.median(v) for v in per_op.values()) \
+                if per_op else None
         out['peak_rss_mb'] = resource.getrusage(
             resource.RUSAGE_SELF).ru_maxrss / 1024
         return out
@@ -512,6 +515,7 @@ def run(workload, seed, seconds, traced):
         bench.prepare(st)
 
         round_times = {True: [], False: []}
+        lap_times = []              # set-up plus round
         start = time.perf_counter()
         r = 0
         while True:
@@ -519,14 +523,18 @@ def run(workload, seed, seconds, traced):
             on = traced and (len(round_times[True]) < 2
                              or time.perf_counter() - start < seconds / 2)
             tracer.phase, tracer.enabled = 'round%d' % r, on
+            lap = time.perf_counter()
             timed_setup()
             gc.collect()
             t = time.perf_counter()
             bench.round(st)
             round_times[on].append(time.perf_counter() - t)
+            lap_times.append(time.perf_counter() - lap)
             r += 1
+            # stop before a round that would end past --seconds
             elapsed = time.perf_counter() - start
-            if elapsed >= seconds and (not traced or round_times[False]):
+            if elapsed + statistics.median(lap_times) > seconds \
+                    and (not traced or round_times[False]):
                 break
         tracer.enabled = False
         sys.stderr.write('perfbench: rounds %s s, set-ups %s s\n' % (
