@@ -24,11 +24,12 @@ engine's correlated-group interception applicable to the result.
 
 import itertools
 import json
-from concurrent.futures import ThreadPoolExecutor
+import math
+from fractions import Fraction
 
 from .circuit import Circuit, normalize
 from .errors import (EvidenceError, FormatError, ValidationError, WeightError)
-from .moments import MomentEngine, locate_group_vnodes
+from .moments import MomentEngine, locate_group_vnodes, var_gradient
 from .sddc import Cnf, compile_cnf, condition1_vtree
 from .weights import (Group, VarMoments, WeightModel, beta_variance,
                       group_cov_from_probs)
@@ -467,8 +468,9 @@ class MarginalPipeline:
             self._conditioned[excluded] = c
         return c
 
-    def moments(self, evidence=None, method='conjoin', wm=None):
-        """Mean and variance of the marginal probability of the evidence."""
+    def _query(self, evidence, method, wm=None):
+        """Circuit, weight model and group vnodes answering a marginal
+        query for the evidence by the given method."""
         wm = self.wm if wm is None else wm
         excluded = self._resolve(evidence)
         if method == 'conjoin':
@@ -481,6 +483,11 @@ class MarginalPipeline:
         else:
             raise ValidationError('unknown method %r' % method)
         gv = locate_group_vnodes(self.vt, wm) if wm.groups else None
+        return c, wm, gv
+
+    def moments(self, evidence=None, method='conjoin', wm=None):
+        """Mean and variance of the marginal probability of the evidence."""
+        c, wm, gv = self._query(evidence, method, wm)
         eng = MomentEngine(self.vt, wm, gv)
         return {'mean': eng.exp(c), 'variance': eng.var(c)}
 
@@ -503,52 +510,48 @@ class MarginalPipeline:
     def theta_id(self, i, c, j=0):
         return self.layout.theta[(i, c, j)]
 
-    def _scaled_wm(self, i, c, j, factor):
-        root = factor ** 0.5
-        pid = self.theta_id(i, c, j)
-        vars_ = dict(self.wm.vars)
-        m = vars_[pid]
-        vars_[pid] = VarMoments(m.muP, m.muN, m.varP * factor,
-                                m.varN * factor, m.covPN * factor)
-        groups = []
-        for g in self.wm.groups:
-            if pid in g.members:
-                at = g.members.index(pid)
-                cov = tuple(tuple(
-                    x * factor if a == b == at
-                    else x * root if at in (a, b) else x
-                    for b, x in enumerate(row))
-                    for a, row in enumerate(g.cov))
-                groups.append(Group(g.members, cov))
-            else:
-                groups.append(g)
-        return WeightModel(vars_, groups, self.wm.default)
-
-    def sweep(self, evidence=None, factor=0.1, method='zero_weights',
-              jobs=None):
+    def sweep(self, evidence=None, factor=0.1, method='zero_weights'):
         """Marginal variance after shrinking each parameter's variance by
         the given factor (covariances with its group mates shrink by the
         square root).  Rows come back ascending by variance, with the
-        unmodified baseline labelled "(none)"."""
+        unmodified baseline labelled "(none)".
+
+        Var is affine in each parameter's second moments, so every row
+        follows exactly from the baseline variance and its gradient
+        (moments.var_gradient): one forward and one backward pass in all.
+        """
         if not 0 < factor <= 1:
             raise ValidationError('factor must be in (0, 1]')
-        base = self.moments(evidence, method)
-        rows = [{'parameter': '(none)', 'variance': base['variance']}]
-        params = self.parameters()
-
-        def one(entry):
-            label, i, c, j = entry
-            wm = self._scaled_wm(i, c, j, factor)
-            got = self.moments(evidence, method, wm)
-            return {'parameter': label, 'variance': got['variance']}
-
-        if jobs and jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                rows.extend(pool.map(one, params))
-        else:
-            rows.extend(one(p) for p in params)
+        c, wm, gv = self._query(evidence, method)
+        base, dvar, dgroups = var_gradient(c, wm, gv)
+        root = _sqrt(factor)
+        rows = [{'parameter': '(none)', 'variance': base}]
+        for label, i, k, j in self.parameters():
+            pid = self.theta_id(i, k, j)
+            at = wm.group_of(pid)
+            if at is None:
+                m, d = wm.moments(pid), dvar[pid]
+                delta = (factor - 1) * (d[0] * m.varP + d[1] * m.varN
+                                        + d[2] * m.covPN)
+            else:
+                gi, a = at
+                cov, g = wm.groups[gi].cov, dgroups[gi]
+                off = sum(g[a][b] * cov[a][b] + g[b][a] * cov[b][a]
+                          for b in range(len(cov)) if b != a)
+                delta = (factor - 1) * g[a][a] * cov[a][a] \
+                    + (root - 1) * off
+            rows.append({'parameter': label, 'variance': base + delta})
         rows.sort(key=lambda r: (float(r['variance']), r['parameter']))
         return rows
+
+
+def _sqrt(x):
+    """Square root, exact for a Fraction of two perfect squares."""
+    if isinstance(x, Fraction):
+        n, d = math.isqrt(x.numerator), math.isqrt(x.denominator)
+        if n * n == x.numerator and d * d == x.denominator:
+            return Fraction(n, d)
+    return x ** 0.5
 
 
 def marginal_moments(bn, evidence=None, method='conjoin', encoding='enc2',
@@ -558,9 +561,8 @@ def marginal_moments(bn, evidence=None, method='conjoin', encoding='enc2',
 
 
 def sensitivity_sweep(bn, evidence=None, factor=0.1, encoding='enc2',
-                      method='zero_weights', jobs=None):
-    return MarginalPipeline(bn, encoding).sweep(evidence, factor, method,
-                                                jobs)
+                      method='zero_weights'):
+    return MarginalPipeline(bn, encoding).sweep(evidence, factor, method)
 
 
 def demo_networks():

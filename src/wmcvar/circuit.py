@@ -46,7 +46,7 @@ class Vtree:
 
     __slots__ = ('n_nodes', 'n_vars', 'root', 'left', 'right', 'parent',
                  'var', 'scope', 'depth', 'file_ids', '_file_lookup',
-                 '_leaf_of', '_pos', '_first', '_etab', '_edep', '_eord')
+                 '_leaf_of', '_first', '_etab', '_edep', '_eord')
 
     def __init__(self, left, right, var, file_ids=None):
         # Arrays are indexed by internal id; slot 0 is the sentinel.
@@ -115,7 +115,6 @@ class Vtree:
                              if i > 0}
 
         self._build_euler()
-        self._build_inorder()
 
     # ---- construction helpers -------------------------------------------
 
@@ -229,24 +228,6 @@ class Vtree:
             j += 1
         self._etab = tab
 
-    def _build_inorder(self):
-        pos = [0] * (self.n_nodes + 1)
-        seq = 0
-        stack = [(self.root, 0)]
-        while stack:
-            v, state = stack.pop()
-            if self.is_leaf(v):
-                pos[v] = seq
-                seq += 1
-            elif state == 0:
-                stack.append((v, 1))
-                stack.append((self.left[v], 0))
-            else:
-                pos[v] = seq
-                seq += 1
-                stack.append((self.right[v], 0))
-        self._pos = pos
-
     def lca(self, a, b):
         if a == b:
             return a
@@ -283,11 +264,6 @@ class Vtree:
             else:
                 break
         return v
-
-    def leaves_inorder(self):
-        return [v for v in sorted(range(1, self.n_nodes + 1),
-                                  key=lambda u: self._pos[u])
-                if self.is_leaf(v)]
 
     def to_text(self):
         lines = ['vtree %d' % self.n_nodes]
@@ -498,26 +474,6 @@ class Circuit:
                 tabs[i] = t
             yield start, tabs
 
-    def same_structure(self, other):
-        """True when both DAGs have the same node structure under their
-        roots (kinds, literals, child order), node ids aside."""
-        intern = {}
-
-        def sig(c, root):
-            out = {}
-            for i in sorted(c.reachable(root)):
-                k = c.kind[i]
-                if k == 'L':
-                    key = ('L', c.lit[i])
-                elif k in ('F', 'T'):
-                    key = (k,)
-                else:
-                    key = (k,) + tuple(out[x] for x in c.children[i])
-                out[i] = intern.setdefault(key, len(intern))
-            return out[root]
-
-        return sig(self, self.root) == sig(other, other.root)
-
 
 # ---- validation -----------------------------------------------------------
 
@@ -616,13 +572,13 @@ def validate(c, determinism_limit=20):
 # ---- normal form -----------------------------------------------------------
 
 
-def normalize(c, eliminate_false=True):
+def normalize(c):
     """Rebuild the circuit in the engine's normal form.
 
     Constant children of and-nodes are folded away (a true child is spliced
     out, a false child makes the conjunction false), and-nodes with fan-in
-    above two are binarized along the vtree, and with eliminate_false the
-    false constant is purged from or-nodes.  The represented function is
+    above two are binarized along the vtree, and the false constant is
+    purged from or-nodes.  The represented function is
     unchanged; the result has no and-node with an empty-scope child.
     """
     out = Circuit(c.vt)
@@ -662,7 +618,7 @@ def normalize(c, eliminate_false=True):
             chs = []
             for x in c.children[i]:
                 nx = memo[x]
-                if eliminate_false and nx == FALSE:
+                if nx == FALSE:
                     continue
                 chs.append(nx)
             if not chs:

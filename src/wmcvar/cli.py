@@ -22,10 +22,10 @@ from .circuit import parse_sdd, parse_vtree, validate
 from .errors import (ValidationError, VtreeMismatchError, WeightError,
                      WmcvarError)
 from .moments import MomentEngine, locate_group_vnodes
-from .reductions import (count_via_variance, entails_via_cov,
+from .reductions import (count_and_variance, entails_via_cov,
                          ite_cov_identity_check)
 from .sddc import Cnf, compile_cnf
-from .weights import WeightModel, counting_weights
+from .weights import WeightModel
 
 
 # ---- reproducible JSON ------------------------------------------------------
@@ -202,10 +202,9 @@ def cmd_count(args):
     vt = _load_vtree(run, args.vtree)
     c = _load_circuit(run, args.circuit, vt, args.validate_determinism)
     run.stage('parse')
-    from .moments import var_wmc
-    var = var_wmc(c, counting_weights())
+    count, var = count_and_variance(
+        c, determinism_limit=args.validate_determinism)
     denom = 4 ** vt.n_vars - 1
-    count = count_via_variance(c)
     run.stage('query')
     _emit(run.report({'count': count,
                       'variance': Fraction(var),
@@ -224,7 +223,7 @@ def cmd_entails(args):
     g = _load_circuit(run, args.circuit2, vt, args.validate_determinism,
                       role='circuit2')
     run.stage('parse')
-    ans = entails_via_cov(f, g)
+    ans = entails_via_cov(f, g, determinism_limit=args.validate_determinism)
     run.stage('query')
     _emit(run.report({'entails': bool(ans)}, {'exact': True}, args.timings))
     _emit(run.timings, sys.stderr)
@@ -241,7 +240,8 @@ def cmd_ite_check(args):
     if args.weights:
         wm = _load_weights(run, args.weights, vt.n_vars, exact=True)
     run.stage('parse')
-    r = ite_cov_identity_check(f, g, wm)
+    r = ite_cov_identity_check(f, g, wm,
+                               determinism_limit=args.validate_determinism)
     run.stage('query')
     _emit(run.report({'lhs': _frac(r['lhs']), 'rhs': _frac(r['rhs']),
                       'residual': _frac(r['residual']), 'over': 'all'},
@@ -288,8 +288,7 @@ def cmd_bn(args):
     results = {'mean': got['mean'], 'variance': got['variance'],
                'over': 'all', 'encoding': args.encoding, 'method': method}
     if args.sweep:
-        rows = pipe.sweep(evidence, factor=args.factor, method=method,
-                          jobs=args.jobs)
+        rows = pipe.sweep(evidence, factor=args.factor, method=method)
         run.stage('sweep')
         if args.csv:
             out = ['parameter,variance']
@@ -391,7 +390,8 @@ def _parser():
     sp.add_argument('--csv', action='store_true',
                     help='emit the sweep table as CSV instead of JSON')
     sp.add_argument('--jobs', type=int, default=None,
-                    help='parallel sweep workers')
+                    help='accepted and ignored: the sweep is one adjoint '
+                         'pass')
     sp.add_argument('--exact', action='store_true')
     sp.add_argument('--budget', type=int, default=10 ** 6)
     sp.add_argument('--timings', action='store_true')

@@ -26,6 +26,7 @@ using moments that the model cannot express.
 from .circuit import BOTTOM, FALSE, TRUE
 from .errors import (CorrelationScopeError, ValidationError,
                      VtreeMismatchError, WmcvarError)
+from .weights import Group, VarMoments, WeightModel
 
 _CONST = 2                      # tag side for shared constants
 _TTRUE = (_CONST, TRUE)
@@ -537,3 +538,93 @@ def conditional_exp_taylor(exp_num, exp_den, var_den, cov):
                           'for a ratio estimate')
     d2 = exp_den * exp_den
     return exp_num / exp_den - cov / d2 + exp_num * var_den / (d2 * exp_den)
+
+
+# ---- gradient of the variance ------------------------------------------------
+
+class _Rev:
+    """Reverse-mode scalar: a value and its node on a tape.
+
+    Node k fills entries 4k..4k+3 of the tape, a flat list: a, da, b, db,
+    the node numbers of up to two operands (-1 for none) and the partial
+    derivatives of the node's value in them.  Only + and * are defined:
+    they are the operations MomentEngine.var applies to second moments.
+    Comparisons go by value, so code that tests moments against numbers
+    behaves as it does on plain values.
+    """
+
+    __slots__ = ('val', 'at', 'tape')
+
+    def __init__(self, val, tape, a=-1, da=0, b=-1, db=0):
+        self.val = val
+        self.at = len(tape) >> 2
+        self.tape = tape
+        tape += (a, da, b, db)
+
+    def __add__(self, o):
+        if type(o) is _Rev:
+            return _Rev(self.val + o.val, self.tape, self.at, 1, o.at, 1)
+        return _Rev(self.val + o, self.tape, self.at, 1)
+
+    __radd__ = __add__
+
+    def __mul__(self, o):
+        if type(o) is _Rev:
+            return _Rev(self.val * o.val, self.tape,
+                        self.at, o.val, o.at, self.val)
+        return _Rev(self.val * o, self.tape, self.at, o)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, o):
+        return self.val == (o.val if type(o) is _Rev else o)
+
+
+def var_gradient(c, wm, group_vnodes=None):
+    """Var[W_c] and its partial derivatives in every second moment.
+
+    Returns (var, dvar, dgroups).  dvar[x] holds the partials in variable
+    x's varP, varN and covPN (dvar[0] is None); for a grouped variable
+    varP is its group's diagonal entry, so the first partial repeats that
+    entry's.  dgroups[gi][a][b] is the partial in entry [a][b] of group
+    gi's covariance matrix; an entry equal to zero reads as zero, since
+    the engine skips zero group covariances.
+
+    Var is multilinear, with degree 1, in each variable's second-moment
+    table and in each group's matrix, so these partials give Var exactly
+    after any change to one variable's or one group's second moments.
+    They come from one run of MomentEngine.var over reverse-mode scalars
+    and one backward walk over the tape it records.
+    """
+    n = c.vt.n_vars
+    wm.validate_for(n)
+    tape = []
+    groups = [Group(g.members, tuple(tuple(_Rev(x, tape) for x in row)
+                                     for row in g.cov))
+              for g in wm.groups]
+    vars_ = {}
+    for x in range(1, n + 1):
+        m = wm.moments(x)
+        at = wm.group_of(x)
+        vp = groups[at[0]].cov[at[1]][at[1]] if at else _Rev(m.varP, tape)
+        vars_[x] = VarMoments(m.muP, m.muN, vp, _Rev(m.varN, tape),
+                              _Rev(m.covPN, tape))
+    var = MomentEngine(c.vt, WeightModel(vars_, groups), group_vnodes).var(c)
+
+    adj = [0] * (len(tape) >> 2)
+    if type(var) is _Rev:
+        adj[var.at] = 1
+        for i in range(var.at, -1, -1):
+            g = adj[i]
+            if g:
+                a, da, b, db = tape[4 * i:4 * i + 4]
+                if a >= 0:
+                    adj[a] += g * da
+                    if b >= 0:
+                        adj[b] += g * db
+        var = var.val
+    dvar = [None] + [(adj[m.varP.at], adj[m.varN.at], adj[m.covPN.at])
+                     for m in (vars_[x] for x in range(1, n + 1))]
+    dgroups = [tuple(tuple(adj[x.at] for x in row) for row in g.cov)
+               for g in groups]
+    return var, dvar, dgroups

@@ -51,37 +51,48 @@ def _nvars(f, n):
     return n
 
 
-def _engine_ok(c):
-    rep = validate(c)
-    return rep.decomposable and rep.structured \
-        and rep.determinism in ('verified', 'by-construction')
+def _engine_ok(c, determinism_limit):
+    # any ok report, 'assumed' determinism included, as for the CLI's
+    # variance command: the caller picks the exhaustive-check limit, and
+    # count_and_variance rejects a variance no model count explains
+    return validate(c, determinism_limit=determinism_limit).ok
 
 
-def count_via_variance(f, n=None):
-    """Model count of f as ceil(Var(W_f) / (4^n - 1)) under counting
-    weights.  f may be a circuit or an iterable of model bitmasks (then n
-    is required)."""
+def count_and_variance(f, n=None, determinism_limit=20):
+    """(model count of f, Var(W_f) under counting weights), from one
+    variance pass: the count is ceil(Var(W_f) / (4^n - 1)).  f may be a
+    circuit or an iterable of model bitmasks (then n is required).
+    Circuits are validated with the given exhaustive determinism limit."""
     wm = counting_weights()
     n = _nvars(f, n)
-    if isinstance(f, Circuit) and _engine_ok(f):
+    if isinstance(f, Circuit) and _engine_ok(f, determinism_limit):
         var = var_wmc(f, wm)
     else:
         var = oracle_var(f, wm, n=n)
-    denom = 4 ** n - 1
-    count = _ceil_ratio(var, denom)
-    # the ratio must land in (count - 1, count]; a miss means broken moments
-    assert denom * (count - 1) < var <= denom * count
-    return count
+    count = _ceil_ratio(var, 4 ** n - 1)
+    if not (0 <= count <= 2 ** n and var == count * (4 ** n - count)):
+        raise ValidationError(
+            'counting variance %s is not m(4^n - m) for any model count m; '
+            'the circuit is likely not deterministic' % var)
+    return count, var
 
 
-def entails_via_cov(f, g, n=None):
+def count_via_variance(f, n=None, determinism_limit=20):
+    """Model count of f as ceil(Var(W_f) / (4^n - 1)) under counting
+    weights; see count_and_variance."""
+    return count_and_variance(f, n, determinism_limit)[0]
+
+
+def entails_via_cov(f, g, n=None, determinism_limit=20):
     """Decide f |= g by comparing the model count of f against the count
-    of f ∧ g, the latter read off Cov(W_f, W_g) under counting weights."""
+    of f ∧ g, the latter read off Cov(W_f, W_g) under counting weights.
+    Circuits are validated with the given exhaustive determinism limit."""
     wm = counting_weights()
     n = _nvars(f, _nvars(g, n))
     g2 = _shared_vtree(f, g) \
         if isinstance(f, Circuit) and isinstance(g, Circuit) else None
-    if g2 is not None and _engine_ok(f) and _engine_ok(g2):
+    if g2 is not None and _engine_ok(f, determinism_limit) \
+            and _engine_ok(g2, determinism_limit):
         var_f = var_wmc(f, wm)
         cov_fg = cov_wmc(f, g2, wm)
     else:
@@ -162,14 +173,16 @@ def _quarter(x):
     return Fraction(x, 4)
 
 
-def ite_cov_identity_check(f, g, wm=None, n=None, z=None):
+def ite_cov_identity_check(f, g, wm=None, n=None, z=None,
+                           determinism_limit=20):
     """Evaluate both sides of the selector identity and report the gap.
 
     lhs = Cov(W_f, W_g); rhs rebuilds it from the variances of f, g and of
     h = (z ∧ f) ∨ (¬z ∧ g) plus the squared mean gap.  With int or Fraction
     weights the residual is exactly zero.  wm defaults to counting weights;
     it covers the original variables only, the selector's moments are fixed
-    by the construction.
+    by the construction.  Circuits are validated with the given
+    exhaustive determinism limit.
     """
     wm = counting_weights() if wm is None else wm
     n = _nvars(f, _nvars(g, n))
@@ -186,7 +199,8 @@ def ite_cov_identity_check(f, g, wm=None, n=None, z=None):
 
     g2 = _shared_vtree(f, g) \
         if isinstance(f, Circuit) and isinstance(g, Circuit) else None
-    if g2 is not None and _engine_ok(f) and _engine_ok(g2):
+    if g2 is not None and _engine_ok(f, determinism_limit) \
+            and _engine_ok(g2, determinism_limit):
         g = g2
         gv = locate_group_vnodes(f.vt, wm) if wm.groups else None
         e_f, e_g = exp_wmc(f, wm, gv), exp_wmc(g, wm, gv)

@@ -23,13 +23,11 @@ _OPS = {'and': _AND, 'or': _OR}
 
 class Cnf:
     """Clause list over variables 1..n_vars; clauses are tuples of signed
-    literals.  Tags, when present, record which clause family produced
-    each clause (useful when debugging encodings)."""
+    literals."""
 
-    def __init__(self, n_vars, clauses, tags=None):
+    def __init__(self, n_vars, clauses):
         self.n_vars = n_vars
         self.clauses = [tuple(cl) for cl in clauses]
-        self.tags = list(tags) if tags is not None else None
         for cl in self.clauses:
             for sl in cl:
                 if sl == 0 or abs(sl) > n_vars:

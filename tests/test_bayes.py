@@ -10,10 +10,46 @@ from wmcvar.bayes import (BayesNet, Evidence, MarginalPipeline, brute_marginal,
 from wmcvar.errors import EvidenceError, FormatError, ValidationError
 from wmcvar.oracle import enumerate_models, oracle_var
 from wmcvar.sddc import compile_cnf, condition1_vtree
+from wmcvar.weights import Group, VarMoments, WeightModel
 
 
 def conditioned_circuit(pipe, ev):
     return pipe._circuit_for(pipe._resolve(ev))
+
+
+def scaled_wm(pipe, i, c, j, factor):
+    """The pipeline's weights with one parameter's variance times factor
+    and its covariances with group mates times the square root."""
+    root = factor ** 0.5
+    pid = pipe.theta_id(i, c, j)
+    wm = pipe.wm
+    vars_ = dict(wm.vars)
+    m = vars_[pid]
+    vars_[pid] = VarMoments(m.muP, m.muN, m.varP * factor,
+                            m.varN * factor, m.covPN * factor)
+    groups = []
+    for g in wm.groups:
+        if pid in g.members:
+            at = g.members.index(pid)
+            cov = tuple(tuple(
+                x * factor if a == b == at
+                else x * root if at in (a, b) else x
+                for b, x in enumerate(row))
+                for a, row in enumerate(g.cov))
+            groups.append(Group(g.members, cov))
+        else:
+            groups.append(g)
+    return WeightModel(vars_, groups, wm.default)
+
+
+def resolve_sweep(pipe, ev, factor, method):
+    """Referee for MarginalPipeline.sweep: one full re-solve per parameter,
+    as label -> variance, with the baseline under "(none)"."""
+    out = {'(none)': pipe.moments(ev, method)['variance']}
+    for label, i, c, j in pipe.parameters():
+        wm = scaled_wm(pipe, i, c, j, factor)
+        out[label] = pipe.moments(ev, method, wm)['variance']
+    return out
 
 
 class TestBayesNet:
@@ -193,14 +229,49 @@ class TestSweep:
         for r in sensitivity_sweep(bn, ev, factor=1.0):
             assert_allclose(r['variance'], base, rtol=1e-12)
 
-    def test_parallel_matches_serial(self):
-        bn = demo_networks()['collider3']
-        ev = Evidence(bn, {'C': 't'})
-        a = sensitivity_sweep(bn, ev, jobs=1)
-        b = sensitivity_sweep(bn, ev, jobs=3)
-        assert [r['parameter'] for r in a] == [r['parameter'] for r in b]
-        assert_allclose([r['variance'] for r in a],
-                        [r['variance'] for r in b], rtol=1e-12)
+    @pytest.mark.parametrize('method', ['conjoin', 'zero_weights'])
+    @pytest.mark.parametrize('name,encoding,ev', [
+        ('chain2', 'enc2', {'B': 't'}),
+        ('collider3', 'enc2', {'C': 't'}),
+        ('alarm5', 'enc2', {'JohnCalls': 't'}),
+        ('alarm5', 'enc1', {'JohnCalls': 't'}),
+        ('sprinkler4', 'enc1', {'Wet': 'yes'}),
+        ('multival2', 'enc1', {'B': 'yes'}),
+    ])
+    def test_matches_resolve_referee(self, name, encoding, ev, method):
+        bn = demo_networks()[name]
+        pipe = MarginalPipeline(bn, encoding)
+        want = resolve_sweep(pipe, ev, 0.1, method)
+        got = {r['parameter']: r['variance']
+               for r in pipe.sweep(ev, 0.1, method)}
+        assert got.keys() == want.keys()
+        assert got['(none)'] == pipe.moments(ev, method)['variance']
+        for label, v in want.items():
+            assert_allclose(got[label], v, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize('method', ['conjoin', 'zero_weights'])
+    def test_exact_matches_resolve_referee(self, method):
+        bn = demo_networks()['alarm5']
+        ev = {'JohnCalls': 't'}
+        pipe = MarginalPipeline(bn, 'enc2', exact=True)
+        factor = Fraction(1, 10)
+        want = resolve_sweep(pipe, ev, factor, method)
+        rows = pipe.sweep(ev, factor, method)
+        assert all(isinstance(r['variance'], Fraction) for r in rows)
+        assert {r['parameter']: r['variance'] for r in rows} == want
+
+    def test_exact_group_rows_stay_rational(self):
+        # the square root of 1/4 is rational, so grouped rows stay exact;
+        # the referee's float square root makes it close, not equal
+        bn = demo_networks()['multival2']
+        ev = {'B': 'yes'}
+        pipe = MarginalPipeline(bn, 'enc1', exact=True)
+        want = resolve_sweep(pipe, ev, Fraction(1, 4), 'zero_weights')
+        rows = pipe.sweep(ev, Fraction(1, 4))
+        assert all(isinstance(r['variance'], Fraction) for r in rows)
+        for r in rows:
+            assert_allclose(float(r['variance']),
+                            float(want[r['parameter']]), rtol=1e-12)
 
     def test_shrinking_reduces_variance(self):
         bn = demo_networks()['alarm5']

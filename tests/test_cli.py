@@ -4,9 +4,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import complementary_weights, example_circuit
-from wmcvar.circuit import sdd_text
+from wmcvar.circuit import Vtree, sdd_text
 from wmcvar.cli import main
-from wmcvar.sddc import SddBuilder
+from wmcvar.sddc import Cnf, SddBuilder, compile_cnf
 
 
 @pytest.fixture(scope='module')
@@ -84,6 +84,17 @@ class TestQueries:
         assert doc['results']['count'] == 3
         assert doc['results']['variance'] == '759'   # 3 * (4^4 - 3)
         assert doc['results']['ratio'] == '253/85'
+
+    def test_count_above_determinism_limit(self, capsys, tmp_path):
+        # x_v | -x_{v+1} over 30 variables: the 31 monotone assignments
+        vt = Vtree.right_linear(30)
+        c = compile_cnf(Cnf(30, [(v, -(v + 1)) for v in range(1, 30)]), vt)
+        (tmp_path / 'chain.vtree').write_text(vt.to_text())
+        (tmp_path / 'chain.sdd').write_text(sdd_text(c))
+        code, out, err = run(capsys, 'count', tmp_path / 'chain.sdd',
+                             '--vtree', tmp_path / 'chain.vtree')
+        assert code == 0, err
+        assert json.loads(out)['results']['count'] == 31
 
     def test_entails_both_ways(self, files, capsys):
         _, out, _ = run(capsys, 'entails', files / 'x.sdd', files / 'ex.sdd',
@@ -170,6 +181,15 @@ class TestExitCodes:
         code, _, err = run(capsys, 'expect', dup, '--vtree', vt,
                            '--weights', w)
         assert code == 3
+
+    def test_nondeterministic_count_is_3(self, capsys, tmp_path):
+        vt = tmp_path / 'two.vtree'
+        vt.write_text('vtree 3\nL 0 1\nL 1 2\nI 2 0 1\n')
+        dup = tmp_path / 'dup.sdd'
+        dup.write_text('sdd 3\nL 0 0 1\nT 1\nD 2 2 2 0 1 0 1\n')
+        code, _, err = run(capsys, 'count', dup, '--vtree', vt,
+                           '--validate-determinism', '0')
+        assert code == 3 and 'deterministic' in err
 
     def test_missing_weights_is_4(self, files, capsys):
         code, _, err = run(capsys, 'expect', files / 'ex.sdd',

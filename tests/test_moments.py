@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from wmcvar.circuit import Vtree
 from wmcvar.errors import CorrelationScopeError
 from wmcvar.moments import (MomentEngine, conditional_exp_taylor,
                             conditional_var_taylor, cov_wmc, exp_wmc,
-                            locate_group_vnodes, var_wmc)
+                            locate_group_vnodes, var_gradient, var_wmc)
 from wmcvar.oracle import enumerate_models, oracle_cov, oracle_exp, oracle_var
 from wmcvar.sddc import Cnf, SddBuilder, compile_cnf
 from wmcvar.weights import Group, VarMoments, WeightModel
@@ -187,6 +188,54 @@ class TestGroupedWeights:
         _, wm = self.make_grouped()
         with pytest.raises(CorrelationScopeError):
             locate_group_vnodes(vt, wm)
+
+
+class TestVarGradient:
+    # Var is degree 1 in each second moment, so raising one by 1 moves
+    # Var by exactly its partial
+
+    def test_partials_are_exact_differences(self):
+        rng = seeded('var-gradient')
+        fields = ('varP', 'varN', 'covPN')
+        for _ in range(15):
+            c = random_circuit(rng, rng.randint(2, 6))
+            wm = random_weights(rng, c.vt.n_vars, exact=True)
+            var, dvar, dgroups = var_gradient(c, wm)
+            assert var == var_wmc(c, wm) and dgroups == []
+            for x in range(1, c.vt.n_vars + 1):
+                for k, name in enumerate(fields):
+                    m = wm.vars[x]
+                    bumped = WeightModel({**wm.vars, x: replace(
+                        m, **{name: getattr(m, name) + 1})})
+                    assert var_wmc(c, bumped) - var == dvar[x][k]
+
+    def test_float_value_is_bit_identical(self):
+        rng = seeded('var-gradient-float')
+        for _ in range(15):
+            c = random_circuit(rng, rng.randint(2, 7))
+            wm = random_weights(rng, c.vt.n_vars)
+            assert var_gradient(c, wm)[0] == var_wmc(c, wm)
+
+    def test_group_partials(self):
+        vt, wm = TestGroupedWeights().make_grouped()
+        wm = wm.to_exact()
+        gv = locate_group_vnodes(vt, wm)
+        rng = seeded('var-gradient-group')
+        for _ in range(10):
+            c = TestGroupedWeights().grouped_circuit(vt, rng)
+            var, _, dgroups = var_gradient(c, wm, gv)
+            assert var == var_wmc(c, wm, gv)
+            (g,) = wm.groups
+            for a in range(2):
+                for b in range(a, 2):
+                    cov = [list(row) for row in g.cov]
+                    cov[a][b] += 1
+                    if a != b:
+                        cov[b][a] += 1
+                    bumped = WeightModel(wm.vars, [Group(g.members, cov)])
+                    want = dgroups[0][a][b] + (dgroups[0][b][a] if a != b
+                                               else 0)
+                    assert var_wmc(c, bumped, gv) - var == want
 
 
 class TestAlgebraicProperties:

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_circuit, random_cnf, random_vtree, seeded
-from wmcvar.circuit import Vtree
+from wmcvar.circuit import Vtree, parse_sdd, parse_vtree
 from wmcvar.errors import ValidationError
 from wmcvar.moments import var_wmc
 from wmcvar.oracle import enumerate_models
@@ -42,6 +42,15 @@ class TestCounting:
         assert count_via_variance(compile_cnf(Cnf(3, []), vt)) == 8
         assert count_via_variance(
             compile_cnf(Cnf(3, [(1,), (-1,)]), vt)) == 0
+
+    def test_nondeterministic_circuit_raises(self):
+        # x1 twice under one or-node; with the exhaustive check off the
+        # engine runs, and its variance fits no model count
+        vt = parse_vtree('vtree 3\nL 0 1\nL 1 2\nI 2 0 1\n')
+        c = parse_sdd('sdd 3\nL 0 0 1\nT 1\nD 2 2 2 0 1 0 1\n', vt)
+        assert count_via_variance(c) == 2       # refuted: oracle fallback
+        with pytest.raises(ValidationError, match='deterministic'):
+            count_via_variance(c, determinism_limit=0)
 
 
 class TestEntailment:
