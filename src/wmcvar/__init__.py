@@ -5,9 +5,8 @@ from .circuit import (BOTTOM, FALSE, TRUE, Circuit, Vtree, normalize,
 from .errors import (CompileBudgetError, CorrelationScopeError, EvidenceError,
                      FormatError, ValidationError, VtreeMismatchError,
                      WeightError, WmcvarError)
-from .moments import (MomentEngine, conditional_exp_taylor,
-                      conditional_var_taylor, cov_wmc, exp_wmc,
-                      locate_group_vnodes, var_wmc)
+from .moments import (MomentEngine, cov_wmc, exp_wmc, locate_group_vnodes,
+                      var_wmc)
 from .oracle import enumerate_models, oracle_cov, oracle_exp, oracle_var
 from .reductions import (count_via_variance, entails_via_cov, ite_circuit,
                          ite_cov_identity_check)
@@ -24,8 +23,7 @@ __all__ = [
     'WmcvarError',
     'Group', 'VarMoments', 'WeightModel', 'beta_variance', 'counting_weights',
     'dirichlet_group_moments', 'group_cov_from_probs', 'selector_weights',
-    'MomentEngine', 'conditional_exp_taylor', 'conditional_var_taylor',
-    'cov_wmc', 'exp_wmc', 'locate_group_vnodes', 'var_wmc',
+    'MomentEngine', 'cov_wmc', 'exp_wmc', 'locate_group_vnodes', 'var_wmc',
     'enumerate_models', 'oracle_cov', 'oracle_exp', 'oracle_var',
     'count_via_variance', 'entails_via_cov', 'ite_circuit',
     'ite_cov_identity_check',

@@ -46,7 +46,7 @@ class Vtree:
 
     __slots__ = ('n_nodes', 'n_vars', 'root', 'left', 'right', 'parent',
                  'var', 'scope', 'depth', 'file_ids', '_file_lookup',
-                 '_leaf_of', '_first', '_etab', '_edep', '_eord')
+                 '_leaf_of', '_first', '_last', '_etab', '_edep', '_eord')
 
     def __init__(self, left, right, var, file_ids=None):
         # Arrays are indexed by internal id; slot 0 is the sentinel.
@@ -195,12 +195,16 @@ class Vtree:
             raise ValidationError('variable %d not in vtree' % var) from None
 
     def _build_euler(self):
-        order, dep, first = [], [], [0] * (self.n_nodes + 1)
+        # first[v]..last[v] is v's interval in the Euler tour; BOTTOM's
+        # (-1, -1) lies inside no node's interval
+        n1 = self.n_nodes + 1
+        order, dep, first, last = [], [], [-1] * n1, [-1] * n1
         stack = [(self.root, 0)]
         while stack:
             v, state = stack.pop()
             if state == 0:
                 first[v] = len(order)
+            last[v] = len(order)
             order.append(v)
             dep.append(self.depth[v])
             if self.is_leaf(v):
@@ -212,6 +216,7 @@ class Vtree:
                 stack.append((v, 2))
                 stack.append((self.right[v], 0))
         self._first = first
+        self._last = last
         self._eord = np.asarray(order, dtype=np.int32)
         edep = np.asarray(dep, dtype=np.int32)
         self._edep = edep
@@ -246,8 +251,13 @@ class Vtree:
         return int(self._eord[best])
 
     def is_ancestor(self, w, v):
-        """True when w is an ancestor of v or equal to it."""
-        return self.lca(w, v) == w
+        """True when w is an ancestor of v or equal to it.
+
+        BOTTOM is a descendant of every node and an ancestor only of
+        itself.
+        """
+        return v == BOTTOM or \
+            self._first[w] <= self._first[v] <= self._last[w]
 
     def deepest_containing(self, bits):
         """Deepest vtree node whose scope covers the given variable bitset."""

@@ -202,8 +202,8 @@ def cmd_count(args):
     vt = _load_vtree(run, args.vtree)
     c = _load_circuit(run, args.circuit, vt, args.validate_determinism)
     run.stage('parse')
-    count, var = count_and_variance(
-        c, determinism_limit=args.validate_determinism)
+    # _load_circuit ran the exhaustive determinism check already
+    count, var = count_and_variance(c, determinism_limit=0)
     denom = 4 ** vt.n_vars - 1
     run.stage('query')
     _emit(run.report({'count': count,
@@ -223,7 +223,7 @@ def cmd_entails(args):
     g = _load_circuit(run, args.circuit2, vt, args.validate_determinism,
                       role='circuit2')
     run.stage('parse')
-    ans = entails_via_cov(f, g, determinism_limit=args.validate_determinism)
+    ans = entails_via_cov(f, g, determinism_limit=0)
     run.stage('query')
     _emit(run.report({'entails': bool(ans)}, {'exact': True}, args.timings))
     _emit(run.timings, sys.stderr)
@@ -240,8 +240,7 @@ def cmd_ite_check(args):
     if args.weights:
         wm = _load_weights(run, args.weights, vt.n_vars, exact=True)
     run.stage('parse')
-    r = ite_cov_identity_check(f, g, wm,
-                               determinism_limit=args.validate_determinism)
+    r = ite_cov_identity_check(f, g, wm, determinism_limit=0)
     run.stage('query')
     _emit(run.report({'lhs': _frac(r['lhs']), 'rhs': _frac(r['rhs']),
                       'residual': _frac(r['residual']), 'over': 'all'},
@@ -288,7 +287,9 @@ def cmd_bn(args):
     results = {'mean': got['mean'], 'variance': got['variance'],
                'over': 'all', 'encoding': args.encoding, 'method': method}
     if args.sweep:
-        rows = pipe.sweep(evidence, factor=args.factor, method=method)
+        # in exact mode a float factor would turn every row into a float
+        factor = Fraction(str(args.factor)) if args.exact else args.factor
+        rows = pipe.sweep(evidence, factor=factor, method=method)
         run.stage('sweep')
         if args.csv:
             out = ['parameter,variance']
@@ -389,9 +390,6 @@ def _parser():
                     help='variance shrink factor for --sweep (default 0.1)')
     sp.add_argument('--csv', action='store_true',
                     help='emit the sweep table as CSV instead of JSON')
-    sp.add_argument('--jobs', type=int, default=None,
-                    help='accepted and ignored: the sweep is one adjoint '
-                         'pass')
     sp.add_argument('--exact', action='store_true')
     sp.add_argument('--budget', type=int, default=10 ** 6)
     sp.add_argument('--timings', action='store_true')

@@ -12,6 +12,25 @@ Var(w) \\ Var(v); since weights of distinct variables are independent,
 those factors depend only on (w, v) and are precomputed along root paths
 (the ea/va tables below).
 
+The covariance pass is a recurrence over node pairs (a, b): a is a node
+of f, b a node of g, and the constants FALSE and TRUE are the same ids in
+both.  Each pair is resolved at anc = lca(d(a), d(b)), its covariance
+over Var(anc), by the first rule that applies:
+  - a or b is FALSE, or anc is BOTTOM (both TRUE): 0;
+  - anc is a registered group vnode: read from the group covariance;
+  - an or-node sits at anc: the sum over its children of the child
+    pairs' covariances, each lifted to anc;
+  - anc is a vtree leaf: the covariance of two weights of one variable;
+  - otherwise both operands split into (left, right) parts under anc.
+    An and-node at anc gives its two children; any other node goes whole
+    to the side that contains it, with TRUE on the other side.  With cl,
+    cr the part pairs' lifted covariances and el, er the products of
+    their lifted expectations, Cov = cl*cr + cl*er + el*cr.
+This is the pairwise product of circuits over one vtree (Vergari et al.,
+"A Compositional Atlas of Tractable Circuit Operations", NeurIPS 2021),
+taken on centred moments.  Conjunctions with a constant child are seen
+through: they anchor at the other child's vnode with the same moments.
+
 Correlated groups (positive weights of several variables jointly
 distributed) break the independence that the adjustment tables rely on.
 They are supported under a structural contract: the vtree gathers each
@@ -25,13 +44,8 @@ using moments that the model cannot express.
 
 from .circuit import BOTTOM, FALSE, TRUE
 from .errors import (CorrelationScopeError, ValidationError,
-                     VtreeMismatchError, WmcvarError)
+                     VtreeMismatchError)
 from .weights import Group, VarMoments, WeightModel
-
-_CONST = 2                      # tag side for shared constants
-_TTRUE = (_CONST, TRUE)
-_TFALSE = (_CONST, FALSE)
-_ETRUE = (BOTTOM, 1)
 
 
 class MomentEngine:
@@ -49,10 +63,7 @@ class MomentEngine:
         self.wm = wm
         self.group_vnodes = dict(group_vnodes or {})
         for v, gi in self.group_vnodes.items():
-            mask = 0
-            for x in wm.groups[gi].members:
-                mask |= 1 << x
-            if vt.scope[v] != mask:
+            if vt.scope[v] != wm.groups[gi].mask:
                 raise ValidationError(
                     'vtree node %d does not gather group %d exactly' % (v, gi))
         self.mom = [None] + [wm.moments(x) for x in range(1, vt.n_vars + 1)]
@@ -201,213 +212,134 @@ class MomentEngine:
     # ---- covariances -----------------------------------------------------------
 
     def cov(self, f, g):
-        """Cov(W_f, W_g) over the full variable set (f, g share the vtree)."""
+        """Cov(W_f, W_g) over the full variable set (f, g share the vtree).
+
+        Resolves node pairs (a, b), a of f and b of g, bottom-up by the
+        pair rule of the module docstring, with an explicit stack.  memo
+        holds each pair's covariance over Var(lca(d(a), d(b))).
+        """
         if f.vt is not self.vt or g.vt is not self.vt:
             raise VtreeMismatchError('circuits were built on a different vtree')
         vt = self.vt
-        lca = vt.lca
+        lca, left, right = vt.lca, vt.left, vt.right
+        fd, gd = f.dnode, g.dnode
         gmask = self.guard_mask
         same = f is g
-        etab_f = self.exp_table(f)
-        etab_g = etab_f if same else self.exp_table(g)
-        circs = (f, g)
-        etabs = (etab_f, etab_g)
-
-        def mk(side, nid):
-            if nid <= TRUE:
-                return (_CONST, nid)
-            return (0 if same else side, nid)
-
-        def strip(t):
-            # see through conjunctions with a constant factor; they anchor
-            # at the surviving factor's vnode and carry the same moments
-            while t[0] != _CONST and circs[t[0]].kind[t[1]] == 'A':
-                chs = circs[t[0]].children[t[1]]
-                if len(chs) != 2:
-                    break
-                a, b = chs
-                if a == FALSE or b == FALSE:
-                    return _TFALSE
-                if a == TRUE:
-                    t = mk(t[0], b)
-                elif b == TRUE:
-                    t = mk(t[0], a)
-                else:
-                    break
-            return t
-
-        def ee(t):
-            if t[0] == _CONST:
-                return (BOTTOM, t[1])          # TRUE -> 1, FALSE -> 0
-            return etabs[t[0]][t[1]]
-
-        def dn(t):
-            return BOTTOM if t[0] == _CONST else circs[t[0]].dnode[t[1]]
-
-        def kd(t):
-            if t[0] == _CONST:
-                return 'T' if t[1] == TRUE else 'F'
-            return circs[t[0]].kind[t[1]]
-
-        def canon(p):
-            return p if p[0] <= p[1] else (p[1], p[0])
-
-        def orient(vl, vr, t1, t2, what):
-            d1, d2 = dn(t1), dn(t2)
-            if vt.is_ancestor(vl, d1) and vt.is_ancestor(vr, d2):
-                return t1, t2
-            if vt.is_ancestor(vl, d2) and vt.is_ancestor(vr, d1):
-                return t2, t1
-            raise ValidationError(what + ' does not split at the pair vnode')
-
+        ef = self.exp_table(f)
+        eg = ef if same else self.exp_table(g)
+        adj_exp = self.adj_exp
         memo = {}
-        patt = {}                   # tag -> bitmask of positive group members
-        ra, rb = strip(mk(0, f.root)), strip(mk(1, g.root))
-        stack = [(ra, rb)]
+        patt = {}                   # (circuit, node) -> bitmask of true members
+
+        def key(a, b):
+            # Cov is symmetric: with f is g, (a, b) and (b, a) share an entry
+            return (b, a) if same and b < a else (a, b)
+
+        def lifted(w, a, b):
+            # the pair's covariance, lifted from its own vnode to w
+            return self.adj_cov(w, (lca(fd[a], gd[b]), memo[key(a, b)]),
+                                ef[a], eg[b])
+
+        root = (_see_through(f, f.root), _see_through(g, g.root))
+        stack = [root]
         while stack:
-            ta, tb = stack.pop()
-            key = canon((ta, tb))
-            if key in memo:
+            a, b = stack.pop()
+            k = key(a, b)
+            if k in memo:
                 continue
-            ka, kb = kd(ta), kd(tb)
-            if ka == 'F' or kb == 'F':
-                memo[key] = 0
-                continue
-            da, db = dn(ta), dn(tb)
+            da, db = fd[a], gd[b]
             anc = lca(da, db)
-            if anc == BOTTOM:
-                memo[key] = 0
+            if a == FALSE or b == FALSE or anc == BOTTOM:
+                memo[k] = 0
                 continue
-
             if gmask and vt.scope[anc] & gmask:
-                r = self._group_block(ta, tb, anc, da, db, patt, circs)
+                r = self._group_block(f, a, g, b, anc, patt)
                 if r is not None:
-                    memo[key] = r
+                    memo[k] = r
                     continue
-
-            if anc != da and anc != db:
-                # operands live strictly inside opposite branches of anc
-                if not vt.is_ancestor(vt.left[anc], da):
-                    ta, tb = tb, ta
-                    da, db = db, da
-                k1, k2 = canon((ta, _TTRUE)), canon((_TTRUE, tb))
-                need = [p for p in (k1, k2) if p not in memo]
-                if need:
-                    stack.append((ta, tb))
-                    stack.extend(need)
-                    continue
-                ancl, ancr = vt.left[anc], vt.right[anc]
-                ea_, eb_ = ee(ta), ee(tb)
-                el = self.adj_exp(ancl, ea_) * self.adj_exp(ancl, _ETRUE)
-                er = self.adj_exp(ancr, _ETRUE) * self.adj_exp(ancr, eb_)
-                cl = self.adj_cov(ancl, (da, memo[k1]), ea_, _ETRUE)
-                cr = self.adj_cov(ancr, (db, memo[k2]), _ETRUE, eb_)
-                memo[key] = cl * cr + cl * er + el * cr
+            vl = 0                  # stays 0 when an or-node is expanded
+            if da == anc and f.kind[a] == 'O':
+                deps = [(_see_through(f, ch), b) for ch in f.children[a]]
+            elif db == anc and g.kind[b] == 'O':
+                deps = [(a, _see_through(g, ch)) for ch in g.children[b]]
+            elif left[anc] == 0:
+                memo[k] = self._leaf_pair(f, a, g, b)
                 continue
-
-            if ka in 'TL' and kb in 'TL':
-                # same leaf vnode: covariance of two weights of one variable
-                memo[key] = self._leaf_pair(ta, tb, ka, kb, circs)
+            else:
+                vl, vr = left[anc], right[anc]
+                (al, ar), (bl, br) = (self._split(f, a, anc),
+                                      self._split(g, b, anc))
+                deps = [(al, bl), (ar, br)]
+            need = [p for p in deps if key(*p) not in memo]
+            if need:
+                stack.append((a, b))
+                stack.extend(need)
                 continue
-
-            if (anc == db and anc != da) or \
-                    (da == db and kb == 'O' and ka != 'O'):
-                ta, tb = tb, ta
-                da, db = db, da
-                ka, kb = kb, ka
-
-            if ka == 'O':
-                deps = [(strip(mk(ta[0], ch)), tb)
-                        for ch in circs[ta[0]].children[ta[1]]]
-                need = [p for p in map(canon, deps) if p not in memo]
-                if need:
-                    stack.append((ta, tb))
-                    stack.extend(need)
-                    continue
-                eb_ = ee(tb)
+            if vl:
+                el = adj_exp(vl, ef[al]) * adj_exp(vl, eg[bl])
+                er = adj_exp(vr, ef[ar]) * adj_exp(vr, eg[br])
+                cl = lifted(vl, al, bl)
+                cr = lifted(vr, ar, br)
+                memo[k] = cl * cr + cl * er + el * cr
+            else:
                 r = 0
-                for tc, _ in deps:
-                    r = r + self.adj_cov(anc,
-                                         (lca(dn(tc), db), memo[canon((tc, tb))]),
-                                         ee(tc), eb_)
-                memo[key] = r
-                continue
+                for x, y in deps:
+                    r = r + lifted(anc, x, y)
+                memo[k] = r
 
-            if ka == 'A':
-                chs = circs[ta[0]].children[ta[1]]
-                if len(chs) != 2:
-                    raise ValidationError(
-                        'conjunction %d is not binary; normalize first' % ta[1])
-                ancl, ancr = vt.left[anc], vt.right[anc]
-                al, ar = orient(ancl, ancr,
-                                strip(mk(ta[0], chs[0])),
-                                strip(mk(ta[0], chs[1])), 'conjunction')
-                if db == anc:
-                    bchs = circs[tb[0]].children[tb[1]]
-                    if len(bchs) != 2:
-                        raise ValidationError(
-                            'conjunction %d is not binary; normalize first'
-                            % tb[1])
-                    bl, br = orient(ancl, ancr,
-                                    strip(mk(tb[0], bchs[0])),
-                                    strip(mk(tb[0], bchs[1])), 'conjunction')
-                elif vt.is_ancestor(ancl, db):
-                    bl, br = tb, _TTRUE
-                else:
-                    bl, br = _TTRUE, tb
-                kl, kr = canon((al, bl)), canon((ar, br))
-                need = [p for p in (kl, kr) if p not in memo]
-                if need:
-                    stack.append((ta, tb))
-                    stack.extend(need)
-                    continue
-                eal, ebl, ear, ebr = ee(al), ee(bl), ee(ar), ee(br)
-                el = self.adj_exp(ancl, eal) * self.adj_exp(ancl, ebl)
-                er = self.adj_exp(ancr, ear) * self.adj_exp(ancr, ebr)
-                cl = self.adj_cov(ancl, (lca(dn(al), dn(bl)), memo[kl]),
-                                  eal, ebl)
-                cr = self.adj_cov(ancr, (lca(dn(ar), dn(br)), memo[kr]),
-                                  ear, ebr)
-                memo[key] = cl * cr + cl * er + el * cr
-                continue
-
-            raise ValidationError(
-                'node pair (%r, %r) does not decompose at vnode %d'
-                % (ta, tb, anc))
-
-        anc = lca(dn(ra), dn(rb))
-        return self.adj_cov(vt.root, (anc, memo[canon((ra, rb))]),
-                            ee(ra), ee(rb))
+        return lifted(vt.root, *root)
 
     def var(self, f):
         return self.cov(f, f)
 
-    def _leaf_pair(self, ta, tb, ka, kb, circs):
+    def _split(self, c, x, anc):
+        """(left, right) parts of node x of c at the internal vnode anc.
+
+        A conjunction at anc gives its two children, the one under
+        left(anc) first; any other node goes whole to the side that
+        contains it, with TRUE on the other side.
+        """
+        vt = self.vt
+        vl, vr = vt.left[anc], vt.right[anc]
+        d = c.dnode[x]
+        if d != anc:
+            return (x, TRUE) if vt.is_ancestor(vl, d) else (TRUE, x)
+        chs = c.children[x]       # x is a conjunction: anc is its vnode
+        if len(chs) != 2:
+            raise ValidationError(
+                'conjunction %d is not binary; normalize first' % x)
+        p, s = _see_through(c, chs[0]), _see_through(c, chs[1])
+        if vt.is_ancestor(vl, c.dnode[p]) and vt.is_ancestor(vr, c.dnode[s]):
+            return p, s
+        if vt.is_ancestor(vl, c.dnode[s]) and vt.is_ancestor(vr, c.dnode[p]):
+            return s, p
+        raise ValidationError(
+            'conjunction %d does not split at vnode %d' % (x, anc))
+
+    def _leaf_pair(self, f, a, g, b):
         # Cov of two single-variable counts: split each operand into the
         # polarities it admits and sum the per-polarity weight covariances.
-        def pols(t, k):
-            if k == 'T':
-                return True, True, None
-            sl = circs[t[0]].lit[t[1]]
-            return sl > 0, sl < 0, abs(sl)
-
-        pa, na, va_ = pols(ta, ka)
-        pb, nb, vb_ = pols(tb, kb)
-        m = self.mom[va_ if va_ is not None else vb_]
+        # TRUE admits both; its lit is 0.
+        if f.kind[a] not in 'TL' or g.kind[b] not in 'TL':
+            raise ValidationError(
+                'node pair (%d, %d) does not decompose at a vtree leaf'
+                % (a, b))
+        sa, sb = f.lit[a], g.lit[b]
+        m = self.mom[abs(sa or sb)]
         r = 0
-        if pa and pb:
+        if sa >= 0 and sb >= 0:
             r = r + m.varP
-        if na and nb:
+        if sa <= 0 and sb <= 0:
             r = r + m.varN
-        if pa and nb:
+        if sa >= 0 and sb <= 0:
             r = r + m.covPN
-        if na and pb:
+        if sa <= 0 and sb >= 0:
             r = r + m.covPN
         return r
 
     # ---- correlated group blocks ----------------------------------------------
 
-    def _group_block(self, ta, tb, anc, da, db, patt, circs):
+    def _group_block(self, f, a, g, b, anc, patt):
         """Direct covariance for a pair anchored at a registered group vnode.
 
         Returns None if anc sits above every group (normal recursion
@@ -416,17 +348,17 @@ class MomentEngine:
         """
         vt, wm = self.vt, self.wm
         gi = self.group_vnodes.get(anc)
-        if gi is not None and da == anc and db == anc:
-            g = wm.groups[gi]
-            ja = self._member_pattern(ta, gi, patt, circs)
-            jb = self._member_pattern(tb, gi, patt, circs)
+        if gi is not None and f.dnode[a] == anc and g.dnode[b] == anc:
+            grp = wm.groups[gi]
+            ja = self._member_pattern(f, a, gi, patt)
+            jb = self._member_pattern(g, b, gi, patt)
             if ja < 0 or jb < 0:
                 return 0
-            cpp = g.cov[ja][jb]
+            cpp = grp.cov[ja][jb]
             if cpp == 0:
                 return 0
             pa = pb = 1
-            for j, x in enumerate(g.members):
+            for j, x in enumerate(grp.members):
                 mn = self.mom[x].muN
                 if j != ja:
                     pa = pa * mn
@@ -436,52 +368,44 @@ class MomentEngine:
         sc = vt.scope[anc]
         if sc & ~self.guard_mask:
             return None             # anc spans more than grouped variables
-        for g in wm.groups:
-            mask = 0
-            for x in g.members:
-                mask |= 1 << x
-            if sc & ~mask == 0:
+        for grp in wm.groups:
+            if sc & ~grp.mask == 0:
                 raise CorrelationScopeError(
                     'covariance decomposes inside a correlated group at '
                     'vnode %d; gather the group under a registered vnode '
                     'and keep its members fixed by every node there' % anc)
         return None                 # spans several groups but nothing else
 
-    def _member_pattern(self, tag, gi, patt, circs):
-        """Index of the member forced true under this node, -1 if none."""
+    def _member_pattern(self, c, i, gi, patt):
+        """Index of the member forced true under node i of c, -1 if none."""
         g = self.wm.groups[gi]
         pos = {x: j for j, x in enumerate(g.members)}
-        mask = 0
-        for x in g.members:
-            mask |= 1 << x
-        if tag[0] == _CONST or circs[tag[0]].scope[tag[1]] != mask:
+        if c.scope[i] != g.mask:    # constants too: their scope is empty
             raise CorrelationScopeError(
                 'node at a group vnode must fix every member of the group')
-        got = patt.get(tag)
+        got = patt.get((c, i))
         if got is None:
-            side = tag[0]
-            c = circs[side]
-            stack = [tag[1]]
+            stack = [i]
             seen = {}
             order = []
             while stack:
-                i = stack.pop()
-                if i in seen:
+                j = stack.pop()
+                if j in seen:
                     continue
-                seen[i] = 0
-                order.append(i)
-                stack.extend(c.children[i])
-            for i in reversed(order):
-                if c.kind[i] == 'L':
-                    j = pos.get(c.lit[i])
-                    m = 1 << j if j is not None else 0
+                seen[j] = 0
+                order.append(j)
+                stack.extend(c.children[j])
+            for j in reversed(order):
+                if c.kind[j] == 'L':
+                    k = pos.get(c.lit[j])
+                    m = 1 << k if k is not None else 0
                 else:
                     m = 0
-                    for ch in c.children[i]:
+                    for ch in c.children[j]:
                         m |= seen[ch]
-                seen[i] = m
-                patt[(side, i)] = m
-            got = patt[tag]
+                seen[j] = m
+                patt[(c, j)] = m
+            got = patt[(c, i)]
         if got == 0:
             return -1
         if got & (got - 1):
@@ -489,6 +413,28 @@ class MomentEngine:
                 'node sets two members of a correlated group true; '
                 'covariance of such a block is not expressible')
         return got.bit_length() - 1
+
+
+def _see_through(c, i):
+    """Node i of c without conjunctions that have a constant factor.
+
+    Such a conjunction anchors at its other factor's vnode and carries the
+    same moments; parsed SDD elements with TRUE or FALSE subs make them.
+    """
+    while c.kind[i] == 'A':
+        chs = c.children[i]
+        if len(chs) != 2:
+            break
+        p, s = chs
+        if p == FALSE or s == FALSE:
+            return FALSE
+        if p == TRUE:
+            i = s
+        elif s == TRUE:
+            i = p
+        else:
+            break
+    return i
 
 
 # ---- convenience wrappers -----------------------------------------------------
@@ -509,35 +455,12 @@ def locate_group_vnodes(vt, wm):
     """Map each weight-model group to the vtree node gathering exactly it."""
     out = {}
     for gi, g in enumerate(wm.groups):
-        mask = 0
-        for x in g.members:
-            mask |= 1 << x
-        v = vt.deepest_containing(mask)
-        if v == BOTTOM or vt.scope[v] != mask:
+        v = vt.deepest_containing(g.mask)
+        if v == BOTTOM or vt.scope[v] != g.mask:
             raise CorrelationScopeError(
                 'no vtree node gathers group %d exactly' % gi)
         out[v] = gi
     return out
-
-
-def conditional_var_taylor(exp_num, var_num, exp_den, var_den, cov):
-    """Second-order delta-method variance of the ratio of two counts."""
-    if exp_den == 0 or (isinstance(exp_den, float) and abs(exp_den) < 1e-12):
-        raise WmcvarError('denominator expectation too close to zero '
-                          'for a ratio estimate')
-    d2 = exp_den * exp_den
-    return (var_num / d2
-            - 2 * exp_num * cov / (d2 * exp_den)
-            + exp_num * exp_num * var_den / (d2 * d2))
-
-
-def conditional_exp_taylor(exp_num, exp_den, var_den, cov):
-    """Second-order delta-method mean of the ratio of two counts."""
-    if exp_den == 0 or (isinstance(exp_den, float) and abs(exp_den) < 1e-12):
-        raise WmcvarError('denominator expectation too close to zero '
-                          'for a ratio estimate')
-    d2 = exp_den * exp_den
-    return exp_num / exp_den - cov / d2 + exp_num * var_den / (d2 * exp_den)
 
 
 # ---- gradient of the variance ------------------------------------------------

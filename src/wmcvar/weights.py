@@ -16,8 +16,6 @@ here.
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import FormatError, WeightError
 
 _FIELDS = ('muP', 'muN', 'varP', 'varN', 'covPN')
@@ -36,6 +34,14 @@ class VarMoments:
 class Group:
     members: tuple      # variable ids, length >= 2
     cov: tuple          # covariance matrix of the positive weights, row tuples
+
+    @property
+    def mask(self):
+        """The members as a variable bitset."""
+        m = 0
+        for x in self.members:
+            m |= 1 << x
+        return m
 
 
 _DEFAULT = VarMoments()
@@ -121,21 +127,6 @@ class WeightModel:
                     raise WeightError(
                         'grouped variable %d must have a deterministic '
                         'negative weight' % v)
-
-    def psd_warnings(self, tol=1e-9):
-        """Advisory check that per-variable and group second moments could
-        come from an actual distribution."""
-        out = []
-        for v in sorted(self.vars):
-            m = self.moments(v)
-            muP, muN, vP, vN, c = (float(getattr(m, f)) for f in _FIELDS)
-            if vP < -tol or vN < -tol or vP * vN - c * c < -tol * (1 + vP * vN):
-                out.append('variable %d: weight covariance not PSD' % v)
-        for gi, g in enumerate(self.groups):
-            mat = np.array([[float(x) for x in row] for row in g.cov])
-            if mat.size and np.linalg.eigvalsh(mat).min() < -tol * (1 + abs(mat).max()):
-                out.append('group %d: covariance not PSD' % gi)
-        return out
 
     # ---- JSON ------------------------------------------------------------
 

@@ -1,7 +1,7 @@
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import random_circuit, seeded
+from conftest import random_circuit, random_vtree, seeded
 from wmcvar.circuit import (BOTTOM, FALSE, TRUE, Vtree, normalize, parse_sdd,
                             parse_vtree, sdd_text, validate)
 from wmcvar.errors import FormatError, ValidationError, VtreeMismatchError
@@ -68,6 +68,23 @@ class TestVtree:
         assert vt.lca(a, b) == vt.left[vt.root]
         assert vt.lca(a, vt.leaf_of(3)) == vt.root
         assert vt.lca(a, a) == a
+
+    def test_is_ancestor_matches_parent_walk(self):
+        rng = seeded('is-ancestor')
+        for _ in range(30):
+            vt = random_vtree(rng, rng.randint(1, 9))
+            for v in range(1, vt.n_nodes + 1):
+                up = {v}
+                w = v
+                while w != vt.root:
+                    w = vt.parent[w]
+                    up.add(w)
+                for w in range(1, vt.n_nodes + 1):
+                    assert vt.is_ancestor(w, v) == (w in up)
+                # BOTTOM sits below every node and above none but itself
+                assert vt.is_ancestor(v, BOTTOM)
+                assert not vt.is_ancestor(BOTTOM, v)
+            assert vt.is_ancestor(BOTTOM, BOTTOM)
 
     def test_right_linear_shape(self):
         vt = Vtree.right_linear(5)

@@ -1,11 +1,14 @@
 import json
+from fractions import Fraction
 
 import pytest
 from numpy.testing import assert_allclose
 
 from conftest import complementary_weights, example_circuit
-from wmcvar.circuit import Vtree, sdd_text
+from wmcvar.bayes import BayesNet, Evidence, MarginalPipeline
+from wmcvar.circuit import Circuit, Vtree, sdd_text
 from wmcvar.cli import main
+from wmcvar.oracle import enumerate_models
 from wmcvar.sddc import Cnf, SddBuilder, compile_cnf
 
 
@@ -155,11 +158,60 @@ class TestBn:
 
     def test_sweep_csv(self, files, capsys):
         _, out, _ = run(capsys, 'bn', files / 'net.json',
-                        '--evidence', files / 'ev.json', '--sweep', '--csv',
-                        '--jobs', '2')
+                        '--evidence', files / 'ev.json', '--sweep', '--csv')
         lines = out.strip().splitlines()
         assert lines[0] == 'parameter,variance'
         assert len(lines) == 5
+
+    def test_exact_sweep_csv_is_rational(self, files, capsys):
+        code, out, _ = run(capsys, 'bn', files / 'net.json',
+                           '--evidence', files / 'ev.json', '--exact',
+                           '--sweep', '--csv', '--factor', '0.1')
+        assert code == 0
+        bn = BayesNet.from_json((files / 'net.json').read_text())
+        ev = Evidence.from_json(bn, (files / 'ev.json').read_text())
+        want = MarginalPipeline(bn, 'enc2', exact=True).sweep(
+            ev, factor=Fraction(1, 10), method='conjoin')
+        lines = out.strip().splitlines()
+        assert len(lines) == len(want) + 1
+        for line, row in zip(lines[1:], want):
+            label, var = line.rsplit(',', 1)
+            assert json.loads(label) == row['parameter']
+            # a quoted rational, never a float
+            assert isinstance(json.loads(var), str)
+            assert Fraction(json.loads(var)) == row['variance']
+            assert isinstance(row['variance'], Fraction)
+
+    def test_jobs_is_gone(self, files, capsys):
+        with pytest.raises(SystemExit) as e:
+            run(capsys, 'bn', files / 'net.json', '--sweep', '--jobs', '2')
+        assert e.value.code == 2
+
+
+class TestValidation:
+    def test_count_checks_determinism_once(self, capsys, tmp_path,
+                                           monkeypatch):
+        # the loader's exhaustive check is the only pass over the
+        # 2^12 assignments; the count reuses its verdict
+        n = 12
+        vt = Vtree.right_linear(n)
+        c = compile_cnf(Cnf(n, [(v, v + 1) for v in range(1, n)]), vt)
+        (tmp_path / 'c.vtree').write_text(vt.to_text())
+        (tmp_path / 'c.sdd').write_text(sdd_text(c))
+        m = len(enumerate_models(c))
+        passes = []
+        blocks = Circuit.truth_blocks
+
+        def counted(self, *args, **kw):
+            passes.append(1)
+            return blocks(self, *args, **kw)
+
+        monkeypatch.setattr(Circuit, 'truth_blocks', counted)
+        code, out, _ = run(capsys, 'count', tmp_path / 'c.sdd',
+                           '--vtree', tmp_path / 'c.vtree')
+        assert code == 0
+        assert json.loads(out)['results']['count'] == m
+        assert len(passes) == 1
 
 
 class TestExitCodes:

@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import (complementary_weights, example_circuit,
-                      example_variance, random_circuit, random_weights,
-                      seeded)
-from wmcvar.circuit import Vtree
+                      example_variance, random_circuit, random_cnf,
+                      random_vtree, random_weights, seeded)
+from wmcvar.circuit import FALSE, TRUE, Vtree, parse_sdd, sdd_text
 from wmcvar.errors import CorrelationScopeError
-from wmcvar.moments import (MomentEngine, conditional_exp_taylor,
-                            conditional_var_taylor, cov_wmc, exp_wmc,
+from wmcvar.moments import (MomentEngine, cov_wmc, exp_wmc,
                             locate_group_vnodes, var_gradient, var_wmc)
 from wmcvar.oracle import enumerate_models, oracle_cov, oracle_exp, oracle_var
 from wmcvar.sddc import Cnf, SddBuilder, compile_cnf
@@ -99,6 +98,27 @@ class TestEngine:
             c = random_circuit(rng, rng.randint(2, 7))
             wm = random_weights(rng, c.vt.n_vars)
             assert_allclose(cov_wmc(c, c, wm), var_wmc(c, wm), rtol=1e-9)
+
+    def test_parsed_constant_elements(self):
+        # sdd_text writes decision elements with TRUE/FALSE subs, which
+        # parse_sdd keeps as conjunctions with a constant child; the pair
+        # pass must see through them
+        rng = seeded('parsed-constant-elements')
+        seen = 0
+        for _ in range(25):
+            n = rng.randint(2, 7)
+            vt = random_vtree(rng, n)
+            f, g = (parse_sdd(sdd_text(compile_cnf(random_cnf(rng, n), vt)),
+                              vt) for _ in range(2))
+            seen += sum(1 for c in (f, g) for i in c.reachable()
+                        if c.kind[i] == 'A'
+                        and set(c.children[i]) & {FALSE, TRUE})
+            wm = random_weights(rng, n)
+            assert_allclose(cov_wmc(f, g, wm), oracle_cov(f, g, wm),
+                            rtol=1e-9, atol=1e-12)
+            assert_allclose(var_wmc(f, wm), oracle_var(f, wm),
+                            rtol=1e-9, atol=1e-12)
+        assert seen > 0
 
 
 class TestGroupedWeights:
@@ -292,21 +312,3 @@ class TestAlgebraicProperties:
                                                           1))]), f.vt)
         wm = random_weights(rng, n)
         assert_allclose(cov_wmc(f, g, wm), cov_wmc(g, f, wm), rtol=1e-10)
-
-
-class TestTaylorRatio:
-    def test_deterministic_denominator(self):
-        # Var(R)/d^2 when the denominator carries no spread
-        assert_allclose(conditional_exp_taylor(0.3, 0.6, 0.0, 0.0), 0.5)
-        assert_allclose(conditional_var_taylor(0.3, 0.02, 0.6, 0.0, 0.0),
-                        0.02 / 0.36)
-
-    def test_identical_ratio_has_no_spread(self):
-        got = conditional_var_taylor(0.4, 0.01, 0.4, 0.01, 0.01)
-        assert_allclose(got, 0.0, atol=1e-15)
-
-    def test_mean_correction_sign(self):
-        # positive denominator variance inflates the ratio estimate
-        base = conditional_exp_taylor(0.3, 0.6, 0.0, 0.0)
-        bumped = conditional_exp_taylor(0.3, 0.6, 0.05, 0.0)
-        assert bumped > base

@@ -21,15 +21,14 @@ class TestCounting:
             assert count_via_variance(c) == len(enumerate_models(c))
 
     def test_sandwich(self):
-        # the pre-ceiling ratio must sit in (count-1, count]
+        # a function with m models has counting variance m(4^n - m)
         rng = seeded('count-sandwich')
         for _ in range(40):
             c = random_circuit(rng, rng.randint(2, 8))
             n = c.vt.n_vars
             var = var_wmc(c, counting_weights().to_exact())
-            count = count_via_variance(c)
-            denom = 4 ** n - 1
-            assert denom * (count - 1) < var <= denom * count
+            m = len(enumerate_models(c))
+            assert var == m * (4 ** n - m)
 
     def test_model_lists(self):
         # counting straight from a model list goes through the oracle
