@@ -31,8 +31,6 @@ deepest vtree node whose scope covers the node's scope.
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import FormatError, ValidationError, VtreeMismatchError
 
 BOTTOM = 0
@@ -46,7 +44,7 @@ class Vtree:
 
     __slots__ = ('n_nodes', 'n_vars', 'root', 'left', 'right', 'parent',
                  'var', 'scope', 'depth', 'file_ids', '_file_lookup',
-                 '_leaf_of', '_first', '_last', '_etab', '_edep', '_eord')
+                 '_leaf_of', '_first', '_last', '_etab')
 
     def __init__(self, left, right, var, file_ids=None):
         # Arrays are indexed by internal id; slot 0 is the sentinel.
@@ -196,9 +194,10 @@ class Vtree:
 
     def _build_euler(self):
         # first[v]..last[v] is v's interval in the Euler tour; BOTTOM's
-        # (-1, -1) lies inside no node's interval
+        # (-1, -1) lies inside no node's interval.  _etab[k][i] is the
+        # shallowest vnode among tour positions i..i+2^k-1.
         n1 = self.n_nodes + 1
-        order, dep, first, last = [], [], [-1] * n1, [-1] * n1
+        order, first, last = [], [-1] * n1, [-1] * n1
         stack = [(self.root, 0)]
         while stack:
             v, state = stack.pop()
@@ -206,7 +205,6 @@ class Vtree:
                 first[v] = len(order)
             last[v] = len(order)
             order.append(v)
-            dep.append(self.depth[v])
             if self.is_leaf(v):
                 continue
             if state == 0:
@@ -217,20 +215,14 @@ class Vtree:
                 stack.append((self.right[v], 0))
         self._first = first
         self._last = last
-        self._eord = np.asarray(order, dtype=np.int32)
-        edep = np.asarray(dep, dtype=np.int32)
-        self._edep = edep
-        m = len(order)
-        tab = [np.arange(m, dtype=np.int32)]
-        j = 1
-        while (1 << j) <= m:
+        depth = self.depth
+        tab = [order]
+        half = 1
+        while 2 * half <= len(order):
             prev = tab[-1]
-            half = 1 << (j - 1)
-            width = m - (1 << j) + 1
-            a = prev[:width]
-            b = prev[half:half + width]
-            tab.append(np.where(edep[a] <= edep[b], a, b))
-            j += 1
+            tab.append([x if depth[x] <= depth[y] else y
+                        for x, y in zip(prev, prev[half:])])
+            half *= 2
         self._etab = tab
 
     def lca(self, a, b):
@@ -244,11 +236,9 @@ class Vtree:
         if i > j:
             i, j = j, i
         k = (j - i + 1).bit_length() - 1
-        tab = self._etab[k]
-        x = tab[i]
-        y = tab[j - (1 << k) + 1]
-        best = x if self._edep[x] <= self._edep[y] else y
-        return int(self._eord[best])
+        row = self._etab[k]
+        x, y = row[i], row[j - (1 << k) + 1]
+        return x if self.depth[x] <= self.depth[y] else y
 
     def is_ancestor(self, w, v):
         """True when w is an ancestor of v or equal to it.
@@ -260,19 +250,15 @@ class Vtree:
             self._first[w] <= self._first[v] <= self._last[w]
 
     def deepest_containing(self, bits):
-        """Deepest vtree node whose scope covers the given variable bitset."""
-        if bits == 0:
-            return BOTTOM
+        """Deepest vtree node whose scope covers the given variable bitset:
+        the lca of the leaves of its variables (BOTTOM for no variable)."""
         if bits & ~self.scope[self.root]:
             raise ValidationError('variables outside the vtree')
-        v = self.root
-        while not self.is_leaf(v):
-            if bits & ~self.scope[self.left[v]] == 0:
-                v = self.left[v]
-            elif bits & ~self.scope[self.right[v]] == 0:
-                v = self.right[v]
-            else:
-                break
+        v = BOTTOM
+        while bits:
+            low = bits & -bits
+            v = self.lca(v, self._leaf_of[low.bit_length() - 1])
+            bits ^= low
         return v
 
     def to_text(self):
@@ -446,8 +432,9 @@ class Circuit:
     def truth_blocks(self, block_log=13, max_vars=26):
         """Yield (start, tables) over all 2^n assignments in blocks.
 
-        tables[i] is a bool array over assignments start..start+B-1 for node
-        i; assignment g sets variable v true iff bit v-1 of g is set.
+        tables[i] is an int bitmask over assignments start..start+B-1 for
+        node i: bit j is set iff node i is true under assignment start+j.
+        Assignment g sets variable v true iff bit v-1 of g is set.
         """
         n = self.vt.n_vars
         if n > max_vars:
@@ -455,32 +442,39 @@ class Circuit:
                 'exhaustive evaluation over %d variables refused' % n)
         total = 1 << n
         B = min(total, 1 << block_log)
+        ones = (1 << B) - 1
         m = len(self.kind)
+        # variable v with h = 2^(v-1) < B alternates h false, h true
+        # assignments within a block; above B it is constant per block
+        periodic = {}
+        for v in range(1, n + 1):
+            h = 1 << (v - 1)
+            if h < B:
+                high = ((1 << h) - 1) << h
+                periodic[v] = ones // ((1 << 2 * h) - 1) * high
         for start in range(0, total, B):
-            idx = np.arange(start, start + B, dtype=np.int64)
-            tabs = [None] * m
+            tabs = [0] * m
             for i in range(m):
                 k = self.kind[i]
-                if k == 'F':
-                    t = np.zeros(B, dtype=bool)
-                elif k == 'T':
-                    t = np.ones(B, dtype=bool)
+                if k == 'T':
+                    t = ones
                 elif k == 'L':
                     v = abs(self.lit[i])
-                    t = ((idx >> (v - 1)) & 1).astype(bool)
+                    t = periodic.get(v)
+                    if t is None:
+                        t = ones if (start >> (v - 1)) & 1 else 0
                     if self.lit[i] < 0:
-                        t = ~t
-                else:
-                    chs = self.children[i]
-                    if not chs:
-                        t = (np.ones if k == 'A' else np.zeros)(B, dtype=bool)
-                    else:
-                        t = tabs[chs[0]].copy()
-                        for c in chs[1:]:
-                            if k == 'A':
-                                t &= tabs[c]
-                            else:
-                                t |= tabs[c]
+                        t ^= ones
+                elif k == 'A':
+                    t = ones
+                    for c in self.children[i]:
+                        t &= tabs[c]
+                elif k == 'O':
+                    t = 0
+                    for c in self.children[i]:
+                        t |= tabs[c]
+                else:               # 'F'
+                    t = 0
                 tabs[i] = t
             yield start, tabs
 
@@ -558,12 +552,13 @@ def validate(c, determinism_limit=20):
                     if c.kind[i] == 'O' and len(c.children[i]) > 1]
         for start, tabs in c.truth_blocks():
             for i in or_nodes:
-                acc = np.zeros(len(tabs[0]), dtype=np.uint8)
+                seen = over = 0
                 for x in c.children[i]:
-                    acc += tabs[x]
-                bad = np.nonzero(acc > 1)[0]
-                if bad.size:
-                    g = start + int(bad[0])
+                    t = tabs[x]
+                    over |= seen & t
+                    seen |= t
+                if over:
+                    g = start + (over & -over).bit_length() - 1
                     counterexample = {
                         'node': i,
                         'assignment': {v: bool((g >> (v - 1)) & 1)

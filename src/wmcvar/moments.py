@@ -241,41 +241,47 @@ class MomentEngine:
                                 ef[a], eg[b])
 
         root = (_see_through(f, f.root), _see_through(g, g.root))
-        stack = [root]
+        # entries (a, b, plan): plan is None until the pair's rule has been
+        # evaluated, then (deps, vl, vr, anc) while its dependencies resolve
+        stack = [(*root, None)]
         while stack:
-            a, b = stack.pop()
+            a, b, plan = stack.pop()
             k = key(a, b)
-            if k in memo:
-                continue
-            da, db = fd[a], gd[b]
-            anc = lca(da, db)
-            if a == FALSE or b == FALSE or anc == BOTTOM:
-                memo[k] = 0
-                continue
-            if gmask and vt.scope[anc] & gmask:
-                r = self._group_block(f, a, g, b, anc, patt)
-                if r is not None:
-                    memo[k] = r
+            if plan is None:
+                if k in memo:
                     continue
-            vl = 0                  # stays 0 when an or-node is expanded
-            if da == anc and f.kind[a] == 'O':
-                deps = [(_see_through(f, ch), b) for ch in f.children[a]]
-            elif db == anc and g.kind[b] == 'O':
-                deps = [(a, _see_through(g, ch)) for ch in g.children[b]]
-            elif left[anc] == 0:
-                memo[k] = self._leaf_pair(f, a, g, b)
-                continue
+                da, db = fd[a], gd[b]
+                anc = lca(da, db)
+                if a == FALSE or b == FALSE or anc == BOTTOM:
+                    memo[k] = 0
+                    continue
+                if gmask and vt.scope[anc] & gmask:
+                    r = self._group_block(f, a, g, b, anc, patt)
+                    if r is not None:
+                        memo[k] = r
+                        continue
+                vl = vr = 0         # stay 0 when an or-node is expanded
+                if da == anc and f.kind[a] == 'O':
+                    deps = [(_see_through(f, ch), b) for ch in f.children[a]]
+                elif db == anc and g.kind[b] == 'O':
+                    deps = [(a, _see_through(g, ch)) for ch in g.children[b]]
+                elif left[anc] == 0:
+                    memo[k] = self._leaf_pair(f, a, g, b)
+                    continue
+                else:
+                    vl, vr = left[anc], right[anc]
+                    (al, ar), (bl, br) = (self._split(f, a, anc),
+                                          self._split(g, b, anc))
+                    deps = [(al, bl), (ar, br)]
+                need = [(x, y, None) for x, y in deps if key(x, y) not in memo]
+                if need:
+                    stack.append((a, b, (deps, vl, vr, anc)))
+                    stack.extend(need)
+                    continue
             else:
-                vl, vr = left[anc], right[anc]
-                (al, ar), (bl, br) = (self._split(f, a, anc),
-                                      self._split(g, b, anc))
-                deps = [(al, bl), (ar, br)]
-            need = [p for p in deps if key(*p) not in memo]
-            if need:
-                stack.append((a, b))
-                stack.extend(need)
-                continue
+                deps, vl, vr, anc = plan
             if vl:
+                (al, bl), (ar, br) = deps
                 el = adj_exp(vl, ef[al]) * adj_exp(vl, eg[bl])
                 er = adj_exp(vr, ef[ar]) * adj_exp(vr, eg[br])
                 cl = lifted(vl, al, bl)

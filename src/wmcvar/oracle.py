@@ -16,8 +16,6 @@ moments of positive weights exist, so each assignment may set at most one
 group member true; negative weights of members are deterministic.
 """
 
-import numpy as np
-
 from .circuit import Circuit
 from .errors import ValidationError
 
@@ -30,9 +28,9 @@ def enumerate_models(c, max_vars=24):
     out = []
     root = c.root
     for start, tabs in c.truth_blocks(max_vars=max_vars):
-        hits = np.nonzero(tabs[root])[0]
-        if hits.size:
-            out.extend((start + hits).tolist())
+        # bit j of the root's table, read from the reversed binary string
+        out.extend(start + j for j, b in enumerate(bin(tabs[root])[::-1])
+                   if b == '1')
     return out
 
 
@@ -183,6 +181,7 @@ def _cov_exact(mf, mg, wm, n):
 
 
 def _cov_float(mf, mg, wm, n):
+    import numpy as np
     singles, gidx = _blocks(wm, n)
     Mf = _model_matrix(mf, n)
     Mg = _model_matrix(mg, n)
@@ -224,6 +223,7 @@ def _cov_float(mf, mg, wm, n):
 
 
 def _model_matrix(models, n):
+    import numpy as np
     masks = np.asarray(models, dtype=np.int64)
     return ((masks[:, None] >> np.arange(n, dtype=np.int64)[None, :]) & 1
             ).astype(bool)

@@ -14,7 +14,11 @@ def random_vtree(rng, n):
         return Vtree.right_linear(n)
     if rng.random() < 0.5:
         return Vtree.balanced(n)
-    # random binary shape over a shuffled leaf order
+    return random_shape_vtree(rng, n)
+
+
+def random_shape_vtree(rng, n):
+    """Random binary shape over a shuffled leaf order."""
     order = list(range(1, n + 1))
     rng.shuffle(order)
 

@@ -1,11 +1,13 @@
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import random_circuit, random_vtree, seeded
-from wmcvar.circuit import (BOTTOM, FALSE, TRUE, Vtree, normalize, parse_sdd,
-                            parse_vtree, sdd_text, validate)
+from conftest import (random_circuit, random_shape_vtree, random_vtree,
+                      seeded)
+from wmcvar.circuit import (BOTTOM, FALSE, TRUE, Circuit, Vtree, normalize,
+                            parse_sdd, parse_vtree, sdd_text, validate)
 from wmcvar.errors import FormatError, ValidationError, VtreeMismatchError
 from wmcvar.oracle import enumerate_models
+from wmcvar.sddc import Cnf, compile_cnf
 
 VTREE_22 = """vtree 7
 L 0 1
@@ -27,6 +29,41 @@ L 4 4 4
 D 5 6 1 3 4
 D 6 6 2 0 1 3 4
 """
+
+
+def root_walk(vt, bits):
+    """Deepest vnode covering bits, by a walk down from the root."""
+    if bits == 0:
+        return BOTTOM
+    v = vt.root
+    while not vt.is_leaf(v):
+        if bits & ~vt.scope[vt.left[v]] == 0:
+            v = vt.left[v]
+        elif bits & ~vt.scope[vt.right[v]] == 0:
+            v = vt.right[v]
+        else:
+            break
+    return v
+
+
+def shaped_vtrees(rng, n):
+    return (Vtree.right_linear(n), Vtree.balanced(n),
+            random_shape_vtree(rng, n))
+
+
+def evaluate(c, g):
+    """Truth value of every node of c under assignment g."""
+    val = []
+    for i, k in enumerate(c.kind):
+        if k in 'FT':
+            val.append(k == 'T')
+        elif k == 'L':
+            val.append(bool((g >> (abs(c.lit[i]) - 1)) & 1) == (c.lit[i] > 0))
+        elif k == 'A':
+            val.append(all(val[x] for x in c.children[i]))
+        else:
+            val.append(any(val[x] for x in c.children[i]))
+    return val
 
 
 class TestVtree:
@@ -86,6 +123,53 @@ class TestVtree:
                 assert not vt.is_ancestor(BOTTOM, v)
             assert vt.is_ancestor(BOTTOM, BOTTOM)
 
+    def test_lca_matches_parent_walk(self):
+        rng = seeded('lca')
+        for _ in range(30):
+            vt = random_vtree(rng, rng.randint(1, 12))
+            for a in range(1, vt.n_nodes + 1):
+                up = [a]
+                while up[-1] != vt.root:
+                    up.append(vt.parent[up[-1]])
+                for b in range(1, vt.n_nodes + 1):
+                    w = b
+                    while w not in up:
+                        w = vt.parent[w]
+                    assert vt.lca(a, b) == w
+                assert vt.lca(a, BOTTOM) == vt.lca(BOTTOM, a) == a
+            assert vt.lca(BOTTOM, BOTTOM) == BOTTOM
+
+    def test_deepest_containing_matches_root_walk(self):
+        rng = seeded('deepest-containing')
+        for n in (1, 2, 5, 17, 40):
+            for vt in shaped_vtrees(rng, n):
+                masks = [0, vt.scope[vt.root]]
+                masks += [1 << v for v in range(1, n + 1)]
+                for _ in range(60):
+                    vs = rng.sample(range(1, n + 1), rng.randint(1, min(n, 4)))
+                    masks.append(sum(1 << v for v in vs))
+                    masks.append(rng.getrandbits(n) << 1)
+                for mask in masks:
+                    assert vt.deepest_containing(mask) == root_walk(vt, mask)
+                for bad in (1, 1 << (n + 1)):
+                    with pytest.raises(ValidationError):
+                        vt.deepest_containing(bad)
+
+    def test_placement_keeps_compiled_text(self, monkeypatch):
+        rng = seeded('placement-text')
+        cases = []
+        for n in (3, 8, 16):
+            for vt in shaped_vtrees(rng, n):
+                clauses = [tuple(v if rng.random() < 0.5 else -v
+                                 for v in rng.sample(range(1, n + 1), 3))
+                           for _ in range(2 * n)]
+                cases.append((vt, Cnf(n, clauses)))
+        got = [sdd_text(compile_cnf(cnf, vt)) for vt, cnf in cases]
+        assert sum(len(t.splitlines()) for t in got) > 200
+        monkeypatch.setattr(Vtree, 'deepest_containing', root_walk)
+        want = [sdd_text(compile_cnf(cnf, vt)) for vt, cnf in cases]
+        assert got == want
+
     def test_right_linear_shape(self):
         vt = Vtree.right_linear(5)
         node = vt.root
@@ -138,6 +222,85 @@ class TestParseSdd:
         rep = validate(parse_sdd(text, vt))
         assert not rep.ok
         assert any('true together' in p for p in rep.problems)
+
+
+class TestTruthBlocks:
+    def random_gates(self, rng, n, gates):
+        vt = random_vtree(rng, n)
+        c = Circuit(vt)
+        nodes = [FALSE, TRUE] + [c.literal(s * v) for v in range(1, n + 1)
+                                 for s in (1, -1)]
+        for _ in range(gates):
+            chs = rng.sample(nodes, rng.randint(0, 3))
+            nodes.append(c.conj(chs) if rng.random() < 0.5 else c.disj(chs))
+        c.root = nodes[-1]
+        return c
+
+    def check(self, c, **kw):
+        n = c.vt.n_vars
+        starts = []
+        for start, tabs in c.truth_blocks(**kw):
+            starts.append(start)
+            width = min(1 << n, 1 << kw.get('block_log', 13))
+            for j in range(width):
+                val = evaluate(c, start + j)
+                assert [(t >> j) & 1 == 1 for t in tabs] == val
+            assert all(t >> width == 0 for t in tabs)
+        assert starts == list(range(0, 1 << n, width))
+        return len(starts)
+
+    def test_tables_match_assignment_evaluator(self):
+        rng = seeded('truth-blocks')
+        for n in (1, 3, 6, 15):
+            assert self.check(self.random_gates(rng, n, 12)) \
+                == max(1, 2 ** (n - 13))
+
+    def test_small_blocks(self):
+        rng = seeded('truth-blocks-small')
+        for _ in range(20):
+            n = rng.randint(1, 8)
+            c = self.random_gates(rng, n, 20)
+            assert self.check(c, block_log=3) == max(1, 2 ** (n - 3))
+
+    def test_refuted_past_first_block(self):
+        n = 15
+        c = Circuit(Vtree.right_linear(n))
+        x = {v: c.literal(v) for v in range(1, n + 1)}
+        # each overlap needs x14, so none lies in the first 2^13-block;
+        # o_late overlaps only in the last block (x14 and x15), o_first at
+        # 8192+4+8, o_second at 8192+1: within a block or-nodes are
+        # scanned in id order, so o_first is the witness
+        o_late = c.disj((c.conj((x[15], x[14], x[1])),
+                         c.conj((x[15], x[14], x[2]))))
+        o_first = c.disj((c.conj((x[14], x[3])), c.conj((x[14], x[4]))))
+        o_second = c.disj((x[1], x[14]))
+        exclusive = c.disj((x[5], c.literal(-5)))
+        c.root = c.conj((o_late, o_first, o_second, exclusive))
+        rep = validate(c)
+        assert rep.determinism == 'refuted' and not rep.ok
+
+        or_nodes = sorted(i for i in c.reachable() if c.kind[i] == 'O')
+        witness = None
+        for start in range(0, 1 << n, 1 << 13):
+            for i in or_nodes:
+                for g in range(start, start + (1 << 13)):
+                    val = evaluate(c, g)
+                    if sum(val[x] for x in c.children[i]) > 1:
+                        witness = i, g
+                        break
+                if witness:
+                    break
+            if witness:
+                break
+        assert witness == (o_first, 8192 + 4 + 8)
+
+        node = rep.counterexample['node']
+        assign = rep.counterexample['assignment']
+        g = sum(1 << (v - 1) for v, on in assign.items() if on)
+        assert sorted(assign) == list(range(1, n + 1))
+        assert (node, g) == witness
+        val = evaluate(c, g)
+        assert sum(val[x] for x in c.children[node]) >= 2
 
 
 class TestNormalize:

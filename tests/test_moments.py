@@ -120,6 +120,32 @@ class TestEngine:
                             rtol=1e-9, atol=1e-12)
         assert seen > 0
 
+    def test_each_split_pair_resolved_once(self, monkeypatch):
+        # a pair waiting for its dependencies keeps the parts it split
+        # into, so _split never runs twice on one pair
+        rng = seeded('split-once')
+        n = 12
+        clauses = [tuple(v if rng.random() < 0.5 else -v
+                         for v in rng.sample(range(1, n + 1), 3))
+                   for _ in range(24)]
+        c = compile_cnf(Cnf(n, clauses), Vtree.balanced(n))
+        wm = random_weights(rng, n)
+        calls = []
+        split = MomentEngine._split
+
+        def counted(self, circuit, x, anc):
+            calls.append((x, anc))
+            return split(self, circuit, x, anc)
+
+        monkeypatch.setattr(MomentEngine, '_split', counted)
+        got = var_wmc(c, wm)
+        # one pair's resolution splits its two operands back to back
+        pairs = [(a, b, anc) for (a, anc), (b, _) in zip(calls[::2],
+                                                        calls[1::2])]
+        assert len(pairs) > 100
+        assert len(calls) == 2 * len(set(pairs))
+        assert_allclose(got, oracle_var(c, wm), rtol=1e-9, atol=1e-12)
+
 
 class TestGroupedWeights:
     def make_grouped(self, theta=10.0):
