@@ -40,7 +40,23 @@ most one member true.  Covariances of such blocks are then read directly
 from the group covariance matrix, and any adjustment whose span would
 touch a grouped variable raises CorrelationScopeError instead of silently
 using moments that the model cannot express.
+
+Exact models run on plain ints.  Each variable x gets one scale d_x: a
+multiple of its first moments' denominators whose square every second
+moment's denominator divides (members of a group share one d_g, which
+also covers the group's covariance entries).  The engine stores first
+moments times d_x, second moments times d_x^2 and group covariances
+times d_g^2.  The recurrences are multilinear with one moment factor per
+variable, so every anchored expectation over Var(v) is then an int over
+S(v) = prod of d_x for x in Var(v), and every covariance an int over
+S(v)^2.  exp and cov divide by S(root) or S(root)^2 once, at the end; no
+Fraction is formed before that.  Float models, int models and tape
+values take d_x = 1 and pass through.
 """
+
+import math
+from fractions import Fraction
+from itertools import chain
 
 from .circuit import BOTTOM, FALSE, TRUE
 from .errors import (CorrelationScopeError, ValidationError,
@@ -53,8 +69,9 @@ class MomentEngine:
 
     The constructor does O(n) work (per-variable moments and the W_true
     tables); adjustment tables are filled lazily per anchor vnode.
-    Arithmetic is generic: with an exact WeightModel (ints / Fractions)
-    every result is exact.
+    Results take the model's type: float if any value is a float, else
+    Fraction if any is a Fraction (computed on scaled ints, see the module
+    docstring), else the values' own type (ints stay ints).
     """
 
     def __init__(self, vt, wm, group_vnodes=None):
@@ -66,7 +83,10 @@ class MomentEngine:
             if vt.scope[v] != wm.groups[gi].mask:
                 raise ValidationError(
                     'vtree node %d does not gather group %d exactly' % (v, gi))
-        self.mom = [None] + [wm.moments(x) for x in range(1, vt.n_vars + 1)]
+        # gcov: group covariances, scaled like mom; scale: S(root) of an
+        # exact model, else None
+        self.mom, self.gcov, self.kind, d = _moments_of(wm, vt.n_vars)
+        self.scale = None if d is None else math.prod(d)
         self.guard_mask = wm.grouped_mask
 
         # W_true moments per vnode.  Above a correlated group these
@@ -207,7 +227,14 @@ class MomentEngine:
     def exp(self, c):
         """E[W_c] over the full variable set of the vtree."""
         e = self.exp_table(c)
-        return self.adj_exp(self.vt.root, e[c.root])
+        return self._result(self.adj_exp(self.vt.root, e[c.root]), 1)
+
+    def _result(self, x, power):
+        # x is over S(root)**power in exact mode; an int from a float
+        # model is an exact zero of a constant
+        if self.scale is not None:
+            return Fraction(x, self.scale ** power)
+        return float(x) if self.kind is float and type(x) is int else x
 
     # ---- covariances -----------------------------------------------------------
 
@@ -293,7 +320,7 @@ class MomentEngine:
                     r = r + lifted(anc, x, y)
                 memo[k] = r
 
-        return lifted(vt.root, *root)
+        return self._result(lifted(vt.root, *root), 2)
 
     def var(self, f):
         return self.cov(f, f)
@@ -360,7 +387,7 @@ class MomentEngine:
             jb = self._member_pattern(g, b, gi, patt)
             if ja < 0 or jb < 0:
                 return 0
-            cpp = grp.cov[ja][jb]
+            cpp = self.gcov[gi][ja][jb]
             if cpp == 0:
                 return 0
             pa = pb = 1
@@ -443,6 +470,60 @@ def _see_through(c, i):
     return i
 
 
+def _moments_of(wm, n):
+    """Moments of variables 1..n and group covariances of wm, on scaled
+    ints for an exact model: (mom, gcov, kind, d).
+
+    kind is float if a value is a float (the scan stops there), else
+    Fraction if one is a Fraction, else None (ints, tape values).  For a
+    Fraction model d[x - 1] is variable x's scale d_x, shared as d_g by a
+    group's members; mom[x] then holds x's first moments times d_x and its
+    second moments times d_x**2, gcov[gi] group gi's covariances times
+    d_g**2.  Otherwise d is None and the values are returned as they are.
+    """
+    mom = [None] + [wm.moments(x) for x in range(1, n + 1)]
+    gcov = [g.cov for g in wm.groups]
+    kind = None
+    for row in chain(((m.muP, m.muN, m.varP, m.varN, m.covPN)
+                      for m in mom[1:]),
+                     (row for cov in gcov for row in cov)):
+        for x in row:
+            t = type(x)
+            if t is Fraction:
+                kind = Fraction
+            elif t is float or t is not int and isinstance(x, float):
+                return mom, gcov, float, None
+    if kind is not Fraction:
+        return mom, gcov, kind, None
+
+    def grow(s, qs):
+        # multiply in the part of each q that s*s lacks, so q divides s*s
+        for q in qs:
+            s *= q // math.gcd(q, s * s)
+        return s
+
+    d = [grow(math.lcm(m.muP.denominator, m.muN.denominator),
+              (m.varP.denominator, m.varN.denominator, m.covPN.denominator))
+         for m in mom[1:]]
+    for g in wm.groups:
+        dg = grow(math.lcm(*(d[x - 1] for x in g.members)),
+                  (q.denominator for row in g.cov for q in row))
+        for x in g.members:
+            d[x - 1] = dg
+
+    def up(q, s):
+        return q.numerator * (s // q.denominator)
+
+    out = [None]
+    for m, s in zip(mom[1:], d):
+        s2 = s * s
+        out.append(VarMoments(up(m.muP, s), up(m.muN, s), up(m.varP, s2),
+                              up(m.varN, s2), up(m.covPN, s2)))
+    gcov = [tuple(tuple(up(q, d[g.members[0] - 1] ** 2) for q in row)
+                  for row in g.cov) for g in wm.groups]
+    return out, gcov, Fraction, d
+
+
 # ---- convenience wrappers -----------------------------------------------------
 
 def exp_wmc(c, wm, group_vnodes=None):
@@ -523,17 +604,21 @@ def var_gradient(c, wm, group_vnodes=None):
     table and in each group's matrix, so these partials give Var exactly
     after any change to one variable's or one group's second moments.
     They come from one run of MomentEngine.var over reverse-mode scalars
-    and one backward walk over the tape it records.
+    and one backward walk over the tape it records.  An exact model's tape
+    runs on the engine's scaled ints: Var is then read off as an int over
+    S^2 and each partial as an int over S^2 / d^2, with S the product of
+    all variable scales and d the scale of the moment's variable or group.
     """
     n = c.vt.n_vars
     wm.validate_for(n)
+    mom, gcov, _, d = _moments_of(wm, n)
     tape = []
     groups = [Group(g.members, tuple(tuple(_Rev(x, tape) for x in row)
-                                     for row in g.cov))
-              for g in wm.groups]
+                                     for row in cov))
+              for g, cov in zip(wm.groups, gcov)]
     vars_ = {}
     for x in range(1, n + 1):
-        m = wm.moments(x)
+        m = mom[x]
         at = wm.group_of(x)
         vp = groups[at[0]].cov[at[1]][at[1]] if at else _Rev(m.varP, tape)
         vars_[x] = VarMoments(m.muP, m.muN, vp, _Rev(m.varN, tape),
@@ -556,4 +641,15 @@ def var_gradient(c, wm, group_vnodes=None):
                      for m in (vars_[x] for x in range(1, n + 1))]
     dgroups = [tuple(tuple(adj[x.at] for x in row) for row in g.cov)
                for g in groups]
+    if d is not None:
+        s2 = math.prod(d) ** 2
+        var = Fraction(var, s2)
+
+        def per(parts, s):
+            q = s2 // (s * s)
+            return tuple(Fraction(p, q) for p in parts)
+
+        dvar = [None] + [per(dvar[x], d[x - 1]) for x in range(1, n + 1)]
+        dgroups = [tuple(per(row, d[g.members[0] - 1]) for row in rows)
+                   for g, rows in zip(wm.groups, dgroups)]
     return var, dvar, dgroups

@@ -8,9 +8,8 @@ positive weights are jointly distributed with a given covariance matrix.
 Negative weights of grouped variables must be deterministic, since no joint
 moments are tracked for them.
 
-Values may be ints, floats, or fractions.Fraction; arithmetic downstream is
-generic over the numeric type, so exact rational runs just store Fractions
-here.
+Values may be ints, floats, or fractions.Fraction.  Exact rational runs
+store Fractions here; the moment engine rescales them onto plain ints.
 """
 
 from dataclasses import dataclass
@@ -45,6 +44,12 @@ class Group:
 
 
 _DEFAULT = VarMoments()
+
+
+def to_fraction(x):
+    """x as an exact Fraction: a float through its shortest decimal form
+    (0.1 becomes 1/10), a string as a rational ("1/3", "0.25")."""
+    return Fraction(str(x)) if isinstance(x, float) else Fraction(x)
 
 
 class WeightModel:
@@ -91,10 +96,16 @@ class WeightModel:
         """Copy with every value converted to an exact Fraction.
 
         Floats go through their shortest decimal representation, so 0.1
-        becomes exactly 1/10.
+        becomes exactly 1/10.  Each distinct value is converted once.
         """
+        memo = {}
+
         def conv(x):
-            return Fraction(str(x)) if isinstance(x, float) else Fraction(x)
+            k = (type(x), x)
+            q = memo.get(k)
+            if q is None:
+                q = memo[k] = to_fraction(x)
+            return q
 
         vars_ = {v: VarMoments(*(conv(getattr(m, f)) for f in _FIELDS))
                  for v, m in self.vars.items()}
@@ -146,11 +157,17 @@ class WeightModel:
                               % ', '.join(sorted(unknown)))
 
         def conv(x):
-            if not isinstance(x, (int, float)):
-                raise FormatError('weight values must be numbers')
-            if exact:
-                return Fraction(str(x)) if isinstance(x, float) else Fraction(x)
-            return x
+            if isinstance(x, bool) or not isinstance(x, (int, float, str)):
+                raise FormatError('weight values must be numbers or '
+                                  'rational strings, not %r' % (x,))
+            if isinstance(x, str):
+                try:
+                    q = to_fraction(x)
+                except (ValueError, ZeroDivisionError):
+                    raise FormatError('bad rational weight value %r'
+                                      % x) from None
+                return q if exact else float(q)
+            return to_fraction(x) if exact else x
 
         moments = {}
         for key, entry in (obj.get('variables') or {}).items():

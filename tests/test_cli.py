@@ -8,8 +8,10 @@ from conftest import complementary_weights, example_circuit
 from wmcvar.bayes import BayesNet, Evidence, MarginalPipeline
 from wmcvar.circuit import Circuit, Vtree, sdd_text
 from wmcvar.cli import main
+from wmcvar.moments import var_wmc
 from wmcvar.oracle import enumerate_models
 from wmcvar.sddc import Cnf, SddBuilder, compile_cnf
+from wmcvar.weights import VarMoments, WeightModel
 
 
 @pytest.fixture(scope='module')
@@ -72,6 +74,38 @@ class TestQueries:
                            '--weights', files / 'w.json', '--exact')
         doc = json.loads(out)
         assert doc['results']['variance'] == '196551/100000000'
+
+    def test_rational_string_weights(self, files, capsys, tmp_path):
+        # "1/3" is exact under --exact and its nearest float otherwise
+        m = {'muP': '1/3', 'muN': '2/3', 'varP': '1/90', 'varN': '1/90',
+             'covPN': '-1/90'}
+        w = tmp_path / 'w_rat.json'
+        w.write_text(json.dumps({'variables': {str(v): m
+                                               for v in range(1, 5)}}))
+        third = VarMoments(Fraction(1, 3), Fraction(2, 3), Fraction(1, 90),
+                           Fraction(1, 90), Fraction(-1, 90))
+        want = var_wmc(example_circuit(),
+                       WeightModel({v: third for v in range(1, 5)}))
+        args = ('variance', files / 'ex.sdd', '--vtree', files / 'ex.vtree',
+                '--weights', w)
+        code, out, _ = run(capsys, *args, '--exact')
+        assert code == 0
+        assert json.loads(out)['results']['variance'] == str(want)
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        assert_allclose(json.loads(out)['results']['variance'], float(want),
+                        rtol=1e-12)
+
+    def test_exact_zero_is_rational(self, files, capsys, tmp_path):
+        # an unsatisfiable circuit's moments are Fraction zeros, printed
+        # as rationals like every other exact result
+        f = tmp_path / 'false.sdd'
+        f.write_text('sdd 1\nF 0\n')
+        for cmd in ('expect', 'variance'):
+            code, out, _ = run(capsys, cmd, f, '--vtree', files / 'ex.vtree',
+                               '--weights', files / 'w.json', '--exact')
+            assert code == 0
+            assert ('"%s":"0"' % cmd) in out
 
     def test_covariance(self, files, capsys):
         code, out, _ = run(capsys, 'covariance', files / 'ex.sdd',
@@ -222,6 +256,19 @@ class TestExitCodes:
                            '--vtree', files / 'ex.vtree',
                            '--weights', files / 'w.json')
         assert code == 2 and 'error:' in err
+
+    @pytest.mark.parametrize('value', ['true', '"one third"', '"1/0"'])
+    def test_non_numeric_weight_is_2(self, files, capsys, tmp_path, value):
+        # booleans are not read as 1/0, and strings must be rationals
+        good = (files / 'w.json').read_text()
+        w = tmp_path / 'w_bad.json'
+        w.write_text(good.replace('"muP": 0.5', '"muP": ' + value, 1))
+        assert w.read_text() != good
+        for exact in ((), ('--exact',)):
+            code, _, err = run(capsys, 'variance', files / 'ex.sdd',
+                               '--vtree', files / 'ex.vtree',
+                               '--weights', w, *exact)
+            assert code == 2 and 'weight' in err
 
     def test_invalid_circuit_is_3(self, files, capsys, tmp_path):
         vt = tmp_path / 'two.vtree'

@@ -1,3 +1,4 @@
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from wmcvar.moments import (MomentEngine, cov_wmc, exp_wmc,
                             locate_group_vnodes, var_gradient, var_wmc)
 from wmcvar.oracle import enumerate_models, oracle_cov, oracle_exp, oracle_var
 from wmcvar.sddc import Cnf, SddBuilder, compile_cnf
-from wmcvar.weights import Group, VarMoments, WeightModel
+from wmcvar.weights import Group, VarMoments, WeightModel, counting_weights
 
 
 class TestExamplePins:
@@ -234,6 +235,154 @@ class TestGroupedWeights:
         _, wm = self.make_grouped()
         with pytest.raises(CorrelationScopeError):
             locate_group_vnodes(vt, wm)
+
+
+def rational_moments(rng, q, q2):
+    """Moments of one variable: means over q, second moments over q2."""
+    def r(lo, hi, den):
+        return Fraction(rng.randint(lo * den, hi * den), den)
+    return VarMoments(r(-1, 2, q), r(-1, 2, q), r(0, 1, q2), r(0, 1, q2),
+                      r(-1, 1, q2))
+
+
+# distinct per-variable denominators; second moments sometimes over a
+# denominator whose prime factors the first moments' lack
+DENOMS = (3, 7, 10, 16, 9, 11, 25, 12)
+DENOMS2 = (1, 2, 5, 49, 27)
+
+
+def rational_weights(rng, n):
+    return WeightModel({x: rational_moments(
+        rng, DENOMS[x - 1], DENOMS[x - 1] * rng.choice(DENOMS2))
+        for x in range(1, n + 1)})
+
+
+def chain_variance(signs, ms):
+    """Var of the chain CNF whose clause v is (a·x_v ∨ b·x_{v+1}), with
+    (a, b) = signs[v - 1], by transfer matrices over Fractions: states are
+    the values of x_v in one model (mean) or in a pair of models (second
+    moment)."""
+    n = len(signs) + 1
+
+    def mu(x, s):
+        return ms[x].muP if s else ms[x].muN
+
+    def m2(x, s, t):
+        m = ms[x]
+        if s != t:
+            return m.covPN + m.muP * m.muN
+        return m.varP + m.muP ** 2 if s else m.varN + m.muN ** 2
+
+    def ok(v, s, t):
+        a, b = signs[v - 1]
+        return s == (a > 0) or t == (b > 0)
+
+    e1 = {s: mu(1, s) for s in (0, 1)}
+    e2 = {(s, t): m2(1, s, t) for s in (0, 1) for t in (0, 1)}
+    for v in range(1, n):
+        e1 = {t: mu(v + 1, t) * sum(e1[s] for s in (0, 1) if ok(v, s, t))
+              for t in (0, 1)}
+        e2 = {(t, u): m2(v + 1, t, u) * sum(
+                  e2[s, r] for s in (0, 1) for r in (0, 1)
+                  if ok(v, s, t) and ok(v, r, u))
+              for t in (0, 1) for u in (0, 1)}
+    return sum(e2.values()) - sum(e1.values()) ** 2
+
+
+class TestExactIntegers:
+    """Exact mode runs on scaled ints; results must equal the Fraction
+    referees exactly and keep the model's numeric type."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_matches_exact_oracle(self, seed):
+        rng = seeded('exact-int-%d' % seed)
+        n = rng.randint(2, 6)
+        f = random_circuit(rng, n)
+        g = compile_cnf(random_cnf(rng, n), f.vt)
+        wm = rational_weights(rng, n)
+        assert exp_wmc(f, wm) == oracle_exp(f, wm)
+        assert var_wmc(f, wm) == oracle_var(f, wm, exact=True)
+        assert cov_wmc(f, g, wm) == oracle_cov(f, g, wm, exact=True)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_groups_match_exact_oracle(self, seed):
+        rng = seeded('exact-int-group-%d' % seed)
+        vt = Vtree.from_nested(((1, 2), (3, 4)))
+        m1, m2 = (replace(rational_moments(rng, q, q), varN=0, covPN=0)
+                  for q in (3, 7))
+        c01 = Fraction(rng.randint(-5, 5), 5)
+        cov = ((m1.varP, c01), (c01, Fraction(rng.randint(0, 10), 49)))
+        wm = WeightModel({1: m1, 2: m2,
+                          3: rational_moments(rng, 10, 20),
+                          4: rational_moments(rng, 16, 16 * 27)},
+                         groups=(Group((1, 2), cov),))
+        gv = locate_group_vnodes(vt, wm)
+        f = TestGroupedWeights().grouped_circuit(vt, rng)
+        g = TestGroupedWeights().grouped_circuit(vt, rng)
+        assert exp_wmc(f, wm, gv) == oracle_exp(f, wm)
+        assert var_wmc(f, wm, gv) == oracle_var(f, wm, exact=True)
+        assert cov_wmc(f, g, wm, gv) == oracle_cov(f, g, wm, exact=True)
+
+    def test_result_types(self):
+        # float model -> float, int model -> int, any Fraction -> Fraction,
+        # also for the constant circuits whose moments are exact zeros
+        vt = Vtree.right_linear(3)
+        circuits = [compile_cnf(Cnf(3, cl), vt)
+                    for cl in ([(1, -2), (2, 3)], [(1,), (-1,)], [(1, -1)])]
+        assert [c.kind[c.root] for c in circuits[1:]] == ['F', 'T']
+        fl = complementary_weights(3, 0.5, 0.01)
+        ex = WeightModel({1: VarMoments(Fraction(1, 3), 1, 0, 0, 0)})
+        for wm, kind in ((fl, float), (counting_weights(), int),
+                         (ex, Fraction), (fl.to_exact(), Fraction)):
+            for c in circuits:
+                eng = MomentEngine(vt, wm)
+                for got in (eng.exp(c), eng.var(c), eng.cov(c, circuits[0])):
+                    assert type(got) is kind, (wm, c.kind[c.root], got)
+
+    def test_long_chain_distinct_primes(self):
+        # 300 variables, each with its own prime denominator: one global
+        # scale would have ~3,000-bit factors per variable; per-variable
+        # scales keep the pass fast
+        n = 300
+        primes = [p for p in range(2, 2000)
+                  if all(p % k for k in range(2, int(p ** .5) + 1))][:n]
+        rng = seeded('exact-prime-chain')
+        ms = {x: VarMoments(*(Fraction(rng.randint(1, p - 1), p)
+                              for _ in range(4)),
+                            Fraction(-rng.randint(0, p - 1), 2 * p))
+              for x, p in zip(range(1, n + 1), primes)}
+        wm = WeightModel(ms)
+        signs = [(rng.choice((1, -1)), rng.choice((1, -1)))
+                 for _ in range(n - 1)]
+        clauses = [(a * v, b * (v + 1)) for v, (a, b) in enumerate(signs, 1)]
+        c = compile_cnf(Cnf(n, clauses), Vtree.right_linear(n))
+        t = time.perf_counter()
+        got = var_wmc(c, wm)
+        elapsed = time.perf_counter() - t
+        assert got == chain_variance(signs, ms)
+        assert elapsed < 10     # per-variable scales: well under a second
+
+    def test_float_agrees_on_long_chain(self):
+        # the first large-circuit bound on float against exact mode
+        n = 400
+        rng = seeded('exact-float-chain')
+        ms = {}
+        for x in range(1, n + 1):
+            vp, vn = rng.randint(2, 9) / 1000, rng.randint(2, 9) / 1000
+            ms[x] = VarMoments(rng.randint(60, 75) / 100,
+                               rng.randint(60, 75) / 100, vp, vn,
+                               -min(vp, vn) / 2)
+        wm = WeightModel(ms)
+        clauses = [(v * rng.choice((1, -1)), (v + 1) * rng.choice((1, -1)))
+                   for v in range(1, n)]
+        c = compile_cnf(Cnf(n, clauses), Vtree.right_linear(n))
+        ex = wm.to_exact()
+        for fl, exact in ((exp_wmc(c, wm), exp_wmc(c, ex)),
+                          (var_wmc(c, wm), var_wmc(c, ex))):
+            assert isinstance(exact, Fraction) and exact != 0
+            assert abs(Fraction(fl) - exact) <= abs(exact) / 10 ** 12
 
 
 class TestVarGradient:

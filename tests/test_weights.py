@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from wmcvar.errors import WeightError
+from wmcvar import weights
+from wmcvar.errors import FormatError, WeightError
 from wmcvar.weights import (Group, VarMoments, WeightModel, beta_variance,
                             counting_weights, dirichlet_group_moments,
                             group_cov_from_probs, selector_weights)
@@ -102,6 +103,50 @@ class TestWeightModel:
         m = ex.moments(1)
         assert isinstance(m.muP, Fraction) and m.muP == Fraction(1, 2)
         assert m.covPN == Fraction(-1, 4)
+
+    def test_to_exact_converts_each_value_once(self, monkeypatch):
+        seen = []
+
+        def counted(x):
+            seen.append(x)
+            return Fraction(str(x)) if isinstance(x, float) else Fraction(x)
+
+        monkeypatch.setattr(weights, 'to_fraction', counted)
+        m = VarMoments(0.5, 0.25, 0.01, 0.01, -0.01)
+        wm = WeightModel({v: m for v in range(1, 50)},
+                         groups=(Group((1, 2), ((0.01, 0), (0, 0.01))),))
+        ex = wm.to_exact()
+        # 0.5, 0.25, 0.01, -0.01 and the int 0 of the group; the default's
+        # ints 1 and 0
+        assert sorted(map(repr, seen)) == sorted(
+            map(repr, [0.5, 0.25, 0.01, -0.01, 0, 1]))
+        assert ex.moments(7).varP == Fraction(1, 100)
+        assert ex.groups[0].cov[0][1] == 0
+
+    def test_json_rational_strings(self):
+        doc = {'variables': {'1': {'muP': '1/3', 'muN': '2/3',
+                                   'varP': '1/90', 'covPN': 0.5}},
+               'groups': [{'members': [1, 2],
+                           'cov': [['1/90', '-1/7'], ['-1/7', 0.25]]}]}
+        ex = WeightModel.from_json(doc, exact=True)
+        m = ex.vars[1]
+        assert (m.muP, m.muN, m.varP, m.varN, m.covPN) == (
+            Fraction(1, 3), Fraction(2, 3), Fraction(1, 90), 0,
+            Fraction(1, 2))
+        assert all(type(x) is Fraction for x in (m.muP, m.varN, m.covPN))
+        assert ex.groups[0].cov[0][1] == Fraction(-1, 7)
+        fl = WeightModel.from_json(doc)
+        assert fl.vars[1].muP == float(Fraction(1, 3))
+        assert fl.groups[0].cov == ((1 / 90, -1 / 7), (-1 / 7, 0.25))
+        assert type(fl.vars[1].covPN) is float
+
+    @pytest.mark.parametrize('bad', [True, False, 'one third', '1/0',
+                                     None, [1]])
+    def test_json_rejects_non_numbers(self, bad):
+        for exact in (False, True):
+            with pytest.raises(FormatError):
+                WeightModel.from_json(
+                    {'variables': {'1': {'muP': bad}}}, exact=exact)
 
     def test_grouped_vars_need_degenerate_negative(self):
         # group covariance only speaks about the positive weights, so the
