@@ -308,6 +308,9 @@ def cmd_bn(args):
 
 # ---- parser -----------------------------------------------------------------
 
+BUDGET_HELP = ('compilation node budget: unique-table nodes, intermediate '
+               'results included (default 1e6)')
+
 
 def _parser():
     p = argparse.ArgumentParser(
@@ -374,7 +377,7 @@ def _parser():
     sp.add_argument('--vtree', required=True)
     sp.add_argument('--out', required=True, help='output circuit file')
     sp.add_argument('--budget', type=int, default=10 ** 6,
-                    help='node budget (default 1e6)')
+                    help=BUDGET_HELP)
     sp.add_argument('--timings', action='store_true')
     sp.set_defaults(func=cmd_compile)
 
@@ -391,7 +394,8 @@ def _parser():
     sp.add_argument('--csv', action='store_true',
                     help='emit the sweep table as CSV instead of JSON')
     sp.add_argument('--exact', action='store_true')
-    sp.add_argument('--budget', type=int, default=10 ** 6)
+    sp.add_argument('--budget', type=int, default=10 ** 6,
+                    help=BUDGET_HELP)
     sp.add_argument('--timings', action='store_true')
     sp.set_defaults(func=cmd_bn)
 

@@ -8,6 +8,24 @@ elements share a sub) plus the two trimming rules keep nodes canonical,
 so equality is pointer equality and the exported circuits are
 deterministic and structured by construction.
 
+apply(a, b, op) works at v = lca(vnode a, vnode b), once constant, equal
+and complementary operands are settled, in one of four cases:
+
+1. both are decisions at v: the product {(p_i & q_j, s_i op t_j)};
+2. a is a decision at v, b lies under left(v): AND gives
+   {(p_i & b, s_i)} + {(~b, FALSE)}, OR gives {(p_i & ~b, s_i)} +
+   {(b, TRUE)};
+3. a is a decision at v, b lies under right(v): {(p_i, s_i op b)};
+4. neither is at v, so l lies under left(v) and r under right(v):
+   AND gives {(l, r), (~l, FALSE)}, OR gives {(l, TRUE), (~l, r)}.
+
+Case 2 is the product with b read as {(b, TRUE), (~b, FALSE)}: every
+p_i & ~b (for AND) gets the sub FALSE, and since the p_i partition the
+left branch their disjunction is ~b itself, so these elements are the one
+element (~b, FALSE) and need no compression OR (dually (b, TRUE) for
+OR).  Cases 3 and 4 conjoin no primes at all (Darwiche, "SDD: A New
+Canonical Representation of Propositional Knowledge Bases", IJCAI 2011).
+
 This is deliberately minimal: no vtree search, no garbage collection,
 one compilation session per CNF.  A node budget guards against blow-up.
 """
@@ -137,7 +155,7 @@ class SddBuilder:
         by_sub = {}
         for p, s in elements:
             q = by_sub.get(s)
-            by_sub[s] = p if q is None else self.apply(q, p, 'or')
+            by_sub[s] = p if q is None else self.apply(q, p, _OR)
         elements = tuple(sorted((p, s) for s, p in by_sub.items()))
         if len(elements) == 1 and elements[0][0] == self.true:
             return elements[0][1]
@@ -153,13 +171,6 @@ class SddBuilder:
             n = self._push('D', 0, v, elements)
             self._uniq[key] = n
         return n
-
-    def _elements_at(self, n, v):
-        if self.vnode[n] == v and self.kind[n] == 'D':
-            return self.elems[n]
-        if self.vt.is_ancestor(self.vt.left[v], self.vnode[n]):
-            return ((n, self.true), (self.neg(n), self.false))
-        return ((self.true, n),)
 
     def apply(self, a, b, op):
         op = _OPS[op] if isinstance(op, str) else op
@@ -177,13 +188,36 @@ class SddBuilder:
         r = self._app.get(key)
         if r is not None:
             return r
-        v = self.vt.lca(self.vnode[a], self.vnode[b])
-        out = []
-        for p1, s1 in self._elements_at(a, v):
-            for p2, s2 in self._elements_at(b, v):
-                p = self.apply(p1, p2, _AND)
+        vt, vnode = self.vt, self.vnode
+        v = vt.lca(vnode[a], vnode[b])
+        if vnode[a] != v:
+            a, b = b, a
+        if vnode[a] != v:
+            # case 4: the operand under left(v) is the prime
+            if not vt.is_ancestor(vt.left[v], vnode[a]):
+                a, b = b, a
+            if op == _AND:
+                out = [(a, b), (self.neg(a), self.false)]
+            else:
+                out = [(a, self.true), (self.neg(a), b)]
+        elif vnode[b] == v:
+            out = []
+            for p1, s1 in self.elems[a]:
+                for p2, s2 in self.elems[b]:
+                    p = self.apply(p1, p2, _AND)
+                    if p != self.false:
+                        out.append((p, self.apply(s1, s2, op)))
+        elif vt.is_ancestor(vt.left[v], vnode[b]):
+            # case 2: the primes' parts outside m share one constant sub
+            # and, as the primes partition, join into the one prime ~m
+            m = b if op == _AND else self.neg(b)
+            out = [(self.neg(m), self.false if op == _AND else self.true)]
+            for p, s in self.elems[a]:
+                p = self.apply(p, m, _AND)
                 if p != self.false:
-                    out.append((p, self.apply(s1, s2, op)))
+                    out.append((p, s))
+        else:
+            out = [(p, self.apply(s, b, op)) for p, s in self.elems[a]]
         r = self._decision(v, out)
         self._app[key] = r
         return r

@@ -186,8 +186,17 @@ class WeightModel:
                     or set(entry) - {'members', 'cov'} \
                     or 'members' not in entry or 'cov' not in entry:
                 raise FormatError('bad group entry in weight JSON')
-            members = tuple(int(v) for v in entry['members'])
-            cov = tuple(tuple(conv(x) for x in row) for row in entry['cov'])
+            members, cov = entry['members'], entry['cov']
+            if not isinstance(members, list) or not all(
+                    type(v) is int for v in members):
+                raise FormatError('group members must be a list of '
+                                  'variable ids, not %r' % (members,))
+            if not isinstance(cov, list) or not all(
+                    isinstance(row, list) for row in cov):
+                raise FormatError('group cov must be a list of rows, not %r'
+                                  % (cov,))
+            members = tuple(members)
+            cov = tuple(tuple(conv(x) for x in row) for row in cov)
             groups.append(Group(members, cov))
         return WeightModel(moments, groups)
 

@@ -270,6 +270,28 @@ class TestExitCodes:
                                '--weights', w, *exact)
             assert code == 2 and 'weight' in err
 
+    @pytest.mark.parametrize('members', [[1.9, 2], ['x', 2], '12'])
+    def test_bad_group_members_is_2(self, files, capsys, tmp_path, members):
+        doc = json.loads((files / 'w.json').read_text())
+        doc['groups'] = [{'members': members, 'cov': [[0, 0], [0, 0]]}]
+        w = tmp_path / 'w_group.json'
+        w.write_text(json.dumps(doc))
+        code, _, err = run(capsys, 'variance', files / 'ex.sdd',
+                           '--vtree', files / 'ex.vtree', '--weights', w)
+        assert code == 2 and 'members' in err
+
+    @pytest.mark.parametrize('command', ['compile', 'bn'])
+    def test_compile_budget_is_3(self, files, capsys, command):
+        if command == 'compile':
+            argv = ['compile', files / 'f.cnf', '--vtree',
+                    files / 'ex.vtree', '--out', files / 'budget.sdd']
+        else:
+            argv = ['bn', files / 'net.json']
+        code, out, err = run(capsys, *argv, '--budget', 3)
+        assert code == 3
+        assert '3-node budget' in err and 'Traceback' not in err
+        assert out == ''
+
     def test_invalid_circuit_is_3(self, files, capsys, tmp_path):
         vt = tmp_path / 'two.vtree'
         vt.write_text('vtree 3\nL 0 1\nL 1 2\nI 2 0 1\n')

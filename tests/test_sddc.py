@@ -1,8 +1,15 @@
+import contextlib
+import hashlib
+
 import pytest
 
-from conftest import random_cnf, random_vtree, seeded
-from wmcvar.circuit import Vtree, validate
+from conftest import (random_cnf, random_shape_vtree, random_weights,
+                      random_vtree, seeded)
+from wmcvar import sddc
+from wmcvar.bayes import MarginalPipeline, demo_networks
+from wmcvar.circuit import Vtree, sdd_text, validate
 from wmcvar.errors import CompileBudgetError, FormatError
+from wmcvar.moments import var_wmc
 from wmcvar.oracle import enumerate_models
 from wmcvar.sddc import Cnf, SddBuilder, compile_cnf, condition1_vtree
 
@@ -18,6 +25,102 @@ def brute_models(cnf):
         if ok:
             out.append(m)
     return out
+
+
+class CartesianBuilder(SddBuilder):
+    """The referee for `SddBuilder.apply`: the compiler's apply before it
+    dispatched on where the operands sit.  Both operands are read as
+    decisions at their lca vnode, a node below it as (n, TRUE), (~n, FALSE)
+    or (TRUE, n), and every element pair is recursed on."""
+
+    def _elements_at(self, n, v):
+        if self.vnode[n] == v and self.kind[n] == 'D':
+            return self.elems[n]
+        if self.vt.is_ancestor(self.vt.left[v], self.vnode[n]):
+            return ((n, self.true), (self.neg(n), self.false))
+        return ((self.true, n),)
+
+    def apply(self, a, b, op):
+        op = sddc._OPS[op] if isinstance(op, str) else op
+        if a > b:
+            a, b = b, a
+        if a == self.false:
+            return self.false if op == sddc._AND else b
+        if a == self.true:
+            return b if op == sddc._AND else self.true
+        if a == b:
+            return a
+        if self._neg.get(a) == b:
+            return self.false if op == sddc._AND else self.true
+        key = (op, a, b)
+        r = self._app.get(key)
+        if r is not None:
+            return r
+        v = self.vt.lca(self.vnode[a], self.vnode[b])
+        out = []
+        for p1, s1 in self._elements_at(a, v):
+            for p2, s2 in self._elements_at(b, v):
+                p = self.apply(p1, p2, sddc._AND)
+                if p != self.false:
+                    out.append((p, self.apply(s1, s2, op)))
+        r = self._decision(v, out)
+        self._app[key] = r
+        return r
+
+
+@contextlib.contextmanager
+def compiling_with(cls):
+    """Make every compile through `sddc` use builders of class cls;
+    yields the list of the builders made."""
+    made = []
+
+    class Recording(cls):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sddc, 'SddBuilder', Recording)
+        yield made
+
+
+def sdd_shape(text):
+    """The SDD of an sdd file up to node ids and element order: the
+    sorted digests of its nodes, and the root's.  A digest covers a node's
+    line with its elements' ids replaced by their digests, as a set."""
+    digest = {}
+    for line in text.splitlines()[1:]:
+        kind, ident, *rest = line.split()
+        if kind == 'D':
+            rest = rest[:1] + sorted(digest[p] + digest[s] for p, s
+                                     in zip(rest[2::2], rest[3::2]))
+        digest[ident] = hashlib.sha256(
+            ' '.join([kind] + rest).encode()).hexdigest()
+    return sorted(digest.values()), digest[ident]
+
+
+def truth_table(b, n, n_vars):
+    """Bit j is set when assignment j (variable v is bit v-1) satisfies
+    node n of builder b."""
+    full = (1 << (1 << n_vars)) - 1
+    tables = {b.false: 0, b.true: full}
+
+    def go(n):
+        t = tables.get(n)
+        if t is None:
+            if b.kind[n] == 'L':
+                v = abs(b.lit[n])
+                t = sum(1 << j for j in range(1 << n_vars)
+                        if (j >> (v - 1)) & 1)
+                t = t if b.lit[n] > 0 else full ^ t
+            else:
+                t = 0
+                for p, s in b.elems[n]:
+                    t |= go(p) & go(s)
+            tables[n] = t
+        return t
+
+    return go(n)
 
 
 class TestCompile:
@@ -90,6 +193,116 @@ class TestApply:
                                for v in rng.sample(range(1, n + 1), 2)))
             assert b.neg(b.apply(f, g, 'and')) \
                 == b.apply(b.neg(f), b.neg(g), 'or')
+
+
+class TestApplyDispatch:
+    """One truth-table check per case of `apply` at v = lca (see the
+    `sddc` docstring), over the vtree ((1, 2), (3, 4))."""
+
+    def setup_method(self):
+        self.vt = Vtree.from_nested(((1, 2), (3, 4)))
+        self.b = SddBuilder(self.vt)
+        b, x = self.b, self.b.literal
+        # a decision at the root: (x1 & x3) | (~x2 & x4)
+        self.d = b.apply(b.apply(x(1), x(3), 'and'),
+                         b.apply(b.neg(x(2)), x(4), 'and'), 'or')
+        assert b.vnode[self.d] == self.vt.root
+
+    def check(self, f, g, op):
+        b = self.b
+        got = truth_table(b, b.apply(f, g, op), 4)
+        tf, tg = truth_table(b, f, 4), truth_table(b, g, 4)
+        assert got == (tf & tg if op == 'and' else tf | tg)
+
+    def under(self, n, side):
+        vt = self.vt
+        return vt.is_ancestor(side[vt.root], self.b.vnode[n])
+
+    def test_both_at_v(self):
+        b, x = self.b, self.b.literal
+        e = b.apply(b.apply(x(2), b.neg(x(3)), 'and'),
+                    b.apply(x(1), x(4), 'and'), 'or')
+        assert b.vnode[e] == self.vt.root
+        for op in ('and', 'or'):
+            self.check(self.d, e, op)
+
+    def test_under_left_and(self):
+        b, x = self.b, self.b.literal
+        n = b.apply(x(1), x(2), 'or')
+        assert self.under(n, self.vt.left)
+        self.check(self.d, n, 'and')
+        self.check(n, self.d, 'and')
+
+    def test_under_left_or(self):
+        b, x = self.b, self.b.literal
+        n = b.apply(x(1), b.neg(x(2)), 'and')
+        assert self.under(n, self.vt.left)
+        self.check(self.d, n, 'or')
+        self.check(n, self.d, 'or')
+
+    def test_under_right(self):
+        b, x = self.b, self.b.literal
+        n = b.apply(x(3), b.neg(x(4)), 'or')
+        assert self.under(n, self.vt.right)
+        for op in ('and', 'or'):
+            self.check(self.d, n, op)
+            self.check(n, self.d, op)
+
+    def test_opposite_subtrees(self):
+        b, x = self.b, self.b.literal
+        l = b.apply(x(1), b.neg(x(2)), 'or')
+        r = b.apply(x(3), x(4), 'and')
+        assert self.under(l, self.vt.left) and self.under(r, self.vt.right)
+        for op in ('and', 'or'):
+            self.check(l, r, op)
+            self.check(r, l, op)
+
+
+class TestAgainstCartesian:
+    """The dispatching `apply` against the cartesian-product referee."""
+
+    def test_random_cnfs(self):
+        rng = seeded('apply-referee')
+        shapes = (Vtree.right_linear, Vtree.balanced,
+                  lambda n: random_shape_vtree(rng, n))
+        for i in range(300):
+            n = rng.randint(2, 14)
+            vt = shapes[i % 3](n)
+            cnf = random_cnf(rng, n, max_clauses=n, max_width=4)
+            with compiling_with(CartesianBuilder):
+                ref = compile_cnf(cnf, vt)
+            new = compile_cnf(cnf, vt)
+            assert enumerate_models(new) == enumerate_models(ref)
+            assert len(new.reachable()) == len(ref.reachable())
+            assert sdd_shape(sdd_text(new)) == sdd_shape(sdd_text(ref))
+            wm = random_weights(rng, n, exact=True)
+            assert var_wmc(new, wm) == var_wmc(ref, wm)
+
+    @pytest.mark.parametrize('name', sorted(demo_networks()))
+    def test_demo_networks(self, name):
+        # the same circuit from a smaller unique table and apply cache
+        bn = demo_networks()[name]
+        binary = all(bn.k(i) == 2 for i in range(len(bn.names)))
+        for encoding in ('enc1', 'enc2') if binary else ('enc1',):
+            with compiling_with(CartesianBuilder) as made:
+                ref = MarginalPipeline(bn, encoding)
+            (rb,) = made
+            with compiling_with(SddBuilder) as made:
+                new = MarginalPipeline(bn, encoding)
+            (nb,) = made
+            assert len(nb.kind) <= len(rb.kind)
+            assert len(nb._app) <= len(rb._app)
+            assert sdd_text(new.circuit) == sdd_text(ref.circuit)
+
+    def test_shape_sees_a_changed_element(self):
+        c = compile_cnf(Cnf(4, [(1, 3), (-2, 4)]), Vtree.balanced(4))
+        text = sdd_text(c)
+        lines = text.splitlines()
+        i = max(k for k, ln in enumerate(lines) if ln.startswith('D '))
+        f = lines[i].split()
+        f[4], f[5] = f[5], f[4]
+        lines[i] = ' '.join(f)
+        assert sdd_shape('\n'.join(lines)) != sdd_shape(text)
 
 
 class TestDimacs:

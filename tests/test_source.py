@@ -1,6 +1,7 @@
 """Checks over the package's own source."""
 
 import ast
+import importlib.util
 import json
 import os
 import subprocess
@@ -104,3 +105,31 @@ def test_commands_run_without_numpy(tmp_path):
     assert got['codes'] == {'variance': 0, 'count': 0, 'compile': 0,
                             'bn': 0}
     assert not got['numpy']
+
+
+def test_perfbench_tracer_wraps_every_layer():
+    # perfbench --trace 1 wraps the package's functions by name: a rename
+    # in src/wmcvar must fail here, not in the benchmark
+    path = PACKAGE.parent.parent / 'perfbench' / 'spans.py'
+    spec = importlib.util.spec_from_file_location('perfbench_spans', path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    # the modules perfbench's load_program imports
+    for name in ('bayes', 'circuit', 'moments', 'reductions', 'sddc',
+                 'weights'):
+        importlib.import_module('wmcvar.' + name)
+    wrapped = [(wmcvar.sddc, 'compile_cnf'),
+               (wmcvar.sddc.SddBuilder, 'to_circuit'),
+               (wmcvar.circuit.Vtree, 'deepest_containing')]
+    before = [getattr(owner, attr) for owner, attr in wrapped]
+    tracer = spans.Tracer()
+    tracer.install(wmcvar)
+    try:
+        tracer.enabled = True
+        wmcvar.sddc.compile_cnf(Cnf(4, [(1, -2), (3, 4)]), Vtree.balanced(4))
+    finally:
+        tracer.uninstall()
+    names = {s['name'] for s in tracer.dump()}
+    assert {'sddc.compile', 'sddc.to_circuit', 'circuit.normalize',
+            'circuit.deepest_containing'} <= names
+    assert [getattr(owner, attr) for owner, attr in wrapped] == before

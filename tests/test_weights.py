@@ -148,6 +148,24 @@ class TestWeightModel:
                 WeightModel.from_json(
                     {'variables': {'1': {'muP': bad}}}, exact=exact)
 
+    @pytest.mark.parametrize('members, cov', [
+        ([1.9, 2], [[0, 0], [0, 0]]),      # not truncated to 1
+        ([True, 2], [[0, 0], [0, 0]]),     # not read as 1
+        (['x', 2], [[0, 0], [0, 0]]),
+        (['1', 2], [[0, 0], [0, 0]]),
+        ('12', [[0, 0], [0, 0]]),
+        ({'1': 2}, [[0, 0], [0, 0]]),
+        ([1, 2], 'cov'),
+        ([1, 2], [0, 0]),
+        ([1, 2], None),
+    ])
+    def test_json_rejects_bad_groups(self, members, cov):
+        doc = {'variables': {'1': {'varN': 0}, '2': {'varN': 0}},
+               'groups': [{'members': members, 'cov': cov}]}
+        for exact in (False, True):
+            with pytest.raises(FormatError):
+                WeightModel.from_json(doc, exact=exact)
+
     def test_grouped_vars_need_degenerate_negative(self):
         # group covariance only speaks about the positive weights, so the
         # negative side must be deterministic
