@@ -27,7 +27,7 @@ import json
 import math
 from fractions import Fraction
 
-from .circuit import Circuit, normalize
+from .circuit import normalize
 from .errors import (EvidenceError, FormatError, ValidationError, WeightError)
 from .moments import MomentEngine, locate_group_vnodes, var_gradient
 from .sddc import Cnf, compile_cnf, condition1_vtree
@@ -402,35 +402,6 @@ def enc1(bn):
     return cnf, WeightModel(moments, groups), layout
 
 
-def _forbid_true(c, banned_vars):
-    """Circuit for c AND the conjunction of ¬v over the banned variables.
-
-    Only positive leaves of a banned variable become false; its negative
-    leaves stay, so the variable remains in the support with every model
-    putting it on the negative-weight side.  (Dropping it from the support
-    instead would make the moment engine lift a free P+N factor over its
-    vtree leaf.)  Relies on every model's subtree touching each banned
-    indicator through a literal leaf, which the exactly-one indicator
-    blocks guarantee.
-    """
-    out = Circuit(c.vt)
-    out.deterministic_by_construction = c.deterministic_by_construction
-    m = {0: 0, 1: 1}
-    for i in sorted(c.reachable()):
-        k = c.kind[i]
-        if k == 'L':
-            if c.lit[i] > 0 and c.lit[i] in banned_vars:
-                m[i] = 0
-            else:
-                m[i] = out.literal(c.lit[i])
-        elif k == 'A':
-            m[i] = out.conj(tuple(m[x] for x in c.children[i]))
-        elif k == 'O':
-            m[i] = out.disj(tuple(m[x] for x in c.children[i]))
-    out.root = m[c.root]
-    return normalize(out)
-
-
 class MarginalPipeline:
     """Compiled network ready for repeated marginal queries.
 
@@ -464,7 +435,15 @@ class MarginalPipeline:
             return self.circuit
         c = self._conditioned.get(excluded)
         if c is None:
-            c = _forbid_true(self.circuit, set(excluded))
+            # only positive leaves of an excluded indicator become false;
+            # its negative leaves stay, so the indicator remains in the
+            # support with every model putting it on the negative-weight
+            # side.  (Dropping it from the support instead would make the
+            # moment engine lift a free P+N factor over its vtree leaf.)
+            # Relies on every model's subtree touching each excluded
+            # indicator through a literal leaf, which the exactly-one
+            # indicator blocks guarantee.
+            c = normalize(self.circuit, set(excluded))
             self._conditioned[excluded] = c
         return c
 

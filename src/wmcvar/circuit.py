@@ -27,6 +27,15 @@ children always having smaller ids than their parents.  Node 0 is always
 the false constant and node 1 the true constant.  Every node carries its
 variable scope (a bitset over variables) and its decomposition vnode: the
 deepest vtree node whose scope covers the node's scope.
+
+Circuits are built in normal form: Circuit.conj and Circuit.disj fold
+constants as they build, by the SDD trimming rules (Darwiche, "SDD: A New
+Canonical Representation of Propositional Knowledge Bases", IJCAI 2011).
+conj drops TRUE children and is FALSE if any child is FALSE; disj drops
+FALSE children and keeps TRUE ones.  Either gives TRUE (conj) or FALSE
+(disj) with no child left and the child itself with one.  Every other
+conjunction is built as given, n-ary or overlapping, for validate to
+report; rebuild binarizes n-ary ones along the vtree.
 """
 
 from dataclasses import dataclass, field
@@ -330,11 +339,7 @@ def parse_vtree(text):
             var.append(0)
         file_ids.append(fid)
         internal[fid] = len(left) - 1
-    try:
-        vt = Vtree(left, right, var, file_ids)
-    except FormatError:
-        raise
-    return vt
+    return Vtree(left, right, var, file_ids)
 
 
 # --------------------------------------------------------------------------
@@ -388,7 +393,6 @@ class Circuit:
         return node
 
     def _gate(self, kind, chs):
-        chs = tuple(chs)
         key = (kind, chs)
         node = self._gate_cache.get(key)
         if node is not None:
@@ -410,9 +414,21 @@ class Circuit:
         return here
 
     def conj(self, chs):
+        chs = tuple(chs)
+        if FALSE in chs:
+            return FALSE
+        if TRUE in chs:
+            chs = tuple(x for x in chs if x != TRUE)
+        if len(chs) < 2:
+            return chs[0] if chs else TRUE
         return self._gate('A', chs)
 
     def disj(self, chs):
+        chs = tuple(chs)
+        if FALSE in chs:
+            chs = tuple(x for x in chs if x != FALSE)
+        if len(chs) < 2:
+            return chs[0] if chs else FALSE
         return self._gate('O', chs)
 
     def reachable(self, start=None):
@@ -577,17 +593,15 @@ def validate(c, determinism_limit=20):
 # ---- normal form -----------------------------------------------------------
 
 
-def normalize(c):
-    """Rebuild the circuit in the engine's normal form.
+def rebuild(c, out, false_vars=()):
+    """Copy the nodes of c reachable from its root into out and return the
+    root's id there.
 
-    Constant children of and-nodes are folded away (a true child is spliced
-    out, a false child makes the conjunction false), and-nodes with fan-in
-    above two are binarized along the vtree, and the false constant is
-    purged from or-nodes.  The represented function is
-    unchanged; the result has no and-node with an empty-scope child.
+    Gates are rebuilt through out.conj and out.disj, so the copy is in
+    normal form, and conjunctions with more than two children are
+    binarized along the vtree.  A positive literal of a variable in
+    false_vars becomes FALSE; its negative literal stays.
     """
-    out = Circuit(c.vt)
-    out.deterministic_by_construction = c.deterministic_by_construction
     memo = {}
     stack = [(c.root, False)]
     while stack:
@@ -602,48 +616,35 @@ def normalize(c):
         if k == 'F' or k == 'T':
             memo[i] = FALSE if k == 'F' else TRUE
         elif k == 'L':
-            memo[i] = out.literal(c.lit[i])
+            sl = c.lit[i]
+            memo[i] = FALSE if sl > 0 and sl in false_vars \
+                else out.literal(sl)
         elif k == 'A':
-            chs = []
-            dead = False
-            for x in c.children[i]:
-                nx = memo[x]
-                if nx == FALSE:
-                    dead = True
-                    break
-                if nx != TRUE:
-                    chs.append(nx)
-            if dead:
-                memo[i] = FALSE
-            elif not chs:
-                memo[i] = TRUE
-            else:
-                memo[i] = _binarize(out, chs)
+            memo[i] = _binarize(out, [memo[x] for x in c.children[i]])
         else:
-            chs = []
-            for x in c.children[i]:
-                nx = memo[x]
-                if nx == FALSE:
-                    continue
-                chs.append(nx)
-            if not chs:
-                memo[i] = FALSE
-            elif len(chs) == 1:
-                memo[i] = chs[0]
-            else:
-                memo[i] = out.disj(chs)
-    out.root = memo[c.root]
+            memo[i] = out.disj([memo[x] for x in c.children[i]])
+    return memo[c.root]
+
+
+def normalize(c, false_vars=()):
+    """c rebuilt in normal form on its own vtree; see rebuild."""
+    out = Circuit(c.vt)
+    out.root = rebuild(c, out, false_vars)
+    out.deterministic_by_construction = c.deterministic_by_construction
     return out
 
 
 def _binarize(out, chs):
-    """Associate a conjunction along the vtree; children carry nonempty,
-    pairwise disjoint scopes."""
-    if len(chs) == 1:
-        return chs[0]
-    vt = out.vt
-    if len(chs) == 2:
+    """out.conj(chs), with more than two children associated along the
+    vtree; the children other than constants carry nonempty, pairwise
+    disjoint scopes."""
+    if len(chs) <= 2:
         return out.conj(chs)
+    if min(chs) <= TRUE:
+        # conj folds the constants
+        return out.conj([x for x in chs if x <= TRUE]
+                        + [_binarize(out, [x for x in chs if x > TRUE])])
+    vt = out.vt
     d = BOTTOM
     for x in chs:
         d = vt.lca(d, out.dnode[x])

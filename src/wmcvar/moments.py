@@ -28,8 +28,9 @@ over Var(anc), by the first rule that applies:
     their lifted expectations, Cov = cl*cr + cl*er + el*cr.
 This is the pairwise product of circuits over one vtree (Vergari et al.,
 "A Compositional Atlas of Tractable Circuit Operations", NeurIPS 2021),
-taken on centred moments.  Conjunctions with a constant child are seen
-through: they anchor at the other child's vnode with the same moments.
+taken on centred moments.  Circuits must be in the normal form that
+Circuit.conj and Circuit.disj build (see circuit.py): no conjunction has
+a constant child, so each one splits at its own vnode.
 
 Correlated groups (positive weights of several variables jointly
 distributed) break the independence that the adjustment tables rely on.
@@ -207,19 +208,15 @@ class MomentEngine:
                         'conjunction %d is not binary; normalize first' % i)
                 c1, c2 = chs
                 v1, v2 = e[c1][0], e[c2][0]
-                if v1 == BOTTOM or v2 == BOTTOM:
-                    # a constant factor adds no variables
-                    e[i] = (v, e[c1][1] * e[c2][1])
+                vl, vr = vt.left[v], vt.right[v]
+                if vt.is_ancestor(vl, v1) and vt.is_ancestor(vr, v2):
+                    r = self.adj_exp(vl, e[c1]) * self.adj_exp(vr, e[c2])
+                elif vt.is_ancestor(vl, v2) and vt.is_ancestor(vr, v1):
+                    r = self.adj_exp(vl, e[c2]) * self.adj_exp(vr, e[c1])
                 else:
-                    vl, vr = vt.left[v], vt.right[v]
-                    if vt.is_ancestor(vl, v1) and vt.is_ancestor(vr, v2):
-                        r = self.adj_exp(vl, e[c1]) * self.adj_exp(vr, e[c2])
-                    elif vt.is_ancestor(vl, v2) and vt.is_ancestor(vr, v1):
-                        r = self.adj_exp(vl, e[c2]) * self.adj_exp(vr, e[c1])
-                    else:
-                        raise ValidationError(
-                            'conjunction %d does not split at its vnode' % i)
-                    e[i] = (v, r)
+                    raise ValidationError(
+                        'conjunction %d does not split at its vnode' % i)
+                e[i] = (v, r)
             else:
                 raise ValidationError('unknown node kind %r' % k)
         return e
@@ -267,7 +264,7 @@ class MomentEngine:
             return self.adj_cov(w, (lca(fd[a], gd[b]), memo[key(a, b)]),
                                 ef[a], eg[b])
 
-        root = (_see_through(f, f.root), _see_through(g, g.root))
+        root = (f.root, g.root)
         # entries (a, b, plan): plan is None until the pair's rule has been
         # evaluated, then (deps, vl, vr, anc) while its dependencies resolve
         stack = [(*root, None)]
@@ -289,9 +286,9 @@ class MomentEngine:
                         continue
                 vl = vr = 0         # stay 0 when an or-node is expanded
                 if da == anc and f.kind[a] == 'O':
-                    deps = [(_see_through(f, ch), b) for ch in f.children[a]]
+                    deps = [(ch, b) for ch in f.children[a]]
                 elif db == anc and g.kind[b] == 'O':
-                    deps = [(a, _see_through(g, ch)) for ch in g.children[b]]
+                    deps = [(a, ch) for ch in g.children[b]]
                 elif left[anc] == 0:
                     memo[k] = self._leaf_pair(f, a, g, b)
                     continue
@@ -341,7 +338,7 @@ class MomentEngine:
         if len(chs) != 2:
             raise ValidationError(
                 'conjunction %d is not binary; normalize first' % x)
-        p, s = _see_through(c, chs[0]), _see_through(c, chs[1])
+        p, s = chs
         if vt.is_ancestor(vl, c.dnode[p]) and vt.is_ancestor(vr, c.dnode[s]):
             return p, s
         if vt.is_ancestor(vl, c.dnode[s]) and vt.is_ancestor(vr, c.dnode[p]):
@@ -446,28 +443,6 @@ class MomentEngine:
                 'node sets two members of a correlated group true; '
                 'covariance of such a block is not expressible')
         return got.bit_length() - 1
-
-
-def _see_through(c, i):
-    """Node i of c without conjunctions that have a constant factor.
-
-    Such a conjunction anchors at its other factor's vnode and carries the
-    same moments; parsed SDD elements with TRUE or FALSE subs make them.
-    """
-    while c.kind[i] == 'A':
-        chs = c.children[i]
-        if len(chs) != 2:
-            break
-        p, s = chs
-        if p == FALSE or s == FALSE:
-            return FALSE
-        if p == TRUE:
-            i = s
-        elif s == TRUE:
-            i = p
-        else:
-            break
-    return i
 
 
 def _moments_of(wm, n):

@@ -30,7 +30,7 @@ fallback enumerates models and is no faster than brute force.
 
 from fractions import Fraction
 
-from .circuit import Circuit, Vtree, validate
+from .circuit import Circuit, Vtree, rebuild, validate
 from .errors import ValidationError
 from .moments import cov_wmc, exp_wmc, locate_group_vnodes, var_wmc
 from .oracle import enumerate_models, oracle_cov, oracle_exp, oracle_var
@@ -121,27 +121,20 @@ def _nested_form(vt):
     return out[vt.root]
 
 
-def _copy_into(dst, src):
-    m = {0: 0, 1: 1}
-    for i in sorted(src.reachable()):
-        k = src.kind[i]
-        if k == 'L':
-            m[i] = dst.literal(src.lit[i])
-        elif k == 'A':
-            m[i] = dst.conj(tuple(m[x] for x in src.children[i]))
-        elif k == 'O':
-            m[i] = dst.disj(tuple(m[x] for x in src.children[i]))
-    return m[src.root]
-
-
 def _shared_vtree(f, g):
-    """g rebased onto f's vtree object when the trees agree, else None."""
+    """g rebased onto f's vtree object when the trees agree, else None.
+    None too when g has a conjunction rebuild cannot binarize: the
+    callers then fall back to enumeration, as for any circuit that
+    fails validation."""
     if f.vt is g.vt:
         return g
     if _nested_form(f.vt) != _nested_form(g.vt):
         return None
     g2 = Circuit(f.vt)
-    g2.root = _copy_into(g2, g)
+    try:
+        g2.root = rebuild(g, g2)
+    except ValidationError:
+        return None
     g2.deterministic_by_construction = g.deterministic_by_construction
     return g2
 
@@ -151,14 +144,13 @@ def ite_circuit(f, g):
     as the left child of a new root.  Returns (h, z)."""
     if not (isinstance(f, Circuit) and isinstance(g, Circuit)):
         raise ValidationError('selector construction needs circuits')
-    g = _shared_vtree(f, g)
-    if g is None:
+    if f.vt is not g.vt and _nested_form(f.vt) != _nested_form(g.vt):
         raise ValidationError('circuits must share a vtree')
     z = f.vt.n_vars + 1
     vt2 = Vtree.from_nested((z, _nested_form(f.vt)))
     h = Circuit(vt2)
-    rf = _copy_into(h, f)
-    rg = _copy_into(h, g)
+    rf = rebuild(f, h)
+    rg = rebuild(g, h)
     h.root = h.disj((h.conj((h.literal(z), rf)),
                      h.conj((h.literal(-z), rg))))
     # the two branches disagree on z, so the new or-node is deterministic

@@ -235,7 +235,7 @@ class SddBuilder:
         return acc
 
     def to_circuit(self, root):
-        """Export as a normalized Circuit (no false leaves, binary ands)."""
+        """Export as a Circuit; conj and disj fold the constant subs."""
         c = Circuit(self.vt)
         m = {self.false: FALSE, self.true: TRUE}
         reach = {root}
@@ -255,15 +255,7 @@ class SddBuilder:
             if self.kind[n] == 'L':
                 m[n] = c.literal(self.lit[n])
             else:
-                parts = []
-                for p, s in self.elems[n]:
-                    if m[s] == FALSE:
-                        continue
-                    if m[s] == TRUE:
-                        parts.append(m[p])
-                    else:
-                        parts.append(c.conj((m[p], m[s])))
-                m[n] = c.disj(tuple(parts)) if parts else FALSE
+                m[n] = c.disj([c.conj((m[p], m[s])) for p, s in self.elems[n]])
         c.root = m[root]
         # primes of a decision are pairwise inconsistent by invariant
         c.deterministic_by_construction = True

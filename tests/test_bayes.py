@@ -7,7 +7,9 @@ from numpy.testing import assert_allclose
 from wmcvar.bayes import (BayesNet, Evidence, MarginalPipeline, brute_marginal,
                           demo_networks, enc1, enc2, marginal_moments,
                           sensitivity_sweep)
+from wmcvar.circuit import Circuit, normalize
 from wmcvar.errors import EvidenceError, FormatError, ValidationError
+from wmcvar.moments import MomentEngine, locate_group_vnodes
 from wmcvar.oracle import enumerate_models, oracle_var
 from wmcvar.sddc import compile_cnf, condition1_vtree
 from wmcvar.weights import Group, VarMoments, WeightModel
@@ -15,6 +17,27 @@ from wmcvar.weights import Group, VarMoments, WeightModel
 
 def conditioned_circuit(pipe, ev):
     return pipe._circuit_for(pipe._resolve(ev))
+
+
+def forbid_true(c, banned_vars):
+    """Referee for conditioning: a plain copy of c with the positive leaves
+    of the banned variables replaced by FALSE, then normalized."""
+    out = Circuit(c.vt)
+    out.deterministic_by_construction = c.deterministic_by_construction
+    m = {0: 0, 1: 1}
+    for i in sorted(c.reachable()):
+        k = c.kind[i]
+        if k == 'L':
+            if c.lit[i] > 0 and c.lit[i] in banned_vars:
+                m[i] = 0
+            else:
+                m[i] = out.literal(c.lit[i])
+        elif k == 'A':
+            m[i] = out.conj(tuple(m[x] for x in c.children[i]))
+        elif k == 'O':
+            m[i] = out.disj(tuple(m[x] for x in c.children[i]))
+    out.root = m[c.root]
+    return normalize(out)
 
 
 def scaled_wm(pipe, i, c, j, factor):
@@ -184,6 +207,24 @@ class TestMarginals:
             c = conditioned_circuit(pipe, ev)
             assert_allclose(got['variance'], oracle_var(c, pipe.wm),
                             rtol=1e-9, err_msg=name)
+
+    def test_conditioning_matches_referee(self):
+        # exact moments of the conditioned circuit agree with those of the
+        # referee copy on every single-variable evidence
+        for name, bn in demo_networks().items():
+            encs = ('enc1',) if name == 'multival2' else ('enc1', 'enc2')
+            for enc in encs:
+                pipe = MarginalPipeline(bn, enc, exact=True)
+                gv = locate_group_vnodes(pipe.vt, pipe.wm) \
+                    if pipe.wm.groups else None
+                eng = MomentEngine(pipe.vt, pipe.wm, gv)
+                for i, nm in enumerate(bn.names):
+                    for val in bn.values[i]:
+                        excluded = pipe._resolve({nm: val})
+                        got = pipe._circuit_for(excluded)
+                        want = forbid_true(pipe.circuit, set(excluded))
+                        assert eng.exp(got) == eng.exp(want)
+                        assert eng.var(got) == eng.var(want)
 
     def test_multi_variable_evidence(self):
         bn = demo_networks()['collider3']

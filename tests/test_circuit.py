@@ -1,8 +1,8 @@
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import (random_circuit, random_shape_vtree, random_vtree,
-                      seeded)
+from conftest import (random_circuit, random_cnf, random_shape_vtree,
+                      random_vtree, seeded)
 from wmcvar.circuit import (BOTTOM, FALSE, TRUE, Circuit, Vtree, normalize,
                             parse_sdd, parse_vtree, sdd_text, validate)
 from wmcvar.errors import FormatError, ValidationError, VtreeMismatchError
@@ -236,6 +236,18 @@ class TestTruthBlocks:
         c.root = nodes[-1]
         return c
 
+    def test_gates_in_normal_form(self):
+        # conj and disj fold constants as they build: no gate keeps fewer
+        # than two children, a FALSE child, or (and-nodes) a TRUE child
+        rng = seeded('truth-blocks-normal-form')
+        for _ in range(30):
+            c = self.random_gates(rng, rng.randint(1, 6), 20)
+            for i in range(len(c)):
+                if c.kind[i] in 'AO':
+                    chs = c.children[i]
+                    assert len(chs) >= 2 and FALSE not in chs
+                    assert c.kind[i] == 'O' or TRUE not in chs
+
     def check(self, c, **kw):
         n = c.vt.n_vars
         starts = []
@@ -315,6 +327,17 @@ class TestNormalize:
             if n.kind[i] == 'A':
                 assert all(n.kind[x] != 'T' for x in n.children[i])
 
+    def test_false_vars_in_nary_conjunction(self):
+        # literals mapped to FALSE can leave an n-ary conjunction with
+        # constant children and at most one other child
+        c = Circuit(Vtree.balanced(3))
+        x1, x2, x3 = (c.literal(v) for v in (1, 2, 3))
+        c.root = c.conj((x1, x2, x3))
+        assert normalize(c, {1, 2}).root == FALSE
+        c.root = c.conj((c.disj((TRUE, x1)), c.disj((TRUE, x2)), x3))
+        n = normalize(c, {1, 2})
+        assert n.kind[n.root] == 'L' and n.lit[n.root] == 3
+
     def test_idempotent(self):
         rng = seeded('normalize-idempotent')
         for _ in range(20):
@@ -346,6 +369,16 @@ class TestSddText:
             c2 = parse_sdd(sdd_text(c), c.vt)
             assert validate(c2).ok
             assert sorted(enumerate_models(c2)) == sorted(enumerate_models(c))
+        # parse_sdd builds the normal form compile_cnf exports, so compiled
+        # text reads back to the same text
+        cases = [(Cnf(2, [(2, -1)]), Vtree.from_nested((1, 2)))]
+        for _ in range(40):
+            n = rng.randint(2, 7)
+            cnf = random_cnf(rng, n)
+            cases += [(cnf, vt) for vt in shaped_vtrees(rng, n)]
+        for cnf, vt in cases:
+            t = sdd_text(compile_cnf(cnf, vt))
+            assert sdd_text(parse_sdd(t, vt)) == t
 
     def test_one_sided_elements(self):
         # normalization collapses single-element decisions into bare

@@ -101,19 +101,25 @@ class TestEngine:
             assert_allclose(cov_wmc(c, c, wm), var_wmc(c, wm), rtol=1e-9)
 
     def test_parsed_constant_elements(self):
-        # sdd_text writes decision elements with TRUE/FALSE subs, which
-        # parse_sdd keeps as conjunctions with a constant child; the pair
-        # pass must see through them
+        # sdd_text writes decision elements with TRUE/FALSE primes or subs;
+        # parse_sdd folds them away, and the moments stay those of the
+        # models
         rng = seeded('parsed-constant-elements')
         seen = 0
         for _ in range(25):
             n = rng.randint(2, 7)
             vt = random_vtree(rng, n)
-            f, g = (parse_sdd(sdd_text(compile_cnf(random_cnf(rng, n), vt)),
-                              vt) for _ in range(2))
-            seen += sum(1 for c in (f, g) for i in c.reachable()
-                        if c.kind[i] == 'A'
-                        and set(c.children[i]) & {FALSE, TRUE})
+            texts = [sdd_text(compile_cnf(random_cnf(rng, n), vt))
+                     for _ in range(2)]
+            for t in texts:
+                lines = [ln.split() for ln in t.splitlines()[1:]]
+                consts = {ln[1] for ln in lines if ln[0] in 'TF'}
+                seen += sum(1 for ln in lines if ln[0] == 'D'
+                            for ref in ln[4:] if ref in consts)
+            f, g = (parse_sdd(t, vt) for t in texts)
+            for c in (f, g):
+                assert not any(set(c.children[i]) & {FALSE, TRUE}
+                               for i in c.reachable() if c.kind[i] in 'AO')
             wm = random_weights(rng, n)
             assert_allclose(cov_wmc(f, g, wm), oracle_cov(f, g, wm),
                             rtol=1e-9, atol=1e-12)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_circuit, random_cnf, random_vtree, seeded
-from wmcvar.circuit import Vtree, parse_sdd, parse_vtree
+from wmcvar.circuit import Circuit, Vtree, parse_sdd, parse_vtree
 from wmcvar.errors import ValidationError
 from wmcvar.moments import var_wmc
 from wmcvar.oracle import enumerate_models
@@ -87,6 +87,16 @@ class TestEntailment:
         g = compile_cnf(Cnf(4, [(1,)]), Vtree.right_linear(4))
         assert entails_via_cov(f, g)
         assert not entails_via_cov(g, f)
+
+    def test_unstructured_circuit_falls_back(self):
+        # rebasing g onto f's vtree cannot binarize a conjunction whose
+        # child straddles the split; the reductions enumerate instead
+        f = compile_cnf(Cnf(4, [(1, 2)]), Vtree.balanced(4))
+        g = Circuit(Vtree.balanced(4))
+        x = {v: g.literal(v) for v in range(1, 5)}
+        g.root = g.conj((g.conj((x[1], x[3])), x[2], x[4]))
+        assert entails_via_cov(g, f) and not entails_via_cov(f, g)
+        assert ite_cov_identity_check(f, g)['residual'] == 0
 
 
 class TestIte:

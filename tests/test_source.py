@@ -125,11 +125,18 @@ def test_perfbench_tracer_wraps_every_layer():
     tracer = spans.Tracer()
     tracer.install(wmcvar)
     try:
+        pipe = wmcvar.bayes.MarginalPipeline(
+            wmcvar.bayes.demo_networks()['chain2'])
         tracer.enabled = True
         wmcvar.sddc.compile_cnf(Cnf(4, [(1, -2), (3, 4)]), Vtree.balanced(4))
+        compiled = tracer.dump()
+        # conditioning on evidence goes through bayes.normalize
+        pipe.moments({'B': 't'}, 'conjoin')
+        queried = tracer.dump()[len(compiled):]
     finally:
         tracer.uninstall()
-    names = {s['name'] for s in tracer.dump()}
+    names = {s['name'] for s in compiled}
     assert {'sddc.compile', 'sddc.to_circuit', 'circuit.normalize',
             'circuit.deepest_containing'} <= names
+    assert 'circuit.normalize' in {s['name'] for s in queried}
     assert [getattr(owner, attr) for owner, attr in wrapped] == before
