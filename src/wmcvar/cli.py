@@ -6,6 +6,11 @@ are byte-identical.  Timings (milliseconds per stage) go to stderr as a
 separate JSON line, keeping the stdout artifact reproducible; --timings
 copies them into the report for convenience at the cost of that guarantee.
 
+expect, variance, covariance and bn compute in floats, or in rationals
+with --exact; count, entails and ite-check are always exact.  The
+two-circuit commands take --vtree2 for the second circuit's vtree file,
+which must hold the same vtree as --vtree.
+
 Exit codes: 0 success, 1 generic, 2 malformed input, 3 structural
 validation, 4 weight mismatch, 5 vtree mismatch, 6 evidence mismatch.
 """
@@ -18,7 +23,7 @@ import time
 from fractions import Fraction
 
 from .bayes import BayesNet, Evidence, MarginalPipeline
-from .circuit import parse_sdd, parse_vtree, validate
+from .circuit import parse_sdd, parse_vtree, sdd_text, validate
 from .errors import (ValidationError, VtreeMismatchError, WeightError,
                      WmcvarError)
 from .moments import MomentEngine, locate_group_vnodes
@@ -103,17 +108,30 @@ class _Run:
         return out
 
 
-def _load_vtree(run, path, role='vtree'):
-    return parse_vtree(run.read(role, path))
+def _load_vtree(run, path):
+    return parse_vtree(run.read('vtree', path))
 
 
-def _load_circuit(run, path, vt, det_limit, role='circuit'):
-    c = parse_sdd(run.read(role, path), vt)
-    rep = validate(c, determinism_limit=det_limit)
-    if not rep.ok:
-        raise ValidationError('; '.join(rep.problems) or
-                              'circuit failed validation')
-    return c
+def _load_circuits(run, args, vt):
+    """The command's circuits over vt: circuit, then circuit2 if it takes
+    two.  A --vtree2 naming another file must hold the same bytes."""
+    other = getattr(args, 'vtree2', None)
+    if other is not None and other != args.vtree:
+        if _read(other) != _read(args.vtree):
+            raise VtreeMismatchError('circuits name different vtree files')
+        run.inputs['vtree2'] = {'path': other,
+                                'sha256': run.inputs['vtree']['sha256']}
+    out = []
+    roles = ('circuit', 'circuit2') if hasattr(args, 'circuit2') \
+        else ('circuit',)
+    for role in roles:
+        c = parse_sdd(run.read(role, getattr(args, role)), vt)
+        rep = validate(c, determinism_limit=args.validate_determinism)
+        if not rep.ok:
+            raise ValidationError('; '.join(rep.problems) or
+                                  'circuit failed validation')
+        out.append(c)
+    return out
 
 
 def _load_weights(run, path, n_vars, exact):
@@ -126,127 +144,72 @@ def _load_weights(run, path, n_vars, exact):
     return wm
 
 
-def _same_vtree_file(run, args, vt):
-    other = getattr(args, 'vtree2', None)
-    if other is None:
-        return
-    if other == args.vtree:
-        return
-    if _read(other) != _read(args.vtree):
-        raise VtreeMismatchError('circuits name different vtree files')
-    run.inputs['vtree2'] = {'path': other,
-                            'sha256': run.inputs['vtree']['sha256']}
+def _finish(run, args, results, mode):
+    """Print the report, then the stage timings to stderr."""
+    _emit(run.report(results, mode, args.timings))
+    _emit(run.timings, sys.stderr)
+    return 0
 
 
 # ---- subcommands ------------------------------------------------------------
 
-
-def _engine(vt, wm):
-    gv = locate_group_vnodes(vt, wm) if wm.groups else None
-    return MomentEngine(vt, wm, gv)
+# subcommand -> MomentEngine method
+MOMENTS = {'expect': 'exp', 'variance': 'var', 'covariance': 'cov'}
 
 
-def cmd_expect(args):
-    run = _Run('expect')
+def cmd_moment(args):
+    run = _Run(args.cmd)
     vt = _load_vtree(run, args.vtree)
-    c = _load_circuit(run, args.circuit, vt, args.validate_determinism)
+    circuits = _load_circuits(run, args, vt)
     wm = _load_weights(run, args.weights, vt.n_vars, args.exact)
     run.stage('parse')
-    eng = _engine(vt, wm)
+    eng = MomentEngine(vt, wm,
+                       locate_group_vnodes(vt, wm) if wm.groups else None)
     run.stage('preprocess')
-    val = eng.exp(c)
+    val = getattr(eng, MOMENTS[args.cmd])(*circuits)
     run.stage('query')
-    _emit(run.report({'expect': val, 'over': 'all'},
-                     {'exact': bool(args.exact)}, args.timings))
-    _emit(run.timings, sys.stderr)
-    return 0
-
-
-def cmd_variance(args):
-    run = _Run('variance')
-    vt = _load_vtree(run, args.vtree)
-    c = _load_circuit(run, args.circuit, vt, args.validate_determinism)
-    wm = _load_weights(run, args.weights, vt.n_vars, args.exact)
-    run.stage('parse')
-    eng = _engine(vt, wm)
-    run.stage('preprocess')
-    val = eng.var(c)
-    run.stage('query')
-    _emit(run.report({'variance': val, 'over': 'all'},
-                     {'exact': bool(args.exact)}, args.timings))
-    _emit(run.timings, sys.stderr)
-    return 0
-
-
-def cmd_covariance(args):
-    run = _Run('covariance')
-    vt = _load_vtree(run, args.vtree)
-    _same_vtree_file(run, args, vt)
-    f = _load_circuit(run, args.circuit, vt, args.validate_determinism)
-    g = _load_circuit(run, args.circuit2, vt, args.validate_determinism,
-                      role='circuit2')
-    wm = _load_weights(run, args.weights, vt.n_vars, args.exact)
-    run.stage('parse')
-    eng = _engine(vt, wm)
-    run.stage('preprocess')
-    val = eng.cov(f, g)
-    run.stage('query')
-    _emit(run.report({'covariance': val, 'over': 'all'},
-                     {'exact': bool(args.exact)}, args.timings))
-    _emit(run.timings, sys.stderr)
-    return 0
+    return _finish(run, args, {args.cmd: val, 'over': 'all'},
+                   {'exact': bool(args.exact)})
 
 
 def cmd_count(args):
     run = _Run('count')
     vt = _load_vtree(run, args.vtree)
-    c = _load_circuit(run, args.circuit, vt, args.validate_determinism)
+    c, = _load_circuits(run, args, vt)
     run.stage('parse')
-    # _load_circuit ran the exhaustive determinism check already
+    # _load_circuits ran the exhaustive determinism check already
     count, var = count_and_variance(c, determinism_limit=0)
     denom = 4 ** vt.n_vars - 1
     run.stage('query')
-    _emit(run.report({'count': count,
-                      'variance': Fraction(var),
-                      'ratio': Fraction(var, denom),
-                      'over': 'all'},
-                     {'exact': True}, args.timings))
-    _emit(run.timings, sys.stderr)
-    return 0
+    return _finish(run, args, {'count': count, 'variance': Fraction(var),
+                               'ratio': Fraction(var, denom), 'over': 'all'},
+                   {'exact': True})
 
 
 def cmd_entails(args):
     run = _Run('entails')
     vt = _load_vtree(run, args.vtree)
-    _same_vtree_file(run, args, vt)
-    f = _load_circuit(run, args.circuit, vt, args.validate_determinism)
-    g = _load_circuit(run, args.circuit2, vt, args.validate_determinism,
-                      role='circuit2')
+    f, g = _load_circuits(run, args, vt)
     run.stage('parse')
     ans = entails_via_cov(f, g, determinism_limit=0)
     run.stage('query')
-    _emit(run.report({'entails': bool(ans)}, {'exact': True}, args.timings))
-    _emit(run.timings, sys.stderr)
-    return 0
+    return _finish(run, args, {'entails': bool(ans)}, {'exact': True})
 
 
 def cmd_ite_check(args):
     run = _Run('ite-check')
     vt = _load_vtree(run, args.vtree)
-    f = _load_circuit(run, args.circuit, vt, args.validate_determinism)
-    g = _load_circuit(run, args.circuit2, vt, args.validate_determinism,
-                      role='circuit2')
+    f, g = _load_circuits(run, args, vt)
     wm = None
     if args.weights:
         wm = _load_weights(run, args.weights, vt.n_vars, exact=True)
     run.stage('parse')
     r = ite_cov_identity_check(f, g, wm, determinism_limit=0)
     run.stage('query')
-    _emit(run.report({'lhs': _frac(r['lhs']), 'rhs': _frac(r['rhs']),
-                      'residual': _frac(r['residual']), 'over': 'all'},
-                     {'exact': True}, args.timings))
-    _emit(run.timings, sys.stderr)
-    return 0
+    return _finish(run, args, {'lhs': _frac(r['lhs']), 'rhs': _frac(r['rhs']),
+                               'residual': _frac(r['residual']),
+                               'over': 'all'},
+                   {'exact': True})
 
 
 def _frac(x):
@@ -260,15 +223,12 @@ def cmd_compile(args):
     run.stage('parse')
     c = compile_cnf(cnf, vt, node_budget=args.budget)
     run.stage('compile')
-    from .circuit import sdd_text
     text = sdd_text(c)
     with open(args.out, 'w') as fh:
         fh.write(text)
     run.stage('write')
-    _emit(run.report({'nodes': len(c.reachable()), 'edges': c.n_edges,
-                      'out': args.out}, None, args.timings))
-    _emit(run.timings, sys.stderr)
-    return 0
+    return _finish(run, args, {'nodes': len(c.reachable()),
+                               'edges': c.n_edges, 'out': args.out}, None)
 
 
 def cmd_bn(args):
@@ -301,9 +261,7 @@ def cmd_bn(args):
             return 0
         results['sweep'] = [{'parameter': r['parameter'],
                              'variance': r['variance']} for r in rows]
-    _emit(run.report(results, {'exact': bool(args.exact)}, args.timings))
-    _emit(run.timings, sys.stderr)
-    return 0
+    return _finish(run, args, results, {'exact': bool(args.exact)})
 
 
 # ---- parser -----------------------------------------------------------------
@@ -332,8 +290,8 @@ def _parser():
         if weights:
             sp.add_argument('--weights', required=True,
                             help='weight-moment JSON')
-        sp.add_argument('--exact', action='store_true',
-                        help='exact rational arithmetic')
+            sp.add_argument('--exact', action='store_true',
+                            help='exact rational arithmetic')
         sp.add_argument('--validate-determinism', type=int, default=20,
                         metavar='N',
                         help='exhaustively check determinism up to N '
@@ -342,17 +300,13 @@ def _parser():
                         help='include timings in the stdout report '
                              '(breaks byte-identical output)')
 
-    sp = sub.add_parser('expect', help='expected weighted model count')
-    common(sp)
-    sp.set_defaults(func=cmd_expect)
-
-    sp = sub.add_parser('variance', help='variance of the WMC')
-    common(sp)
-    sp.set_defaults(func=cmd_variance)
-
-    sp = sub.add_parser('covariance', help='covariance of two WMCs')
-    common(sp, circuits=2)
-    sp.set_defaults(func=cmd_covariance)
+    for name, circuits, help_ in (
+            ('expect', 1, 'expected weighted model count'),
+            ('variance', 1, 'variance of the WMC'),
+            ('covariance', 2, 'covariance of two WMCs')):
+        sp = sub.add_parser(name, help=help_)
+        common(sp, circuits)
+        sp.set_defaults(func=cmd_moment)
 
     sp = sub.add_parser('count', help='model count via the variance '
                                       'reduction (exact)')

@@ -8,7 +8,8 @@ from wmcvar.bayes import (BayesNet, Evidence, MarginalPipeline, brute_marginal,
                           demo_networks, enc1, enc2, marginal_moments,
                           sensitivity_sweep)
 from wmcvar.circuit import Circuit, normalize
-from wmcvar.errors import EvidenceError, FormatError, ValidationError
+from wmcvar.errors import (EvidenceError, FormatError, ValidationError,
+                           WeightError)
 from wmcvar.moments import MomentEngine, locate_group_vnodes
 from wmcvar.oracle import enumerate_models, oracle_var
 from wmcvar.sddc import compile_cnf, condition1_vtree
@@ -251,6 +252,57 @@ class TestMarginals:
         assert_allclose(got['mean'], brute_marginal(bn, ev), rtol=1e-10)
         other = pipe.moments(ev, 'zero_weights')
         assert_allclose(got['variance'], other['variance'], rtol=1e-12)
+
+
+def explicit_chain2(params=None, groups=None, cpt_b=None):
+    """The README's two-node network under explicit uncertainty."""
+    return {'variables': [
+        {'name': 'A', 'values': ['t', 'f'], 'parents': [],
+         'cpt': [[0.3], [0.7]]},
+        {'name': 'B', 'values': ['t', 'f'], 'parents': ['A'],
+         'cpt': cpt_b or [[0.8, 0.4], [0.2, 0.6]]}],
+        'uncertainty': {'params': params or {}, 'groups': groups or {}}}
+
+
+class TestExplicitUncertainty:
+    # Pr(B=t) = a b + (1 - a) 0.4 = 0.4 + a (b - 0.4) with a = Pr(A=t),
+    # b = Pr(B=t | A=t) independent, E a = 0.3, Var a = 0.01, E b = 0.8,
+    # Var b = 0.02: mean 0.52 and variance E[a^2] E[(b - 0.4)^2] - 0.12^2
+    # = 0.10 * 0.18 - 0.0144 = 0.0036
+    PARAMS = {'A': {'var': 0.01}, 'B|t': {'var': 0.02}}
+
+    def test_params_by_hand(self):
+        bn = BayesNet.from_json(json.dumps(explicit_chain2(self.PARAMS)))
+        got = MarginalPipeline(bn, 'enc2').moments({'B': 't'})
+        assert got['mean'] == pytest.approx(0.52, abs=1e-12)
+        assert got['variance'] == pytest.approx(0.0036, abs=1e-12)
+
+    def test_enc1_uses_group_matrix(self):
+        groups = {'A': [[0.01, -0.01], [-0.01, 0.01]],
+                  'B|t': [[0.02, -0.02], [-0.02, 0.02]]}
+        bn = BayesNet.from_json(json.dumps(explicit_chain2(groups=groups)))
+        pipe = MarginalPipeline(bn, 'enc1')
+        assert sorted(g.cov for g in pipe.wm.groups) \
+            == sorted(tuple(map(tuple, m)) for m in groups.values())
+        got = pipe.moments({'B': 't'})
+        assert got['mean'] == pytest.approx(0.52, abs=1e-12)
+        assert got['variance'] == pytest.approx(0.0036, abs=1e-12)
+
+    def test_degenerate_entry_with_variance(self):
+        doc = explicit_chain2({'B|t': {'var': 0.01}},
+                              cpt_b=[[1.0, 0.4], [0.0, 0.6]])
+        with pytest.raises(WeightError, match='degenerate'):
+            BayesNet.from_json(json.dumps(doc))
+
+    def test_json_round_trip(self):
+        groups = {'B|f': [[0.03, -0.03], [-0.03, 0.03]]}
+        doc = explicit_chain2(self.PARAMS, groups)
+        bn = BayesNet.from_json(json.dumps(doc))
+        assert bn.to_json() == doc
+        again = BayesNet.from_json(json.dumps(bn.to_json()))
+        for encoding in ('enc1', 'enc2'):
+            assert MarginalPipeline(again, encoding).moments({'B': 't'}) \
+                == MarginalPipeline(bn, encoding).moments({'B': 't'})
 
 
 class TestSweep:

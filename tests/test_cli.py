@@ -1,3 +1,4 @@
+import argparse
 import json
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from numpy.testing import assert_allclose
 from conftest import complementary_weights, example_circuit
 from wmcvar.bayes import BayesNet, Evidence, MarginalPipeline
 from wmcvar.circuit import Circuit, Vtree, sdd_text
+from wmcvar import cli
 from wmcvar.cli import main
 from wmcvar.moments import var_wmc
 from wmcvar.oracle import enumerate_models
@@ -222,6 +224,16 @@ class TestBn:
         assert e.value.code == 2
 
 
+@pytest.mark.parametrize('command', ['count', 'entails', 'ite-check'])
+def test_exact_is_gone_from_always_exact_commands(files, capsys, command):
+    # these commands compute in rationals whatever the flags say
+    second = () if command == 'count' else (files / 'x.sdd',)
+    with pytest.raises(SystemExit) as e:
+        run(capsys, command, files / 'ex.sdd', *second,
+            '--vtree', files / 'ex.vtree', '--exact')
+    assert e.value.code == 2
+
+
 class TestValidation:
     def test_count_checks_determinism_once(self, capsys, tmp_path,
                                            monkeypatch):
@@ -318,12 +330,37 @@ class TestExitCodes:
                            '--weights', files / 'w_missing.json')
         assert code == 4 and 'variables' in err
 
-    def test_vtree_mismatch_is_5(self, files, capsys):
-        code, _, err = run(capsys, 'covariance', files / 'ex.sdd',
+    @pytest.mark.parametrize('command', ['covariance', 'entails',
+                                         'ite-check'])
+    def test_vtree_mismatch_is_5(self, files, capsys, command):
+        weights = ('--weights', files / 'w.json') \
+            if command == 'covariance' else ()
+        code, out, err = run(capsys, command, files / 'ex.sdd',
+                             files / 'x.sdd', '--vtree', files / 'ex.vtree',
+                             '--vtree2', files / 'other.vtree', *weights)
+        assert code == 5 and 'different vtree' in err
+        assert out == ''
+
+    def test_same_vtree2_file_is_recorded(self, files, capsys, tmp_path):
+        copy = tmp_path / 'copy.vtree'
+        copy.write_text((files / 'ex.vtree').read_text())
+        code, out, _ = run(capsys, 'ite-check', files / 'ex.sdd',
                            files / 'x.sdd', '--vtree', files / 'ex.vtree',
-                           '--vtree2', files / 'other.vtree',
-                           '--weights', files / 'w.json')
-        assert code == 5
+                           '--vtree2', copy)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc['inputs']['vtree2']['sha256'] \
+            == doc['inputs']['vtree']['sha256']
+        assert doc['results']['residual'] == '0'
+
+    def test_unknown_uncertainty_key_is_4(self, files, capsys, tmp_path):
+        doc = json.loads((files / 'net.json').read_text())
+        doc['uncertainty'] = {'params': {'C|t': {'var': 0.01}}}
+        net = tmp_path / 'net_bad.json'
+        net.write_text(json.dumps(doc))
+        code, out, err = run(capsys, 'bn', net)
+        assert code == 4 and 'C|t' in err
+        assert out == ''
 
     def test_bad_evidence_is_6(self, files, capsys):
         code, _, err = run(capsys, 'bn', files / 'net.json',
@@ -335,3 +372,52 @@ class TestExitCodes:
                            '--vtree', files / 'ex.vtree',
                            '--weights', files / 'w.json')
         assert code == 1
+
+
+def recorded_reads(argv):
+    """Run one command on a namespace that notes every attribute the
+    command reads after parsing; return the names read."""
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    args = cli._parser().parse_args([str(a) for a in argv],
+                                    namespace=Recording())
+    reads.clear()
+    assert args.func(args) == 0
+    return reads
+
+
+def test_every_option_is_read(files, capsys, tmp_path):
+    # an option that no run of its command reads parses and does nothing
+    sub, = [a for a in cli._parser()._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    dests = {name: {a.dest for a in sp._actions} - {'help'}
+             for name, sp in sub.choices.items()}
+    vtree = ('--vtree', files / 'ex.vtree')
+    weights = ('--weights', files / 'w.json')
+    network = (files / 'net.json', '--evidence', files / 'ev.json')
+    matrix = [
+        ('expect', files / 'ex.sdd', *vtree, *weights),
+        ('variance', files / 'ex.sdd', *vtree, *weights),
+        ('covariance', files / 'ex.sdd', files / 'x.sdd', *vtree,
+         *weights),
+        ('count', files / 'ex.sdd', *vtree),
+        ('entails', files / 'x.sdd', files / 'ex.sdd', *vtree),
+        ('ite-check', files / 'ex.sdd', files / 'x.sdd', *vtree),
+        ('compile', files / 'f.cnf', *vtree, '--out', tmp_path / 'o.sdd'),
+        ('bn', *network, '--sweep'),
+        ('bn', *network, '--sweep', '--csv'),
+    ]
+    read = {name: set() for name in dests}
+    for argv in matrix:
+        read[argv[0]] |= recorded_reads(argv)
+    capsys.readouterr()
+    assert all(read.values())
+    unread = sorted('%s: %s' % (name, dest)
+                    for name in dests
+                    for dest in dests[name] - read[name] - {'func', 'cmd'})
+    assert unread == []
