@@ -184,12 +184,23 @@ class BayesNet:
     # ---- per-parameter second moments --------------------------------------
 
     def param_variance(self, i, c):
-        """Variance of Pr(first value | config c) -- the enc2 parameter."""
+        """Variance of Pr(first value | config c) -- the enc2 parameter.
+
+        An explicit column takes its params entry, else the [0][0] entry
+        of its group matrix; the two must agree when both are given.
+        """
         p1 = self.cpts[i][0][c]
         if self.uncertainty[0] == 'theta':
             return beta_variance(p1, self.uncertainty[1])
-        entry = self.uncertainty[1].get(self.config_key(i, c))
-        return entry['var'] if entry else 0
+        _, params, groups = self.uncertainty
+        key = self.config_key(i, c)
+        entry, mat = params.get(key), groups.get(key)
+        if mat is None:
+            return entry['var'] if entry else 0
+        if entry is not None and entry.get('var', 0) != mat[0][0]:
+            raise WeightError(
+                'params and groups give %r different variances' % key)
+        return mat[0][0]
 
     def group_cov(self, i, c):
         """Covariance matrix of the value probabilities at one config."""

@@ -22,15 +22,11 @@ import sys
 import time
 from fractions import Fraction
 
-from .bayes import BayesNet, Evidence, MarginalPipeline
-from .circuit import parse_sdd, parse_vtree, sdd_text, validate
 from .errors import (ValidationError, VtreeMismatchError, WeightError,
                      WmcvarError)
-from .moments import MomentEngine, locate_group_vnodes
-from .reductions import (count_and_variance, entails_via_cov,
-                         ite_cov_identity_check)
-from .sddc import Cnf, compile_cnf
-from .weights import WeightModel
+
+# Each command imports the modules it uses when it runs, so a command
+# loads only its own part of the package.
 
 
 # ---- reproducible JSON ------------------------------------------------------
@@ -109,12 +105,14 @@ class _Run:
 
 
 def _load_vtree(run, path):
+    from .circuit import parse_vtree
     return parse_vtree(run.read('vtree', path))
 
 
 def _load_circuits(run, args, vt):
     """The command's circuits over vt: circuit, then circuit2 if it takes
     two.  A --vtree2 naming another file must hold the same bytes."""
+    from .circuit import parse_sdd, validate
     other = getattr(args, 'vtree2', None)
     if other is not None and other != args.vtree:
         if _read(other) != _read(args.vtree):
@@ -135,6 +133,7 @@ def _load_circuits(run, args, vt):
 
 
 def _load_weights(run, path, n_vars, exact):
+    from .weights import WeightModel
     wm = WeightModel.from_json(run.read('weights', path), exact=exact)
     wm.validate_for(n_vars)
     missing = [v for v in range(1, n_vars + 1) if v not in wm.vars]
@@ -158,6 +157,7 @@ MOMENTS = {'expect': 'exp', 'variance': 'var', 'covariance': 'cov'}
 
 
 def cmd_moment(args):
+    from .moments import MomentEngine, locate_group_vnodes
     run = _Run(args.cmd)
     vt = _load_vtree(run, args.vtree)
     circuits = _load_circuits(run, args, vt)
@@ -173,6 +173,7 @@ def cmd_moment(args):
 
 
 def cmd_count(args):
+    from .reductions import count_and_variance
     run = _Run('count')
     vt = _load_vtree(run, args.vtree)
     c, = _load_circuits(run, args, vt)
@@ -187,6 +188,7 @@ def cmd_count(args):
 
 
 def cmd_entails(args):
+    from .reductions import entails_via_cov
     run = _Run('entails')
     vt = _load_vtree(run, args.vtree)
     f, g = _load_circuits(run, args, vt)
@@ -197,6 +199,7 @@ def cmd_entails(args):
 
 
 def cmd_ite_check(args):
+    from .reductions import ite_cov_identity_check
     run = _Run('ite-check')
     vt = _load_vtree(run, args.vtree)
     f, g = _load_circuits(run, args, vt)
@@ -217,6 +220,8 @@ def _frac(x):
 
 
 def cmd_compile(args):
+    from .circuit import sdd_text
+    from .sddc import Cnf, compile_cnf
     run = _Run('compile')
     cnf = Cnf.from_dimacs(run.read('cnf', args.cnf))
     vt = _load_vtree(run, args.vtree)
@@ -232,6 +237,7 @@ def cmd_compile(args):
 
 
 def cmd_bn(args):
+    from .bayes import BayesNet, Evidence, MarginalPipeline
     run = _Run('bn')
     bn = BayesNet.from_json(run.read('network', args.network))
     evidence = Evidence(bn)

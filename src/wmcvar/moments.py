@@ -30,7 +30,8 @@ This is the pairwise product of circuits over one vtree (Vergari et al.,
 "A Compositional Atlas of Tractable Circuit Operations", NeurIPS 2021),
 taken on centred moments.  Circuits must be in the normal form that
 Circuit.conj and Circuit.disj build (see circuit.py): no conjunction has
-a constant child, so each one splits at its own vnode.
+a constant child, so each one splits at its own vnode.  The pass memoizes
+each pair as (anc, Cov); a lift reads the pair's anchor from there.
 
 Correlated groups (positive weights of several variables jointly
 distributed) break the independence that the adjustment tables rely on.
@@ -108,6 +109,8 @@ class MomentEngine:
         self.ev = ev
         self.vv = vv
         self._adj = {}          # anchor vnode -> {ancestor: (ea, va)}
+        self._parts = None      # during cov: circuit -> exp_table parts
+        self.pairs = 0          # node pairs the last cov resolved
 
     # ---- adjustment tables -------------------------------------------------
 
@@ -180,8 +183,10 @@ class MomentEngine:
 
     # ---- expectations --------------------------------------------------------
 
-    def exp_table(self, c):
-        """Anchored expectation (d(alpha), E[W_alpha]) for every node."""
+    def exp_table(self, c, parts=None):
+        """Anchored expectation (d(alpha), E[W_alpha]) for every node; a
+        list parts of len(c) entries gets each conjunction's children as
+        (left, right)."""
         if c.vt is not self.vt:
             raise VtreeMismatchError('circuit was built on a different vtree')
         vt, mom = self.vt, self.mom
@@ -211,8 +216,12 @@ class MomentEngine:
                 vl, vr = vt.left[v], vt.right[v]
                 if vt.is_ancestor(vl, v1) and vt.is_ancestor(vr, v2):
                     r = self.adj_exp(vl, e[c1]) * self.adj_exp(vr, e[c2])
+                    if parts is not None:
+                        parts[i] = chs
                 elif vt.is_ancestor(vl, v2) and vt.is_ancestor(vr, v1):
                     r = self.adj_exp(vl, e[c2]) * self.adj_exp(vr, e[c1])
+                    if parts is not None:
+                        parts[i] = (c2, c1)
                 else:
                     raise ValidationError(
                         'conjunction %d does not split at its vnode' % i)
@@ -240,84 +249,95 @@ class MomentEngine:
 
         Resolves node pairs (a, b), a of f and b of g, bottom-up by the
         pair rule of the module docstring, with an explicit stack.  memo
-        holds each pair's covariance over Var(lca(d(a), d(b))).
+        maps a * len(g) + b (the smaller id first when f is g: Cov is
+        symmetric) to (anc, the pair's covariance over Var(anc)); self.pairs
+        is its size after the last call.
         """
         if f.vt is not self.vt or g.vt is not self.vt:
             raise VtreeMismatchError('circuits were built on a different vtree')
         vt = self.vt
-        lca, left, right = vt.lca, vt.left, vt.right
-        fd, gd = f.dnode, g.dnode
+        lca, left, right, scope = vt.lca, vt.left, vt.right, vt.scope
+        fd, gd, fk, gk = f.dnode, g.dnode, f.kind, g.kind
         gmask = self.guard_mask
         same = f is g
-        ef = self.exp_table(f)
-        eg = ef if same else self.exp_table(g)
-        adj_exp = self.adj_exp
+        parts = self._parts = {f: [None] * len(f), g: [None] * len(g)}
+        ef = self.exp_table(f, parts[f])
+        eg = ef if same else self.exp_table(g, parts[g])
+        adj_exp, adj_cov, split = self.adj_exp, self.adj_cov, self._split
+        n = len(g)
         memo = {}
         patt = {}                   # (circuit, node) -> bitmask of true members
 
-        def key(a, b):
-            # Cov is symmetric: with f is g, (a, b) and (b, a) share an entry
-            return (b, a) if same and b < a else (a, b)
-
-        def lifted(w, a, b):
-            # the pair's covariance, lifted from its own vnode to w
-            return self.adj_cov(w, (lca(fd[a], gd[b]), memo[key(a, b)]),
-                                ef[a], eg[b])
-
-        root = (f.root, g.root)
-        # entries (a, b, plan): plan is None until the pair's rule has been
-        # evaluated, then (deps, vl, vr, anc) while its dependencies resolve
-        stack = [(*root, None)]
+        ra, rb = f.root, g.root
+        rk = rb * n + ra if same and rb < ra else ra * n + rb
+        # entries (a, b, key, plan): plan is None until the pair's rule has
+        # been evaluated, then (deps, vl, vr, anc) while deps resolve
+        stack = [(ra, rb, rk, None)]
         while stack:
-            a, b, plan = stack.pop()
-            k = key(a, b)
+            a, b, k, plan = stack.pop()
             if plan is None:
                 if k in memo:
                     continue
                 da, db = fd[a], gd[b]
                 anc = lca(da, db)
                 if a == FALSE or b == FALSE or anc == BOTTOM:
-                    memo[k] = 0
+                    memo[k] = (anc, 0)
                     continue
-                if gmask and vt.scope[anc] & gmask:
+                if gmask and scope[anc] & gmask:
                     r = self._group_block(f, a, g, b, anc, patt)
                     if r is not None:
-                        memo[k] = r
+                        memo[k] = (anc, r)
                         continue
                 vl = vr = 0         # stay 0 when an or-node is expanded
-                if da == anc and f.kind[a] == 'O':
-                    deps = [(ch, b) for ch in f.children[a]]
-                elif db == anc and g.kind[b] == 'O':
-                    deps = [(a, ch) for ch in g.children[b]]
+                if da == anc and fk[a] == 'O':
+                    deps = [(x, b, b * n + x if same and b < x else x * n + b)
+                            for x in f.children[a]]
+                elif db == anc and gk[b] == 'O':
+                    deps = [(a, y, y * n + a if same and y < a else a * n + y)
+                            for y in g.children[b]]
                 elif left[anc] == 0:
-                    memo[k] = self._leaf_pair(f, a, g, b)
+                    memo[k] = (anc, self._leaf_pair(f, a, g, b))
                     continue
                 else:
                     vl, vr = left[anc], right[anc]
-                    (al, ar), (bl, br) = (self._split(f, a, anc),
-                                          self._split(g, b, anc))
-                    deps = [(al, bl), (ar, br)]
-                need = [(x, y, None) for x, y in deps if key(x, y) not in memo]
+                    (al, ar), (bl, br) = split(f, a, anc), split(g, b, anc)
+                    deps = ((al, bl, bl * n + al if same and bl < al
+                             else al * n + bl),
+                            (ar, br, br * n + ar if same and br < ar
+                             else ar * n + br))
+                need = [(x, y, kk, None) for x, y, kk in deps
+                        if kk not in memo]
                 if need:
-                    stack.append((a, b, (deps, vl, vr, anc)))
+                    stack.append((a, b, k, (deps, vl, vr, anc)))
                     stack.extend(need)
                     continue
             else:
                 deps, vl, vr, anc = plan
+            # lifts to a value's own anchor are read inline
             if vl:
-                (al, bl), (ar, br) = deps
-                el = adj_exp(vl, ef[al]) * adj_exp(vl, eg[bl])
-                er = adj_exp(vr, ef[ar]) * adj_exp(vr, eg[br])
-                cl = lifted(vl, al, bl)
-                cr = lifted(vr, ar, br)
-                memo[k] = cl * cr + cl * er + el * cr
+                (al, bl, kl), (ar, br, kr) = deps
+                x, y = ef[al], eg[bl]
+                el = (x[1] if x[0] == vl else adj_exp(vl, x)) \
+                    * (y[1] if y[0] == vl else adj_exp(vl, y))
+                x, y = ef[ar], eg[br]
+                er = (x[1] if x[0] == vr else adj_exp(vr, x)) \
+                    * (y[1] if y[0] == vr else adj_exp(vr, y))
+                x = memo[kl]
+                cl = x[1] if x[0] == vl else adj_cov(vl, x, ef[al], eg[bl])
+                x = memo[kr]
+                cr = x[1] if x[0] == vr else adj_cov(vr, x, ef[ar], eg[br])
+                memo[k] = (anc, cl * cr + cl * er + el * cr)
             else:
                 r = 0
-                for x, y in deps:
-                    r = r + lifted(anc, x, y)
-                memo[k] = r
+                for p, q, kk in deps:
+                    x = memo[kk]
+                    r = r + (x[1] if x[0] == anc
+                             else adj_cov(anc, x, ef[p], eg[q]))
+                memo[k] = (anc, r)
 
-        return self._result(lifted(vt.root, *root), 2)
+        self.pairs = len(memo)
+        self._parts = None
+        return self._result(adj_cov(vt.root, memo[rk], ef[ra], eg[rb]), 2)
 
     def var(self, f):
         return self.cov(f, f)
@@ -325,26 +345,15 @@ class MomentEngine:
     def _split(self, c, x, anc):
         """(left, right) parts of node x of c at the internal vnode anc.
 
-        A conjunction at anc gives its two children, the one under
-        left(anc) first; any other node goes whole to the side that
-        contains it, with TRUE on the other side.
+        A conjunction at anc gives its two children as exp_table ordered
+        them; any other node goes whole to the side that contains it, with
+        TRUE on the other side.
         """
         vt = self.vt
-        vl, vr = vt.left[anc], vt.right[anc]
         d = c.dnode[x]
         if d != anc:
-            return (x, TRUE) if vt.is_ancestor(vl, d) else (TRUE, x)
-        chs = c.children[x]       # x is a conjunction: anc is its vnode
-        if len(chs) != 2:
-            raise ValidationError(
-                'conjunction %d is not binary; normalize first' % x)
-        p, s = chs
-        if vt.is_ancestor(vl, c.dnode[p]) and vt.is_ancestor(vr, c.dnode[s]):
-            return p, s
-        if vt.is_ancestor(vl, c.dnode[s]) and vt.is_ancestor(vr, c.dnode[p]):
-            return s, p
-        raise ValidationError(
-            'conjunction %d does not split at vnode %d' % (x, anc))
+            return (x, TRUE) if vt.is_ancestor(vt.left[anc], d) else (TRUE, x)
+        return self._parts[c][x]
 
     def _leaf_pair(self, f, a, g, b):
         # Cov of two single-variable counts: split each operand into the

@@ -33,7 +33,7 @@ from fractions import Fraction
 from .circuit import Circuit, Vtree, rebuild, validate
 from .errors import ValidationError
 from .moments import cov_wmc, exp_wmc, locate_group_vnodes, var_wmc
-from .oracle import enumerate_models, oracle_cov, oracle_exp, oracle_var
+# the enumeration fallbacks import the oracle where they run
 from .weights import WeightModel, counting_weights, selector_weights
 
 
@@ -68,6 +68,7 @@ def count_and_variance(f, n=None, determinism_limit=20):
     if isinstance(f, Circuit) and _engine_ok(f, determinism_limit):
         var = var_wmc(f, wm)
     else:
+        from .oracle import oracle_var
         var = oracle_var(f, wm, n=n)
     count = _ceil_ratio(var, 4 ** n - 1)
     if not (0 <= count <= 2 ** n and var == count * (4 ** n - count)):
@@ -96,6 +97,7 @@ def entails_via_cov(f, g, n=None, determinism_limit=20):
         var_f = var_wmc(f, wm)
         cov_fg = cov_wmc(f, g2, wm)
     else:
+        from .oracle import oracle_cov, oracle_var
         var_f = oracle_var(f, wm, n=n)
         cov_fg = oracle_cov(f, g, wm, n=n)
     denom = 4 ** n - 1
@@ -202,6 +204,8 @@ def ite_cov_identity_check(f, g, wm=None, n=None, z=None,
         gv2 = locate_group_vnodes(h.vt, wm_z) if wm_z.groups else None
         v_h = var_wmc(h, wm_z, gv2)
     else:
+        from .oracle import (enumerate_models, oracle_cov, oracle_exp,
+                             oracle_var)
         mf = enumerate_models(f) if isinstance(f, Circuit) else list(f)
         mg = enumerate_models(g) if isinstance(g, Circuit) else list(g)
         mh = [a | (1 << n) for a in mf] + list(mg)

@@ -294,6 +294,29 @@ class TestExplicitUncertainty:
         with pytest.raises(WeightError, match='degenerate'):
             BayesNet.from_json(json.dumps(doc))
 
+    def test_enc2_reads_group_matrix(self):
+        # the README network: B|f has only a matrix, whose [0][0] entry is
+        # the variance of enc2's parameter for that column
+        groups = {'B|f': [[0.03, -0.03], [-0.03, 0.03]]}
+        bn = BayesNet.from_json(json.dumps(explicit_chain2(self.PARAMS,
+                                                           groups)))
+        got = {enc: MarginalPipeline(bn, enc).moments({'B': 't'})
+               for enc in ('enc1', 'enc2')}
+        assert got['enc1']['variance'] == pytest.approx(0.0186, abs=1e-12)
+        for key in ('mean', 'variance'):
+            assert got['enc2'][key] == pytest.approx(got['enc1'][key],
+                                                     abs=1e-12)
+
+    def test_params_and_group_must_agree(self):
+        groups = {'B|f': [[0.03, -0.03], [-0.03, 0.03]]}
+        agree = dict(self.PARAMS, **{'B|f': {'var': 0.03}})
+        bn = BayesNet.from_json(json.dumps(explicit_chain2(agree, groups)))
+        assert bn.param_variance(1, 1) == 0.03
+        clash = dict(self.PARAMS, **{'B|f': {'var': 0.01}})
+        bn = BayesNet.from_json(json.dumps(explicit_chain2(clash, groups)))
+        with pytest.raises(WeightError, match=r"'B\|f'"):
+            MarginalPipeline(bn, 'enc2')
+
     def test_json_round_trip(self):
         groups = {'B|f': [[0.03, -0.03], [-0.03, 0.03]]}
         doc = explicit_chain2(self.PARAMS, groups)

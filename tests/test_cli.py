@@ -362,6 +362,20 @@ class TestExitCodes:
         assert code == 4 and 'C|t' in err
         assert out == ''
 
+    def test_enc2_params_group_conflict_is_4(self, files, capsys,
+                                            tmp_path):
+        # a column whose params entry and group matrix disagree on the
+        # variance of its first value
+        doc = json.loads((files / 'net.json').read_text())
+        doc['uncertainty'] = {'params': {'B|f': {'var': 0.01}},
+                              'groups': {'B|f': [[0.03, -0.03],
+                                                 [-0.03, 0.03]]}}
+        net = tmp_path / 'net_conflict.json'
+        net.write_text(json.dumps(doc))
+        code, out, err = run(capsys, 'bn', net, '--encoding', 'enc2')
+        assert code == 4 and 'B|f' in err
+        assert out == ''
+
     def test_bad_evidence_is_6(self, files, capsys):
         code, _, err = run(capsys, 'bn', files / 'net.json',
                            '--evidence', files / 'ev_bad.json')

@@ -10,7 +10,9 @@ from numpy.testing import assert_allclose
 from conftest import (complementary_weights, example_circuit,
                       example_variance, random_circuit, random_cnf,
                       random_vtree, random_weights, seeded)
-from wmcvar.circuit import FALSE, TRUE, Vtree, parse_sdd, sdd_text
+from wmcvar import moments
+from wmcvar.bayes import MarginalPipeline, demo_networks
+from wmcvar.circuit import BOTTOM, FALSE, TRUE, Vtree, parse_sdd, sdd_text
 from wmcvar.errors import CorrelationScopeError
 from wmcvar.moments import (MomentEngine, cov_wmc, exp_wmc,
                             locate_group_vnodes, var_gradient, var_wmc)
@@ -493,3 +495,184 @@ class TestAlgebraicProperties:
                                                           1))]), f.vt)
         wm = random_weights(rng, n)
         assert_allclose(cov_wmc(f, g, wm), cov_wmc(g, f, wm), rtol=1e-10)
+
+
+class PairRuleReferee(MomentEngine):
+    """The covariance pass as it was before the memo held anchors: tuple
+    keys, a lifting closure that recomputes each pair's lca, and a split
+    that finds a conjunction's orientation by ancestor tests.  It applies
+    the same rule in the same order, so its results must be identical."""
+
+    def cov(self, f, g):
+        vt = self.vt
+        lca, left, right = vt.lca, vt.left, vt.right
+        fd, gd = f.dnode, g.dnode
+        gmask = self.guard_mask
+        same = f is g
+        ef = self.exp_table(f)
+        eg = ef if same else self.exp_table(g)
+        adj_exp = self.adj_exp
+        memo = {}
+        patt = {}
+
+        def key(a, b):
+            return (b, a) if same and b < a else (a, b)
+
+        def lifted(w, a, b):
+            return self.adj_cov(w, (lca(fd[a], gd[b]), memo[key(a, b)]),
+                                ef[a], eg[b])
+
+        root = (f.root, g.root)
+        stack = [(*root, None)]
+        while stack:
+            a, b, plan = stack.pop()
+            k = key(a, b)
+            if plan is None:
+                if k in memo:
+                    continue
+                da, db = fd[a], gd[b]
+                anc = lca(da, db)
+                if a == FALSE or b == FALSE or anc == BOTTOM:
+                    memo[k] = 0
+                    continue
+                if gmask and vt.scope[anc] & gmask:
+                    r = self._group_block(f, a, g, b, anc, patt)
+                    if r is not None:
+                        memo[k] = r
+                        continue
+                vl = vr = 0
+                if da == anc and f.kind[a] == 'O':
+                    deps = [(ch, b) for ch in f.children[a]]
+                elif db == anc and g.kind[b] == 'O':
+                    deps = [(a, ch) for ch in g.children[b]]
+                elif left[anc] == 0:
+                    memo[k] = self._leaf_pair(f, a, g, b)
+                    continue
+                else:
+                    vl, vr = left[anc], right[anc]
+                    (al, ar), (bl, br) = (self._split(f, a, anc),
+                                          self._split(g, b, anc))
+                    deps = [(al, bl), (ar, br)]
+                need = [(x, y, None) for x, y in deps if key(x, y) not in memo]
+                if need:
+                    stack.append((a, b, (deps, vl, vr, anc)))
+                    stack.extend(need)
+                    continue
+            else:
+                deps, vl, vr, anc = plan
+            if vl:
+                (al, bl), (ar, br) = deps
+                el = adj_exp(vl, ef[al]) * adj_exp(vl, eg[bl])
+                er = adj_exp(vr, ef[ar]) * adj_exp(vr, eg[br])
+                cl = lifted(vl, al, bl)
+                cr = lifted(vr, ar, br)
+                memo[k] = cl * cr + cl * er + el * cr
+            else:
+                r = 0
+                for x, y in deps:
+                    r = r + lifted(anc, x, y)
+                memo[k] = r
+
+        self.pairs = len(memo)
+        return self._result(lifted(vt.root, *root), 2)
+
+    def _split(self, c, x, anc):
+        vt = self.vt
+        vl, vr = vt.left[anc], vt.right[anc]
+        d = c.dnode[x]
+        if d != anc:
+            return (x, TRUE) if vt.is_ancestor(vl, d) else (TRUE, x)
+        p, s = c.children[x]
+        if vt.is_ancestor(vl, c.dnode[p]) and vt.is_ancestor(vr, c.dnode[s]):
+            return p, s
+        return s, p
+
+
+def same_as_referee(vt, wm, f, g=None, gv=None):
+    """cov(f, g) (var(f) without g) on the engine and on the referee:
+    the same repr and the same number of resolved pairs."""
+    eng, ref = MomentEngine(vt, wm, gv), PairRuleReferee(vt, wm, gv)
+    got = eng.var(f) if g is None else eng.cov(f, g)
+    want = ref.var(f) if g is None else ref.cov(f, g)
+    assert repr(got) == repr(want)
+    assert eng.pairs == ref.pairs > 0
+    return eng.pairs
+
+
+REFEREE_DENOMS = (3, 7, 10, 16, 9, 11, 25, 12, 13, 5, 17, 8, 19, 6)
+
+
+class TestPairRuleReferee:
+    """The covariance pass against the pair rule it replaced."""
+
+    @pytest.mark.parametrize('shape', ['right_linear', 'balanced', 'random'])
+    def test_random_circuits(self, shape):
+        rng = seeded('referee-' + shape)
+        pairs = 0
+        for _ in range(6):
+            n = rng.randint(4, 14)
+            vt = (Vtree.right_linear(n) if shape == 'right_linear' else
+                  Vtree.balanced(n) if shape == 'balanced' else
+                  random_vtree(rng, n))
+            f, g = (compile_cnf(Cnf(n, [
+                tuple(v if rng.random() < 0.5 else -v
+                      for v in rng.sample(range(1, n + 1), 3))
+                for _ in range(rng.randint(n, 2 * n))]), vt)
+                for _ in range(2))
+            # a parsed copy numbers its nodes differently
+            parsed = parse_sdd(sdd_text(f), vt)
+            rational = WeightModel({x: rational_moments(
+                rng, REFEREE_DENOMS[x - 1],
+                REFEREE_DENOMS[x - 1] * rng.choice(DENOMS2))
+                for x in range(1, n + 1)})
+            for wm in (random_weights(rng, n), counting_weights(),
+                       rational):
+                for a, b in ((f, None), (parsed, None), (f, g),
+                             (g, parsed)):
+                    pairs += same_as_referee(vt, wm, a, b)
+        assert pairs > 10000
+
+    def test_grouped_models(self):
+        vt, wm = TestGroupedWeights().make_grouped()
+        gv = locate_group_vnodes(vt, wm)
+        rng = seeded('referee-grouped')
+        for model in (wm, wm.to_exact()):
+            for _ in range(6):
+                f = TestGroupedWeights().grouped_circuit(vt, rng)
+                g = TestGroupedWeights().grouped_circuit(vt, rng)
+                same_as_referee(vt, model, f, None, gv)
+                same_as_referee(vt, model, f, g, gv)
+
+    def test_var_gradient(self, monkeypatch):
+        rng = seeded('referee-gradient')
+        cases = []
+        for _ in range(6):
+            c = random_circuit(rng, rng.randint(3, 9))
+            for exact in (False, True):
+                cases.append((c, random_weights(rng, c.vt.n_vars, exact),
+                              None))
+        vt, wm = TestGroupedWeights().make_grouped()
+        cases.append((TestGroupedWeights().grouped_circuit(vt, rng), wm,
+                      locate_group_vnodes(vt, wm)))
+        got = [var_gradient(*case) for case in cases]
+        monkeypatch.setattr(moments, 'MomentEngine', PairRuleReferee)
+        assert repr(got) == repr([var_gradient(*case) for case in cases])
+
+    @pytest.mark.parametrize('encoding', ['enc1', 'enc2'])
+    def test_demo_networks(self, encoding):
+        seen = 0
+        for name, bn in demo_networks().items():
+            if encoding == 'enc2' and any(bn.k(i) != 2
+                                          for i in range(len(bn.names))):
+                continue
+            last = len(bn.names) - 1
+            evidence = {bn.names[last]: bn.values[last][0]}
+            for exact in (False, True):
+                pipe = MarginalPipeline(bn, encoding, exact=exact)
+                for method in ('conjoin', 'zero_weights'):
+                    c, wm, gv = pipe._query(evidence, method)
+                    same_as_referee(pipe.vt, wm, c, None, gv)
+                    c0, _, _ = pipe._query(None, method)
+                    same_as_referee(pipe.vt, wm, c0, c, gv)
+            seen += 1
+        assert seen >= (5 if encoding == 'enc1' else 3)

@@ -140,3 +140,80 @@ def test_perfbench_tracer_wraps_every_layer():
             'circuit.deepest_containing'} <= names
     assert 'circuit.normalize' in {s['name'] for s in queried}
     assert [getattr(owner, attr) for owner, attr in wrapped] == before
+
+
+LOADED = """
+import contextlib, io, json, sys
+import wmcvar.cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        codes.append(wmcvar.cli.main(argv))
+print(json.dumps({'codes': codes, 'modules': sorted(
+    m for m in sys.modules if m.split('.')[0] == 'wmcvar')}))
+"""
+
+
+def loaded_after(commands):
+    """Exit codes of the commands, run in a fresh interpreter, and the
+    wmcvar modules loaded by then."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, '-c', LOADED,
+                           json.dumps(commands)],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    return got['codes'], set(got['modules'])
+
+
+def test_cli_imports_only_what_a_command_uses(tmp_path):
+    # a CLI run compiles every module it imports when bytecode is not
+    # cached, so each command loads only its own part of the package
+    n = 6
+    cnf = Cnf(n, [(v, -(v + 1)) for v in range(1, n)])
+    vt = Vtree.right_linear(n)
+    (tmp_path / 'c.vtree').write_text(vt.to_text())
+    (tmp_path / 'c.cnf').write_text(cnf.to_dimacs())
+    (tmp_path / 'c.sdd').write_text(sdd_text(compile_cnf(cnf, vt)))
+    wm = WeightModel({v: VarMoments(0.6, 0.4, 0.01, 0.01, -0.01)
+                      for v in range(1, n + 1)})
+    (tmp_path / 'w.json').write_text(json.dumps(wm.to_json()))
+    path = {k: str(tmp_path / k)
+            for k in ('c.vtree', 'c.cnf', 'c.sdd', 'w.json', 'out.sdd')}
+
+    assert loaded_after([]) == ([], {'wmcvar', 'wmcvar.cli',
+                                     'wmcvar.errors'})
+    codes, mods = loaded_after([['compile', path['c.cnf'], '--vtree',
+                                 path['c.vtree'], '--out', path['out.sdd']]])
+    assert codes == [0] and 'wmcvar.sddc' in mods
+    assert not mods & {'wmcvar.moments', 'wmcvar.bayes'}
+    codes, mods = loaded_after([['variance', path['c.sdd'], '--vtree',
+                                 path['c.vtree'], '--weights',
+                                 path['w.json']]])
+    assert codes == [0] and 'wmcvar.moments' in mods
+    assert not mods & {'wmcvar.bayes', 'wmcvar.sddc', 'wmcvar.oracle'}
+
+
+EXPORTS = """
+import json, wmcvar
+bad = []
+for name in wmcvar.__all__ + ['no_such_name']:
+    try:
+        exec('from wmcvar import %s' % name, {})
+    except ImportError:
+        bad.append(name)
+print(json.dumps({'names': len(wmcvar.__all__), 'bad': bad}))
+"""
+
+
+def test_every_export_resolves():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, '-c', EXPORTS],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got['bad'] == ['no_such_name']
+    assert got['names'] == len(wmcvar.__all__) > 40
