@@ -37,6 +37,18 @@ from .weights import (Group, VarMoments, WeightModel, beta_variance,
 _CPT_TOL = 1e-9
 
 
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _rows(x, what):
+    """x if it is a list of lists of numbers, else FormatError."""
+    if not isinstance(x, list) or not all(
+            isinstance(row, list) and all(map(_is_number, row)) for row in x):
+        raise FormatError('%s must be a list of rows of numbers' % what)
+    return x
+
+
 class BayesNet:
     """Discrete network: variable names, value lists, parent sets, CPTs.
 
@@ -114,6 +126,9 @@ class BayesNet:
         for i in range(n):
             if self.k(i) < 2:
                 raise ValidationError('variable %s needs at least two values'
+                                      % self.names[i])
+            if len(set(self.values[i])) != self.k(i):
+                raise ValidationError('variable %s has duplicate values'
                                       % self.names[i])
             for p in self.parents[i]:
                 if not 0 <= p < n:
@@ -225,38 +240,58 @@ class BayesNet:
                 obj = json.loads(obj)
             except ValueError as e:
                 raise FormatError('bad network JSON: %s' % e) from None
-        if not isinstance(obj, dict) or 'variables' not in obj:
+        if not isinstance(obj, dict) \
+                or not isinstance(obj.get('variables'), list):
             raise FormatError('network JSON must have a "variables" list')
         unknown = set(obj) - {'variables', 'uncertainty'}
         if unknown:
             raise FormatError('unknown network JSON keys: %s'
                               % ', '.join(sorted(unknown)))
-        names, values, parents, cpts = [], [], [], []
         raw = obj['variables']
-        order = {entry.get('name'): i for i, entry in enumerate(raw)}
         for entry in raw:
-            bad = set(entry) - {'name', 'values', 'parents', 'cpt'}
-            if bad or 'name' not in entry or 'values' not in entry \
-                    or 'cpt' not in entry:
+            if not isinstance(entry, dict) \
+                    or set(entry) - {'name', 'values', 'parents', 'cpt'} \
+                    or not isinstance(entry.get('name'), str) \
+                    or not isinstance(entry.get('values'), list) \
+                    or not isinstance(entry.get('parents', []), list):
                 raise FormatError('bad variable entry in network JSON')
+        order = {entry['name']: i for i, entry in enumerate(raw)}
+        names, values, parents, cpts = [], [], [], []
+        for entry in raw:
             names.append(entry['name'])
             values.append(tuple(str(v) for v in entry['values']))
             try:
                 parents.append(tuple(order[p]
                                      for p in entry.get('parents', ())))
-            except KeyError as e:
-                raise FormatError('unknown parent %s' % e) from None
-            cpts.append([list(map(float, row)) for row in entry['cpt']])
+            except (KeyError, TypeError):
+                raise FormatError('unknown parent in %r' % entry['name']) \
+                    from None
+            cpt = _rows(entry.get('cpt'), 'cpt of %r' % entry['name'])
+            cpts.append([list(map(float, row)) for row in cpt])
         unc = obj.get('uncertainty') or {'theta': float('inf')}
+        if not isinstance(unc, dict):
+            raise FormatError('uncertainty must be an object')
         if 'theta' in unc:
             if set(unc) != {'theta'}:
                 raise FormatError('theta excludes other uncertainty keys')
+            if not _is_number(unc['theta']):
+                raise FormatError('theta must be a number')
             uncertainty = ('theta', float(unc['theta']))
         else:
             if set(unc) - {'params', 'groups'}:
                 raise FormatError('unknown uncertainty keys')
-            uncertainty = ('explicit', dict(unc.get('params') or {}),
-                           dict(unc.get('groups') or {}))
+            params = unc.get('params') or {}
+            groups = unc.get('groups') or {}
+            if not isinstance(params, dict) or not all(
+                    isinstance(e, dict) and _is_number(e.get('var', 0))
+                    for e in params.values()):
+                raise FormatError('uncertainty params must map CPT columns '
+                                  'to {"var": number}')
+            if not isinstance(groups, dict):
+                raise FormatError('uncertainty groups must be an object')
+            for key, mat in groups.items():
+                _rows(mat, 'group matrix %r' % key)
+            uncertainty = ('explicit', dict(params), dict(groups))
         return BayesNet(names, values, parents, cpts, uncertainty)
 
     def to_json(self):

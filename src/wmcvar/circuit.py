@@ -36,6 +36,13 @@ FALSE children and keeps TRUE ones.  Either gives TRUE (conj) or FALSE
 (disj) with no child left and the child itself with one.  Every other
 conjunction is built as given, n-ary or overlapping, for validate to
 report; rebuild binarizes n-ary ones along the vtree.
+
+Construction also fixes two invariants, the contract that exp_table and
+MomentEngine._split (moments.py), validate, sdd_text and rebuild rely on:
+children have smaller ids than their parents, and a binary conjunction
+stores its left-vtree child first (conj orders the two by where the Euler
+tour, which enters left subtrees first, enters their vnodes), so one that
+splits at its vnode reads (left, right).
 """
 
 from dataclasses import dataclass, field
@@ -393,16 +400,21 @@ class Circuit:
         return node
 
     def _gate(self, kind, chs):
+        here = len(self.kind)
+        for c in chs:
+            if not 0 <= c < here:
+                raise ValidationError('gate child %d not yet defined' % c)
+        if kind == 'A' and len(chs) == 2:
+            first, dn = self.vt._first, self.dnode
+            if first[dn[chs[0]]] > first[dn[chs[1]]]:
+                chs = chs[::-1]     # left-vtree child first
         key = (kind, chs)
         node = self._gate_cache.get(key)
         if node is not None:
             return node
-        here = len(self.kind)
         s = 0
         d = BOTTOM
         for c in chs:
-            if not 0 <= c < here:
-                raise ValidationError('gate child %d not yet defined' % c)
             s |= self.scope[c]
             d = self.vt.lca(d, self.dnode[c])
         self.kind.append(kind)
@@ -431,17 +443,16 @@ class Circuit:
             return chs[0] if chs else FALSE
         return self._gate('O', chs)
 
-    def reachable(self, start=None):
-        """Set of node ids reachable from the root (or a given node)."""
-        seen = set()
-        stack = [self.root if start is None else start]
-        while stack:
-            i = stack.pop()
-            if i in seen:
-                continue
-            seen.add(i)
-            stack.extend(self.children[i])
-        return seen
+    def reachable(self):
+        """Ids of the nodes reachable from the root, ascending: one sweep
+        down the ids, as children have smaller ids than their parents."""
+        live = [False] * self.root + [True]
+        children = self.children
+        for i in range(self.root, 1, -1):
+            if live[i]:
+                for x in children[i]:
+                    live[x] = True
+        return [i for i, x in enumerate(live) if x]
 
     # ---- brute-force evaluation over all assignments ----------------------
 
@@ -521,7 +532,7 @@ def validate(c, determinism_limit=20):
     structured = True
     live = c.reachable()
 
-    for i in sorted(live):
+    for i in live:
         if c.kind[i] != 'A':
             continue
         chs = c.children[i]
@@ -544,8 +555,7 @@ def validate(c, determinism_limit=20):
                 ok = False
             else:
                 sl, sr = vt.scope[vt.left[v]], vt.scope[vt.right[v]]
-                ok = ((s1 & ~sl == 0 and s2 & ~sr == 0)
-                      or (s2 & ~sl == 0 and s1 & ~sr == 0))
+                ok = s1 & ~sl == 0 and s2 & ~sr == 0
         elif s1 or s2:
             # one side is constant: need any vnode with the other side's
             # scope strictly inside one child, i.e. the deepest covering
@@ -564,7 +574,7 @@ def validate(c, determinism_limit=20):
     if determinism_limit and vt.n_vars <= determinism_limit \
             and determinism != 'by-construction':
         determinism = 'verified'
-        or_nodes = [i for i in sorted(live)
+        or_nodes = [i for i in live
                     if c.kind[i] == 'O' and len(c.children[i]) > 1]
         for start, tabs in c.truth_blocks():
             for i in or_nodes:
@@ -603,15 +613,7 @@ def rebuild(c, out, false_vars=()):
     false_vars becomes FALSE; its negative literal stays.
     """
     memo = {}
-    stack = [(c.root, False)]
-    while stack:
-        i, expanded = stack.pop()
-        if i in memo:
-            continue
-        if not expanded:
-            stack.append((i, True))
-            stack.extend((x, False) for x in c.children[i])
-            continue
+    for i in c.reachable():
         k = c.kind[i]
         if k == 'F' or k == 'T':
             memo[i] = FALSE if k == 'F' else TRUE
@@ -862,8 +864,6 @@ def _emit_decision(c, elements, dnode, fid, emit, node):
             a, b = c.children[e]
             if c.scope[a] & ~sl == 0 and c.scope[b] & ~sr == 0:
                 p, s = a, b
-            elif c.scope[b] & ~sl == 0 and c.scope[a] & ~sr == 0:
-                p, s = b, a
         elif c.kind[e] not in ('L', 'O'):
             raise ValidationError('node %d is not in decision form' % node)
         if p is None:

@@ -22,8 +22,9 @@ over Var(anc), by the first rule that applies:
     pairs' covariances, each lifted to anc;
   - anc is a vtree leaf: the covariance of two weights of one variable;
   - otherwise both operands split into (left, right) parts under anc.
-    An and-node at anc gives its two children; any other node goes whole
-    to the side that contains it, with TRUE on the other side.  With cl,
+    An and-node at anc gives its two children in their stored order,
+    which Circuit.conj makes (left, right); any other node goes whole to
+    the side that contains it, with TRUE on the other side.  With cl,
     cr the part pairs' lifted covariances and el, er the products of
     their lifted expectations, Cov = cl*cr + cl*er + el*cr.
 This is the pairwise product of circuits over one vtree (Vergari et al.,
@@ -109,7 +110,6 @@ class MomentEngine:
         self.ev = ev
         self.vv = vv
         self._adj = {}          # anchor vnode -> {ancestor: (ea, va)}
-        self._parts = None      # during cov: circuit -> exp_table parts
         self.pairs = 0          # node pairs the last cov resolved
 
     # ---- adjustment tables -------------------------------------------------
@@ -183,17 +183,15 @@ class MomentEngine:
 
     # ---- expectations --------------------------------------------------------
 
-    def exp_table(self, c, parts=None):
-        """Anchored expectation (d(alpha), E[W_alpha]) for every node; a
-        list parts of len(c) entries gets each conjunction's children as
-        (left, right)."""
+    def exp_table(self, c):
+        """Anchored expectation (d(alpha), E[W_alpha]) for every node."""
         if c.vt is not self.vt:
             raise VtreeMismatchError('circuit was built on a different vtree')
         vt, mom = self.vt, self.mom
         e = [None] * len(c)
         e[FALSE] = (BOTTOM, 0)
         e[TRUE] = (BOTTOM, 1)
-        for i in sorted(c.reachable()):
+        for i in c.reachable():
             if i <= TRUE:
                 continue
             k = c.kind[i]
@@ -211,21 +209,13 @@ class MomentEngine:
                 if len(chs) != 2:
                     raise ValidationError(
                         'conjunction %d is not binary; normalize first' % i)
-                c1, c2 = chs
-                v1, v2 = e[c1][0], e[c2][0]
+                el, er = e[chs[0]], e[chs[1]]
                 vl, vr = vt.left[v], vt.right[v]
-                if vt.is_ancestor(vl, v1) and vt.is_ancestor(vr, v2):
-                    r = self.adj_exp(vl, e[c1]) * self.adj_exp(vr, e[c2])
-                    if parts is not None:
-                        parts[i] = chs
-                elif vt.is_ancestor(vl, v2) and vt.is_ancestor(vr, v1):
-                    r = self.adj_exp(vl, e[c2]) * self.adj_exp(vr, e[c1])
-                    if parts is not None:
-                        parts[i] = (c2, c1)
-                else:
+                if not (vt.is_ancestor(vl, el[0])
+                        and vt.is_ancestor(vr, er[0])):
                     raise ValidationError(
                         'conjunction %d does not split at its vnode' % i)
-                e[i] = (v, r)
+                e[i] = (v, self.adj_exp(vl, el) * self.adj_exp(vr, er))
             else:
                 raise ValidationError('unknown node kind %r' % k)
         return e
@@ -260,13 +250,12 @@ class MomentEngine:
         fd, gd, fk, gk = f.dnode, g.dnode, f.kind, g.kind
         gmask = self.guard_mask
         same = f is g
-        parts = self._parts = {f: [None] * len(f), g: [None] * len(g)}
-        ef = self.exp_table(f, parts[f])
-        eg = ef if same else self.exp_table(g, parts[g])
+        ef = self.exp_table(f)
+        eg = ef if same else self.exp_table(g)
         adj_exp, adj_cov, split = self.adj_exp, self.adj_cov, self._split
         n = len(g)
         memo = {}
-        patt = {}                   # (circuit, node) -> bitmask of true members
+        patt = {}                   # circuit -> _member_pattern's bitsets
 
         ra, rb = f.root, g.root
         rk = rb * n + ra if same and rb < ra else ra * n + rb
@@ -336,7 +325,6 @@ class MomentEngine:
                 memo[k] = (anc, r)
 
         self.pairs = len(memo)
-        self._parts = None
         return self._result(adj_cov(vt.root, memo[rk], ef[ra], eg[rb]), 2)
 
     def var(self, f):
@@ -345,15 +333,15 @@ class MomentEngine:
     def _split(self, c, x, anc):
         """(left, right) parts of node x of c at the internal vnode anc.
 
-        A conjunction at anc gives its two children as exp_table ordered
-        them; any other node goes whole to the side that contains it, with
-        TRUE on the other side.
+        A conjunction at anc gives its two children, stored left first;
+        any other node goes whole to the side that contains it, with TRUE
+        on the other side.
         """
         vt = self.vt
         d = c.dnode[x]
         if d != anc:
             return (x, TRUE) if vt.is_ancestor(vt.left[anc], d) else (TRUE, x)
-        return self._parts[c][x]
+        return c.children[x]
 
     def _leaf_pair(self, f, a, g, b):
         # Cov of two single-variable counts: split each operand into the
@@ -416,42 +404,31 @@ class MomentEngine:
         return None                 # spans several groups but nothing else
 
     def _member_pattern(self, c, i, gi, patt):
-        """Index of the member forced true under node i of c, -1 if none."""
+        """Index of the member forced true under node i of c, -1 if none.
+        patt[c] holds, per node of c, the grouped variables a positive
+        literal under it sets true, filled children first once per c."""
         g = self.wm.groups[gi]
-        pos = {x: j for j, x in enumerate(g.members)}
         if c.scope[i] != g.mask:    # constants too: their scope is empty
             raise CorrelationScopeError(
                 'node at a group vnode must fix every member of the group')
-        got = patt.get((c, i))
-        if got is None:
-            stack = [i]
-            seen = {}
-            order = []
-            while stack:
-                j = stack.pop()
-                if j in seen:
-                    continue
-                seen[j] = 0
-                order.append(j)
-                stack.extend(c.children[j])
-            for j in reversed(order):
+        t = patt.get(c)
+        if t is None:
+            t = patt[c] = [0] * len(c)
+            gm = self.guard_mask
+            for j, chs in enumerate(c.children):
                 if c.kind[j] == 'L':
-                    k = pos.get(c.lit[j])
-                    m = 1 << k if k is not None else 0
+                    t[j] = (1 << c.lit[j]) & gm if c.lit[j] > 0 else 0
                 else:
-                    m = 0
-                    for ch in c.children[j]:
-                        m |= seen[ch]
-                seen[j] = m
-                patt[(c, j)] = m
-            got = patt[(c, i)]
+                    for ch in chs:
+                        t[j] |= t[ch]
+        got = t[i]
         if got == 0:
             return -1
         if got & (got - 1):
             raise CorrelationScopeError(
                 'node sets two members of a correlated group true; '
                 'covariance of such a block is not expressible')
-        return got.bit_length() - 1
+        return g.members.index(got.bit_length() - 1)
 
 
 def _moments_of(wm, n):

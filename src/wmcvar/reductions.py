@@ -107,20 +107,16 @@ def entails_via_cov(f, g, n=None, determinism_limit=20):
 # ---- the selector construction ---------------------------------------------
 
 
-def _nested_form(vt):
-    out = {}
-    stack = [(vt.root, False)]
+def _same_shape(a, b):
+    """True when vtrees a and b are one tree over the same variables."""
+    stack = [(a.root, b.root)]
     while stack:
-        u, expanded = stack.pop()
-        if vt.is_leaf(u):
-            out[u] = vt.var[u]
-        elif expanded:
-            out[u] = (out[vt.left[u]], out[vt.right[u]])
-        else:
-            stack.append((u, True))
-            stack.append((vt.right[u], False))
-            stack.append((vt.left[u], False))
-    return out[vt.root]
+        u, w = stack.pop()
+        if a.var[u] != b.var[w]:    # internal nodes have var 0
+            return False
+        if a.left[u]:
+            stack += ((a.left[u], b.left[w]), (a.right[u], b.right[w]))
+    return True
 
 
 def _shared_vtree(f, g):
@@ -130,7 +126,7 @@ def _shared_vtree(f, g):
     fails validation."""
     if f.vt is g.vt:
         return g
-    if _nested_form(f.vt) != _nested_form(g.vt):
+    if not _same_shape(f.vt, g.vt):
         return None
     g2 = Circuit(f.vt)
     try:
@@ -146,10 +142,11 @@ def ite_circuit(f, g):
     as the left child of a new root.  Returns (h, z)."""
     if not (isinstance(f, Circuit) and isinstance(g, Circuit)):
         raise ValidationError('selector construction needs circuits')
-    if f.vt is not g.vt and _nested_form(f.vt) != _nested_form(g.vt):
+    vt = f.vt
+    if vt is not g.vt and not _same_shape(vt, g.vt):
         raise ValidationError('circuits must share a vtree')
-    z = f.vt.n_vars + 1
-    vt2 = Vtree.from_nested((z, _nested_form(f.vt)))
+    z, n = vt.n_vars + 1, vt.n_nodes
+    vt2 = Vtree(vt.left + [0, n + 1], vt.right + [0, n], vt.var + [z, 0])
     h = Circuit(vt2)
     rf = rebuild(f, h)
     rg = rebuild(g, h)

@@ -63,7 +63,8 @@ class Cnf:
                 break
             if line.startswith('p'):
                 parts = line.split()
-                if len(parts) != 4 or parts[1] != 'cnf':
+                if len(parts) != 4 or parts[1] != 'cnf' or not (
+                        parts[2].isdecimal() and parts[3].isdecimal()):
                     raise FormatError('bad DIMACS header', line=ln)
                 n_vars, n_clauses = int(parts[2]), int(parts[3])
                 continue
@@ -238,23 +239,17 @@ class SddBuilder:
         """Export as a Circuit; conj and disj fold the constant subs."""
         c = Circuit(self.vt)
         m = {self.false: FALSE, self.true: TRUE}
-        reach = {root}
-        stack = [root]
-        while stack:
-            n = stack.pop()
-            if self.kind[n] == 'D':
+        # unique-table ids are append-ordered: children precede parents,
+        # so one sweep down the ids finds the nodes reachable from root
+        live = [False] * root + [True]
+        for n in range(root, 1, -1):
+            if live[n] and self.kind[n] == 'D':
                 for p, s in self.elems[n]:
-                    for x in (p, s):
-                        if x not in reach:
-                            reach.add(x)
-                            stack.append(x)
-        # unique-table ids are append-ordered: children precede parents
-        for n in sorted(reach):
-            if n in m:
-                continue
-            if self.kind[n] == 'L':
+                    live[p] = live[s] = True
+        for n in range(2, root + 1):
+            if live[n] and self.kind[n] == 'L':
                 m[n] = c.literal(self.lit[n])
-            else:
+            elif live[n]:
                 m[n] = c.disj([c.conj((m[p], m[s])) for p, s in self.elems[n]])
         c.root = m[root]
         # primes of a decision are pairwise inconsistent by invariant

@@ -169,8 +169,13 @@ class WeightModel:
                 return q if exact else float(q)
             return to_fraction(x) if exact else x
 
+        variables = obj.get('variables') or {}
+        if not isinstance(variables, dict) \
+                or not isinstance(obj.get('groups') or [], list):
+            raise FormatError('weight JSON "variables" must be an object '
+                              'and "groups" a list')
         moments = {}
-        for key, entry in (obj.get('variables') or {}).items():
+        for key, entry in variables.items():
             try:
                 v = int(key)
             except ValueError:

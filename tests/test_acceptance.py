@@ -192,7 +192,8 @@ def test_08_external_experiment_substitution():
     # ship; the README must carry the recipe for rerunning the sweep on
     # user-supplied exports instead
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    readme = open(os.path.join(here, 'README.md')).read()
+    with open(os.path.join(here, 'README.md')) as fh:
+        readme = fh.read()
     assert 'bnRep' in readme
     assert '--sweep' in readme
     assert 'wmcvar bn' in readme

@@ -2,11 +2,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import (random_circuit, random_cnf, random_shape_vtree,
-                      random_vtree, seeded)
+                      random_vtree, random_weights, seeded)
+from wmcvar.bayes import MarginalPipeline, demo_networks
 from wmcvar.circuit import (BOTTOM, FALSE, TRUE, Circuit, Vtree, normalize,
                             parse_sdd, parse_vtree, sdd_text, validate)
 from wmcvar.errors import FormatError, ValidationError, VtreeMismatchError
+from wmcvar.moments import MomentEngine
 from wmcvar.oracle import enumerate_models
+from wmcvar.reductions import ite_circuit
 from wmcvar.sddc import Cnf, compile_cnf
 
 VTREE_22 = """vtree 7
@@ -396,3 +399,86 @@ class TestSddText:
             c.root = root
             c2 = parse_sdd(sdd_text(c), vt)
             assert c2.kind[c2.root] == kind
+
+
+def check_invariants(c):
+    """The two construction invariants, and reachable() against a
+    set-based DFS; returns the number of splitting conjunctions seen."""
+    vt = c.vt
+    splits = 0
+    for i, chs in enumerate(c.children):
+        assert all(x < i for x in chs)
+        v = c.dnode[i]
+        if c.kind[i] == 'A' and len(chs) == 2 and not vt.is_leaf(v):
+            sides = ['L' if vt.is_ancestor(vt.left[v], c.dnode[x]) else
+                     'R' if vt.is_ancestor(vt.right[v], c.dnode[x]) else
+                     None for x in chs]
+            if sorted(sides) == ['L', 'R']:
+                assert sides[0] == 'L'
+                splits += 1
+    seen, stack = set(), [c.root]
+    while stack:
+        i = stack.pop()
+        if i not in seen:
+            seen.add(i)
+            stack.extend(c.children[i])
+    assert c.reachable() == sorted(seen)
+    return splits
+
+
+def replay(c, reverse):
+    """c rebuilt node by node through literal/conj/disj, every
+    conjunction's children given in reverse order if reverse is set."""
+    out = Circuit(c.vt)
+    m = {FALSE: FALSE, TRUE: TRUE}
+    for i in c.reachable():
+        chs = [m[x] for x in c.children[i]]
+        if c.kind[i] == 'L':
+            m[i] = out.literal(c.lit[i])
+        elif c.kind[i] == 'A':
+            m[i] = out.conj(chs[::-1] if reverse else chs)
+            assert out.conj(chs[::-1]) == out.conj(chs) == m[i]
+        elif c.kind[i] == 'O':
+            m[i] = out.disj(chs)
+    out.root = m[c.root]
+    out.deterministic_by_construction = c.deterministic_by_construction
+    return out
+
+
+class TestConstructionInvariants:
+    def test_every_built_circuit(self):
+        rng = seeded('construction-invariants')
+        splits = 0
+        for _ in range(15):
+            n = rng.randint(3, 9)
+            for vt in shaped_vtrees(rng, n):
+                f, g = (compile_cnf(random_cnf(rng, n), vt) for _ in 'fg')
+                false_vars = set(rng.sample(range(1, n + 1), 2))
+                for c in (f, parse_sdd(sdd_text(f), vt),
+                          normalize(f, false_vars), ite_circuit(f, g)[0]):
+                    splits += check_invariants(c)
+        for bn in demo_networks().values():
+            binary = all(len(vals) == 2 for vals in bn.values)
+            for enc in ('enc1', 'enc2') if binary else ('enc1',):
+                pipe = MarginalPipeline(bn, enc)
+                ev = {bn.names[-1]: bn.values[-1][0]}
+                splits += check_invariants(pipe.circuit)
+                splits += check_invariants(
+                    pipe._circuit_for(pipe._resolve(ev)))
+        assert splits > 1000
+
+    def test_reversed_conjunctions(self):
+        rng = seeded('reversed-conjunctions')
+        for _ in range(10):
+            n = rng.randint(3, 9)
+            for vt in shaped_vtrees(rng, n):
+                f, g = (compile_cnf(random_cnf(rng, n), vt) for _ in 'fg')
+                rf, rg = replay(f, True), replay(g, True)
+                of, og = replay(f, False), replay(g, False)
+                assert sdd_text(rf) == sdd_text(of) == sdd_text(f)
+                assert validate(rf) == validate(of)
+                for exact in (False, True):
+                    eng = MomentEngine(vt, random_weights(rng, n, exact))
+                    got = (eng.exp(rf), eng.var(rf), eng.cov(rf, rg))
+                    want = (eng.exp(of), eng.var(of), eng.cov(of, og))
+                    assert repr(got) == repr(want)

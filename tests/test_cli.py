@@ -260,7 +260,51 @@ class TestValidation:
         assert len(passes) == 1
 
 
+NET = {'variables': [
+    {'name': 'A', 'values': ['t', 'f'], 'parents': [], 'cpt': [[0.3], [0.7]]},
+    {'name': 'B', 'values': ['t', 'f'], 'parents': ['A'],
+     'cpt': [[0.8, 0.4], [0.2, 0.6]]}]}
+
+
+def net(top=(), **first):
+    """NET with top-level keys and the first variable's fields replaced."""
+    doc = json.loads(json.dumps(NET))
+    doc['variables'][0].update(first)
+    doc.update(top)
+    return doc
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize('kind, doc, code', [
+        ('cnf', 'p cnf x 1\n1 0\n', 2),
+        ('weights', {'variables': [1, 2]}, 2),
+        ('network', net(cpt='ab'), 2),
+        ('network', net(cpt=[['x'], [0.5]]), 2),
+        ('network', net({'variables': 5}), 2),
+        ('network', net({'variables': [5]}), 2),
+        ('network', net({'uncertainty': {'theta': 'abc'}}), 2),
+        ('network', net({'uncertainty': {'params': {'A': 5}}}), 2),
+        ('network', net({'uncertainty': {'params': {'A': {'var': 'x'}}}}), 2),
+        ('network', net({'uncertainty': {'groups': {'A': 5}}}), 2),
+        ('network', net(values=['t', 't']), 3),
+    ], ids=['dimacs-header', 'weight-variables-list', 'cpt-text',
+            'cpt-entry-text', 'variables-int', 'variable-entry-int',
+            'theta-text', 'params-entry-int', 'params-var-text',
+            'groups-entry-int', 'duplicate-values'])
+    def test_malformed_input_exit_code(self, files, capsys, tmp_path, kind,
+                                       doc, code):
+        # a typed error and its exit code, never a traceback
+        path = tmp_path / 'input'
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        argv = {'cnf': ['compile', path, '--vtree', files / 'ex.vtree',
+                        '--out', tmp_path / 'out.sdd'],
+                'weights': ['expect', files / 'ex.sdd', '--vtree',
+                            files / 'ex.vtree', '--weights', path],
+                'network': ['bn', path]}[kind]
+        got, out, err = run(capsys, *argv)
+        assert got == code and out == ''
+        assert err.startswith('error:') and 'Traceback' not in err
+
     def test_malformed_input_is_2(self, files, capsys, tmp_path):
         bad = tmp_path / 'bad.sdd'
         bad.write_text('garbage\n')

@@ -88,6 +88,17 @@ class TestEntailment:
         assert entails_via_cov(f, g)
         assert not entails_via_cov(g, f)
 
+    def test_deep_vtrees_of_separate_objects(self):
+        # two 1,200-deep right-linear vtree objects: neither comparing
+        # them nor extending one by the selector recurses per level
+        n = 1200
+        f = compile_cnf(Cnf(n, [(1,), (-600, 601), (n,)]),
+                        Vtree.right_linear(n))
+        g = compile_cnf(Cnf(n, [(-600, 601), (n,)]), Vtree.right_linear(n))
+        assert f.vt is not g.vt
+        assert entails_via_cov(f, g) and not entails_via_cov(g, f)
+        assert ite_cov_identity_check(f, g)['residual'] == 0
+
     def test_unstructured_circuit_falls_back(self):
         # rebasing g onto f's vtree cannot binarize a conjunction whose
         # child straddles the split; the reductions enumerate instead
