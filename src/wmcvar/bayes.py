@@ -513,8 +513,8 @@ class MarginalPipeline:
     def moments(self, evidence=None, method='conjoin', wm=None):
         """Mean and variance of the marginal probability of the evidence."""
         c, wm, gv = self._query(evidence, method, wm)
-        eng = MomentEngine(self.vt, wm, gv)
-        return {'mean': eng.exp(c), 'variance': eng.var(c)}
+        mean, var = MomentEngine(self.vt, wm, gv).exp_var(c)
+        return {'mean': mean, 'variance': var}
 
     # ---- sensitivity ------------------------------------------------------
 
@@ -543,7 +543,8 @@ class MarginalPipeline:
 
         Var is affine in each parameter's second moments, so every row
         follows exactly from the baseline variance and its gradient
-        (moments.var_gradient): one forward and one backward pass in all.
+        (moments.var_gradient): one pair pass that records a trace, and
+        one transposed walk back over it, in all.
         """
         if not 0 < factor <= 1:
             raise ValidationError('factor must be in (0, 1]')

@@ -53,8 +53,8 @@ times d_g^2.  The recurrences are multilinear with one moment factor per
 variable, so every anchored expectation over Var(v) is then an int over
 S(v) = prod of d_x for x in Var(v), and every covariance an int over
 S(v)^2.  exp and cov divide by S(root) or S(root)^2 once, at the end; no
-Fraction is formed before that.  Float models, int models and tape
-values take d_x = 1 and pass through.
+Fraction is formed before that.  Float models and int models take d_x = 1
+and pass through.
 """
 
 import math
@@ -64,7 +64,7 @@ from itertools import chain
 from .circuit import BOTTOM, FALSE, TRUE
 from .errors import (CorrelationScopeError, ValidationError,
                      VtreeMismatchError)
-from .weights import Group, VarMoments, WeightModel
+from .weights import VarMoments
 
 
 class MomentEngine:
@@ -86,10 +86,10 @@ class MomentEngine:
             if vt.scope[v] != wm.groups[gi].mask:
                 raise ValidationError(
                     'vtree node %d does not gather group %d exactly' % (v, gi))
-        # gcov: group covariances, scaled like mom; scale: S(root) of an
-        # exact model, else None
-        self.mom, self.gcov, self.kind, d = _moments_of(wm, vt.n_vars)
-        self.scale = None if d is None else math.prod(d)
+        # gcov: group covariances, scaled like mom; d: the variable scales
+        # and scale: S(root) of an exact model, else None
+        self.mom, self.gcov, self.kind, self.d = _moments_of(wm, vt.n_vars)
+        self.scale = None if self.d is None else math.prod(self.d)
         self.guard_mask = wm.grouped_mask
 
         # W_true moments per vnode.  Above a correlated group these
@@ -234,14 +234,37 @@ class MomentEngine:
 
     # ---- covariances -----------------------------------------------------------
 
+    def exp_var(self, c):
+        """(exp(c), var(c)) from one expectation table."""
+        x, _, e = self._pairs(c, c)
+        return self._result(self.adj_exp(self.vt.root, e[c.root]), 1), \
+            self._result(x, 2)
+
     def cov(self, f, g):
-        """Cov(W_f, W_g) over the full variable set (f, g share the vtree).
+        """Cov(W_f, W_g) over the full variable set (f, g share the vtree)."""
+        return self._result(self._pairs(f, g)[0], 2)
+
+    def var(self, f):
+        return self.cov(f, f)
+
+    def _pairs(self, f, g, trace=None):
+        """The pair pass of cov(f, g): (x, memo, ef), x the covariance over
+        Var(root) before _result.
 
         Resolves node pairs (a, b), a of f and b of g, bottom-up by the
         pair rule of the module docstring, with an explicit stack.  memo
         maps a * len(g) + b (the smaller id first when f is g: Cov is
         symmetric) to (anc, the pair's covariance over Var(anc)); self.pairs
-        is its size after the last call.
+        is its size after the last call.  ef is f's expectation table.
+
+        A list given as trace gets one record per resolved pair, after the
+        records of the pairs it reads (deps: their (x, y, key) triples):
+          (k, deps, vl, vr, fl, fr)   a split; fl = cr + er and
+                                      fr = cl + el are the partials of Cov
+                                      in cl and cr;
+          (k, deps, anc)              an or-node expansion;
+          (k, a, b, anc)              a vtree leaf;
+          (k, blk)                    a group block, blk from _group_block.
         """
         if f.vt is not self.vt or g.vt is not self.vt:
             raise VtreeMismatchError('circuits were built on a different vtree')
@@ -273,9 +296,12 @@ class MomentEngine:
                     memo[k] = (anc, 0)
                     continue
                 if gmask and scope[anc] & gmask:
-                    r = self._group_block(f, a, g, b, anc, patt)
-                    if r is not None:
-                        memo[k] = (anc, r)
+                    blk = self._group_block(f, a, g, b, anc, patt)
+                    if blk is not None:
+                        gi, ja, jb, pab = blk
+                        memo[k] = (anc, pab * self.gcov[gi][ja][jb])
+                        if trace is not None:
+                            trace.append((k, blk))
                         continue
                 vl = vr = 0         # stay 0 when an or-node is expanded
                 if da == anc and fk[a] == 'O':
@@ -286,6 +312,8 @@ class MomentEngine:
                             for y in g.children[b]]
                 elif left[anc] == 0:
                     memo[k] = (anc, self._leaf_pair(f, a, g, b))
+                    if trace is not None:
+                        trace.append((k, a, b, anc))
                     continue
                 else:
                     vl, vr = left[anc], right[anc]
@@ -316,6 +344,8 @@ class MomentEngine:
                 x = memo[kr]
                 cr = x[1] if x[0] == vr else adj_cov(vr, x, ef[ar], eg[br])
                 memo[k] = (anc, cl * cr + cl * er + el * cr)
+                if trace is not None:
+                    trace.append((k, deps, vl, vr, cr + er, cl + el))
             else:
                 r = 0
                 for p, q, kk in deps:
@@ -323,12 +353,11 @@ class MomentEngine:
                     r = r + (x[1] if x[0] == anc
                              else adj_cov(anc, x, ef[p], eg[q]))
                 memo[k] = (anc, r)
+                if trace is not None:
+                    trace.append((k, deps, anc))
 
         self.pairs = len(memo)
-        return self._result(adj_cov(vt.root, memo[rk], ef[ra], eg[rb]), 2)
-
-    def var(self, f):
-        return self.cov(f, f)
+        return adj_cov(vt.root, memo[rk], ef[ra], eg[rb]), memo, ef
 
     def _split(self, c, x, anc):
         """(left, right) parts of node x of c at the internal vnode anc.
@@ -367,7 +396,9 @@ class MomentEngine:
     # ---- correlated group blocks ----------------------------------------------
 
     def _group_block(self, f, a, g, b, anc, patt):
-        """Direct covariance for a pair anchored at a registered group vnode.
+        """(gi, ja, jb, pab) for a pair anchored at a registered group vnode:
+        its covariance is pab * gcov[gi][ja][jb], ja and jb being the
+        members each node forces true (pab = 0 where one forces none).
 
         Returns None if anc sits above every group (normal recursion
         applies); raises if the pair decomposes inside a correlated block
@@ -376,22 +407,18 @@ class MomentEngine:
         vt, wm = self.vt, self.wm
         gi = self.group_vnodes.get(anc)
         if gi is not None and f.dnode[a] == anc and g.dnode[b] == anc:
-            grp = wm.groups[gi]
             ja = self._member_pattern(f, a, gi, patt)
             jb = self._member_pattern(g, b, gi, patt)
             if ja < 0 or jb < 0:
-                return 0
-            cpp = self.gcov[gi][ja][jb]
-            if cpp == 0:
-                return 0
+                return gi, 0, 0, 0
             pa = pb = 1
-            for j, x in enumerate(grp.members):
+            for j, x in enumerate(wm.groups[gi].members):
                 mn = self.mom[x].muN
                 if j != ja:
                     pa = pa * mn
                 if j != jb:
                     pb = pb * mn
-            return pa * pb * cpp
+            return gi, ja, jb, pa * pb
         sc = vt.scope[anc]
         if sc & ~self.guard_mask:
             return None             # anc spans more than grouped variables
@@ -436,7 +463,7 @@ def _moments_of(wm, n):
     ints for an exact model: (mom, gcov, kind, d).
 
     kind is float if a value is a float (the scan stops there), else
-    Fraction if one is a Fraction, else None (ints, tape values).  For a
+    Fraction if one is a Fraction, else None (ints).  For a
     Fraction model d[x - 1] is variable x's scale d_x, shared as d_g by a
     group's members; mom[x] then holds x's first moments times d_x and its
     second moments times d_x**2, gcov[gi] group gi's covariances times
@@ -513,44 +540,6 @@ def locate_group_vnodes(vt, wm):
 
 # ---- gradient of the variance ------------------------------------------------
 
-class _Rev:
-    """Reverse-mode scalar: a value and its node on a tape.
-
-    Node k fills entries 4k..4k+3 of the tape, a flat list: a, da, b, db,
-    the node numbers of up to two operands (-1 for none) and the partial
-    derivatives of the node's value in them.  Only + and * are defined:
-    they are the operations MomentEngine.var applies to second moments.
-    Comparisons go by value, so code that tests moments against numbers
-    behaves as it does on plain values.
-    """
-
-    __slots__ = ('val', 'at', 'tape')
-
-    def __init__(self, val, tape, a=-1, da=0, b=-1, db=0):
-        self.val = val
-        self.at = len(tape) >> 2
-        self.tape = tape
-        tape += (a, da, b, db)
-
-    def __add__(self, o):
-        if type(o) is _Rev:
-            return _Rev(self.val + o.val, self.tape, self.at, 1, o.at, 1)
-        return _Rev(self.val + o, self.tape, self.at, 1)
-
-    __radd__ = __add__
-
-    def __mul__(self, o):
-        if type(o) is _Rev:
-            return _Rev(self.val * o.val, self.tape,
-                        self.at, o.val, o.at, self.val)
-        return _Rev(self.val * o, self.tape, self.at, o)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, o):
-        return self.val == (o.val if type(o) is _Rev else o)
-
-
 def var_gradient(c, wm, group_vnodes=None):
     """Var[W_c] and its partial derivatives in every second moment.
 
@@ -558,59 +547,107 @@ def var_gradient(c, wm, group_vnodes=None):
     x's varP, varN and covPN (dvar[0] is None); for a grouped variable
     varP is its group's diagonal entry, so the first partial repeats that
     entry's.  dgroups[gi][a][b] is the partial in entry [a][b] of group
-    gi's covariance matrix; an entry equal to zero reads as zero, since
-    the engine skips zero group covariances.
+    gi's covariance matrix.
 
     Var is multilinear, with degree 1, in each variable's second-moment
     table and in each group's matrix, so these partials give Var exactly
     after any change to one variable's or one group's second moments.
-    They come from one run of MomentEngine.var over reverse-mode scalars
-    and one backward walk over the tape it records.  An exact model's tape
-    runs on the engine's scaled ints: Var is then read off as an int over
-    S^2 and each partial as an int over S^2 / d^2, with S the product of
-    all variable scales and d the scale of the moment's variable or group.
+    They come from one pair pass of MomentEngine.var, on plain values,
+    that records a trace, and one transposed walk over that trace
+    (reverse-mode differentiation of the pass).  The walk carries
+    adjoints to the memo's pairs, to the lifts' va(v, w) entries, down
+    each lift's path to the vv of the siblings on it, down the vtree to
+    each leaf's varP, varN and covPN, and to the group matrix entries.
+    An exact model runs on the engine's scaled ints: Var is then read off
+    as an int over S^2 and each partial as an int over S^2 / d^2, with S
+    the product of all variable scales and d the scale of the moment's
+    variable or group.
     """
-    n = c.vt.n_vars
-    wm.validate_for(n)
-    mom, gcov, _, d = _moments_of(wm, n)
-    tape = []
-    groups = [Group(g.members, tuple(tuple(_Rev(x, tape) for x in row)
-                                     for row in cov))
-              for g, cov in zip(wm.groups, gcov)]
-    vars_ = {}
-    for x in range(1, n + 1):
-        m = mom[x]
-        at = wm.group_of(x)
-        vp = groups[at[0]].cov[at[1]][at[1]] if at else _Rev(m.varP, tape)
-        vars_[x] = VarMoments(m.muP, m.muN, vp, _Rev(m.varN, tape),
-                              _Rev(m.covPN, tape))
-    var = MomentEngine(c.vt, WeightModel(vars_, groups), group_vnodes).var(c)
+    eng = MomentEngine(c.vt, wm, group_vnodes)
+    vt, ev, vv, table = eng.vt, eng.ev, eng.vv, eng._table
+    left, right, n, adj_exp = vt.left, vt.right, vt.n_vars, eng.adj_exp
+    trace = []
+    var, memo, e = eng._pairs(c, c, trace)
+    var = eng._result(var, 2)
+    adj = {}                # memo key -> adjoint of its covariance
+    dva = {}                # lift (v, w) -> adjoint of va(v, w)
+    dvv = [0] * (vt.n_nodes + 1)
+    dmom = [[0, 0, 0] for _ in range(n + 1)]   # varP, varN, covPN
+    dg = [[[0] * len(g.members) for _ in g.members] for g in wm.groups]
 
-    adj = [0] * (len(tape) >> 2)
-    if type(var) is _Rev:
-        adj[var.at] = 1
-        for i in range(var.at, -1, -1):
-            g = adj[i]
-            if g:
-                a, da, b, db = tape[4 * i:4 * i + 4]
-                if a >= 0:
-                    adj[a] += g * da
-                    if b >= 0:
-                        adj[b] += g * db
-        var = var.val
-    dvar = [None] + [(adj[m.varP.at], adj[m.varN.at], adj[m.covPN.at])
-                     for m in (vars_[x] for x in range(1, n + 1))]
-    dgroups = [tuple(tuple(adj[x.at] for x in row) for row in g.cov)
-               for g in groups]
-    if d is not None:
-        s2 = math.prod(d) ** 2
-        var = Fraction(var, s2)
+    def lift_back(w, kk, x, y, gr):
+        # transpose of adj_cov(w, memo[kk], e[x], e[y]) with adjoint gr
+        v, val = memo[kk]
+        if v == w:
+            adj[kk] = adj.get(kk, 0) + gr
+        elif v == BOTTOM:
+            dvv[w] += gr * e[x][1] * e[y][1]
+        else:
+            ea, va = table(v)[w]
+            adj[kk] = adj.get(kk, 0) + gr * (va + ea * ea)
+            dva[v, w] = dva.get((v, w), 0) + gr * (
+                val + adj_exp(v, e[x]) * adj_exp(v, e[y]))
+
+    lift_back(vt.root, c.root * len(c) + c.root, c.root, c.root, 1)
+    for rec in reversed(trace):
+        gr = adj.get(rec[0])
+        if not gr:
+            continue
+        if len(rec) == 6:
+            _, ((al, bl, kl), (ar, br, kr)), vl, vr, fl, fr = rec
+            lift_back(vl, kl, al, bl, gr * fl)
+            lift_back(vr, kr, ar, br, gr * fr)
+        elif len(rec) == 3:
+            for p, q, kk in rec[1]:
+                lift_back(rec[2], kk, p, q, gr)
+        elif len(rec) == 2:
+            gi, ja, jb, pab = rec[1]
+            dg[gi][ja][jb] += gr * pab
+        else:               # the terms of _leaf_pair
+            sa, sb, d = c.lit[rec[1]], c.lit[rec[2]], dmom[vt.var[rec[3]]]
+            d[0] += gr * (sa >= 0 and sb >= 0)
+            d[1] += gr * (sa <= 0 and sb <= 0)
+            d[2] += gr * ((sa >= 0 >= sb) + (sa <= 0 <= sb))
+    # va(v, p) = va(v, w) * (vv[s] + ev[s]^2) + ea(v, w)^2 * vv[s], s the
+    # sibling of w under p: walk each anchor's path top-down
+    for v in dict.fromkeys(v for v, _ in dva):
+        t = table(v)
+        path = list(t)              # v, then its ancestors bottom-up
+        gr = 0
+        for i in range(len(path) - 1, 0, -1):
+            p, w = path[i], path[i - 1]
+            gr = gr + dva.get((v, p), 0)
+            if gr:
+                s = right[p] if left[p] == w else left[p]
+                ea, va = t[w]
+                dvv[s] += gr * (va + ea * ea)
+                gr = gr * (vv[s] + ev[s] * ev[s])
+    # the vv recurrence of MomentEngine, transposed: children have smaller ids
+    for v in range(vt.n_nodes, 0, -1):
+        gr, lv, rv = dvv[v], left[v], right[v]
+        if gr and lv:
+            dvv[lv] += gr * (vv[rv] + ev[rv] * ev[rv])
+            dvv[rv] += gr * (vv[lv] + ev[lv] * ev[lv])
+        elif gr:
+            d = dmom[vt.var[v]]
+            d[0] += gr
+            d[1] += gr
+            d[2] += 2 * gr
+
+    dvar = [None]
+    for x in range(1, n + 1):
+        at = wm.group_of(x)
+        d = dmom[x]
+        dvar.append((dg[at[0]][at[1]][at[1]] if at else d[0], d[1], d[2]))
+    dgroups = [tuple(map(tuple, rows)) for rows in dg]
+    if eng.d is not None:
+        s2 = eng.scale ** 2
 
         def per(parts, s):
             q = s2 // (s * s)
             return tuple(Fraction(p, q) for p in parts)
 
-        dvar = [None] + [per(dvar[x], d[x - 1]) for x in range(1, n + 1)]
-        dgroups = [tuple(per(row, d[g.members[0] - 1]) for row in rows)
+        dvar = [None] + [per(dvar[x], eng.d[x - 1]) for x in range(1, n + 1)]
+        dgroups = [tuple(per(row, eng.d[g.members[0] - 1]) for row in rows)
                    for g, rows in zip(wm.groups, dgroups)]
     return var, dvar, dgroups

@@ -398,6 +398,26 @@ class TestSweep:
         # at least one parameter matters
         assert rows[0]['variance'] < base * 0.999
 
+    @pytest.mark.parametrize('method', ['conjoin', 'zero_weights'])
+    def test_one_expectation_table_per_query(self, monkeypatch, method):
+        seen = []
+        table = MomentEngine.exp_table
+
+        def counted(self, c):
+            seen.append(c)
+            return table(self, c)
+
+        monkeypatch.setattr(MomentEngine, 'exp_table', counted)
+        bn = demo_networks()['alarm5']
+        ev = {'JohnCalls': 't'}
+        for encoding in ('enc1', 'enc2'):
+            pipe = MarginalPipeline(bn, encoding)
+            c = pipe._query(ev, method)[0]
+            for query in (pipe.moments, pipe.sweep):
+                seen.clear()
+                query(ev, method=method)
+                assert seen == [c]
+
     def test_bad_factor(self):
         bn = demo_networks()['chain2']
         with pytest.raises(ValidationError):

@@ -9,8 +9,8 @@ from numpy.testing import assert_allclose
 
 from conftest import (complementary_weights, example_circuit,
                       example_variance, random_circuit, random_cnf,
-                      random_vtree, random_weights, seeded)
-from wmcvar import moments
+                      random_shape_vtree, random_vtree, random_weights,
+                      seeded)
 from wmcvar.bayes import MarginalPipeline, demo_networks
 from wmcvar.circuit import BOTTOM, FALSE, TRUE, Vtree, parse_sdd, sdd_text
 from wmcvar.errors import CorrelationScopeError
@@ -440,6 +440,119 @@ class TestVarGradient:
                                                else 0)
                     assert var_wmc(c, bumped, gv) - var == want
 
+    def test_zero_group_entry_partial(self):
+        # a zero off-diagonal entry still gets its partial, pa*pb times
+        # the adjoint of each block that reads it
+        vt, wm = TestGroupedWeights().make_grouped()
+        wm = wm.to_exact()
+        (g,) = wm.groups
+
+        def off_diagonal(x):
+            return WeightModel(wm.vars, [Group(g.members, (
+                (g.cov[0][0], x), (x, g.cov[1][1])))])
+
+        wm, bumped = off_diagonal(0), off_diagonal(1)
+        gv = locate_group_vnodes(vt, wm)
+        rng = seeded('var-gradient-zero-entry')
+        moved = 0
+        for _ in range(10):
+            c = TestGroupedWeights().grouped_circuit(vt, rng)
+            var, _, dgroups = var_gradient(c, wm, gv)
+            step = var_wmc(c, bumped, gv) - var
+            assert step == dgroups[0][0][1] + dgroups[0][1][0]
+            moved += step != 0
+        assert moved
+
+
+def second_moment_bumps(wm, xs):
+    """(key, model) for wm with one second moment raised by 1: field k of
+    each ungrouped variable x in xs as key (x, k); entry [a][b], a <= b,
+    of group gi as key (gi, a, b), raised on both sides of the diagonal."""
+    for x in xs:
+        if wm.group_of(x) is None:
+            m = wm.moments(x)
+            for k, name in enumerate(('varP', 'varN', 'covPN')):
+                yield (x, k), WeightModel(
+                    {**wm.vars, x: replace(m, **{name: getattr(m, name) + 1})},
+                    wm.groups, wm.default)
+    for gi, g in enumerate(wm.groups):
+        for a in range(len(g.members)):
+            for b in range(a, len(g.members)):
+                cov = [list(row) for row in g.cov]
+                cov[a][b] += 1
+                cov[b][a] += a != b
+                groups = list(wm.groups)
+                groups[gi] = Group(g.members, cov)
+                yield (gi, a, b), WeightModel(wm.vars, groups, wm.default)
+
+
+def claimed_step(key, dvar, dgroups):
+    """What var_gradient says the bump named by key moves Var by."""
+    if len(key) == 2:
+        return dvar[key[0]][key[1]]
+    gi, a, b = key
+    return dgroups[gi][a][b] + (dgroups[gi][b][a] if a != b else 0)
+
+
+class TestGradientLongLifts:
+    """Partials through lifts across many vtree levels, where a sub sits
+    far below its conjunction's right child: the transposed walk carries
+    their adjoints down each lift's path to the vv of every sibling."""
+
+    @staticmethod
+    def longest_lift(c):
+        vt, best = c.vt, 0
+        for i in c.reachable():
+            if c.kind[i] == 'A':
+                v = c.dnode[i]
+                for side, ch in zip((vt.left[v], vt.right[v]),
+                                    c.children[i]):
+                    best = max(best, vt.depth[c.dnode[ch]] - vt.depth[side])
+        return best
+
+    @staticmethod
+    def check_sample(c, wm, every=7):
+        var, dvar, _ = var_gradient(c, wm)
+        assert var == var_wmc(c, wm)
+        xs = range(1, c.vt.n_vars + 1, every)
+        for key, bumped in second_moment_bumps(wm, xs):
+            assert var_wmc(c, bumped) - var == claimed_step(key, dvar, [])
+
+    def test_strided_chain_right_linear(self):
+        # clauses link x_i to x_{i+5}; the four variables between are free
+        rng = seeded('long-lift-chain')
+        n = 120
+        cnf = Cnf(n, [tuple(v if rng.random() < 0.5 else -v
+                            for v in (i, i + 5)) for i in range(1, n - 4, 5)])
+        c = compile_cnf(cnf, Vtree.right_linear(n))
+        assert self.longest_lift(c) >= 4
+        self.check_sample(c, random_weights(rng, n, exact=True))
+
+    def test_constants(self):
+        # Var of TRUE is the lift of the (TRUE, TRUE) pair from the empty
+        # anchor to the root: Var of W_true over every variable
+        rng = seeded('long-lift-constants')
+        n = 12
+        vt = random_shape_vtree(rng, n)
+        wm = random_weights(rng, n, exact=True)
+        for clauses in ([], [(1,), (-1,)]):
+            c = compile_cnf(Cnf(n, clauses), vt)
+            assert c.kind[c.root] == ('T' if not clauses else 'F')
+            self.check_sample(c, wm, every=1)
+
+    def test_sparse_cnf_random_vtree(self):
+        # 10 clauses over 12 of 60 variables: the other 48 are free
+        rng = seeded('long-lift-random')
+        n = 60
+        for _ in range(2):
+            vt = random_shape_vtree(rng, n)
+            vs = rng.sample(range(1, n + 1), 12)
+            c = compile_cnf(Cnf(n, [
+                tuple(v if rng.random() < 0.5 else -v
+                      for v in rng.sample(vs, 3)) for _ in range(10)]), vt)
+            assert self.longest_lift(c) >= 4
+            self.check_sample(c, random_weights(rng, n, exact=True))
+
 
 class TestAlgebraicProperties:
     @settings(max_examples=25, deadline=None)
@@ -536,9 +649,10 @@ class PairRuleReferee(MomentEngine):
                     memo[k] = 0
                     continue
                 if gmask and vt.scope[anc] & gmask:
-                    r = self._group_block(f, a, g, b, anc, patt)
-                    if r is not None:
-                        memo[k] = r
+                    blk = self._group_block(f, a, g, b, anc, patt)
+                    if blk is not None:
+                        gi, ja, jb, pab = blk
+                        memo[k] = pab * self.gcov[gi][ja][jb]
                         continue
                 vl = vr = 0
                 if da == anc and f.kind[a] == 'O':
@@ -643,7 +757,10 @@ class TestPairRuleReferee:
                 same_as_referee(vt, model, f, None, gv)
                 same_as_referee(vt, model, f, g, gv)
 
-    def test_var_gradient(self, monkeypatch):
+    def test_var_gradient(self):
+        # exact partials are bump differences of the referee's variance;
+        # float partials stay within 1e-13 of the largest exact partial of
+        # the case (measured worst over 280 such cases: 8e-16)
         rng = seeded('referee-gradient')
         cases = []
         for _ in range(6):
@@ -654,9 +771,21 @@ class TestPairRuleReferee:
         vt, wm = TestGroupedWeights().make_grouped()
         cases.append((TestGroupedWeights().grouped_circuit(vt, rng), wm,
                       locate_group_vnodes(vt, wm)))
-        got = [var_gradient(*case) for case in cases]
-        monkeypatch.setattr(moments, 'MomentEngine', PairRuleReferee)
-        assert repr(got) == repr([var_gradient(*case) for case in cases])
+        for c, wm, gv in cases:
+            ex = wm.to_exact()
+            var = PairRuleReferee(c.vt, ex, gv).var(c)
+            want = {key: PairRuleReferee(c.vt, m, gv).var(c) - var
+                    for key, m in second_moment_bumps(
+                        ex, range(1, c.vt.n_vars + 1))}
+            _, dvar, dgroups = var_gradient(c, ex, gv)
+            assert want == {key: claimed_step(key, dvar, dgroups)
+                            for key in want}
+            var, dvar, dgroups = var_gradient(c, wm, gv)
+            if isinstance(var, float):
+                tol = max(map(abs, want.values())) / 10 ** 13
+                for key, step in want.items():
+                    assert abs(Fraction(claimed_step(key, dvar, dgroups))
+                               - step) <= tol
 
     @pytest.mark.parametrize('encoding', ['enc1', 'enc2'])
     def test_demo_networks(self, encoding):
