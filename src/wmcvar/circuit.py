@@ -639,36 +639,49 @@ def normalize(c, false_vars=()):
 def _binarize(out, chs):
     """out.conj(chs), with more than two children associated along the
     vtree; the children other than constants carry nonempty, pairwise
-    disjoint scopes."""
-    if len(chs) <= 2:
-        return out.conj(chs)
-    if min(chs) <= TRUE:
-        # conj folds the constants
-        return out.conj([x for x in chs if x <= TRUE]
-                        + [_binarize(out, [x for x in chs if x > TRUE])])
+    disjoint scopes.
+
+    An explicit stack splits each group at its vnode and conjoins the
+    left group's result with the right one's, making the gates in the
+    order of the plain recursion, left group first."""
+    consts = [x for x in chs if x <= TRUE]
+    if consts:
+        chs = [x for x in chs if x > TRUE]
     vt = out.vt
-    d = BOTTOM
-    for x in chs:
-        d = vt.lca(d, out.dnode[x])
-    if vt.is_leaf(d):
-        raise ValidationError('conjunction children not separable under '
-                              'the vtree')
-    sl = vt.scope[vt.left[d]]
-    sr = vt.scope[vt.right[d]]
-    grp_l, grp_r = [], []
-    for x in chs:
-        s = out.scope[x]
-        if s & ~sl == 0:
-            grp_l.append(x)
-        elif s & ~sr == 0:
-            grp_r.append(x)
-        else:
+    vals = []
+    todo = [chs]        # a group to binarize, or None: conjoin the top two
+    while todo:
+        grp = todo.pop()
+        if grp is None:
+            r = vals.pop()
+            vals.append(out.conj((vals.pop(), r)))
+            continue
+        if len(grp) <= 2:
+            vals.append(out.conj(grp))
+            continue
+        d = BOTTOM
+        for x in grp:
+            d = vt.lca(d, out.dnode[x])
+        if vt.is_leaf(d):
             raise ValidationError('conjunction children not separable under '
                                   'the vtree')
-    if not grp_l or not grp_r:
-        raise ValidationError('conjunction children not separable under '
-                              'the vtree')
-    return out.conj((_binarize(out, grp_l), _binarize(out, grp_r)))
+        sl = vt.scope[vt.left[d]]
+        sr = vt.scope[vt.right[d]]
+        grp_l, grp_r = [], []
+        for x in grp:
+            s = out.scope[x]
+            if s & ~sl == 0:
+                grp_l.append(x)
+            elif s & ~sr == 0:
+                grp_r.append(x)
+            else:
+                raise ValidationError('conjunction children not separable '
+                                      'under the vtree')
+        if not grp_l or not grp_r:
+            raise ValidationError('conjunction children not separable under '
+                                  'the vtree')
+        todo += (None, grp_r, grp_l)
+    return out.conj(consts + vals) if consts else vals[0]
 
 
 # ---- sdd text i/o -----------------------------------------------------------

@@ -26,13 +26,21 @@ element (~b, FALSE) and need no compression OR (dually (b, TRUE) for
 OR).  Cases 3 and 4 conjoin no primes at all (Darwiche, "SDD: A New
 Canonical Representation of Propositional Knowledge Bases", IJCAI 2011).
 
+compile_cnf conjoins a CNF bottom-up along the vtree: each clause sits
+at the deepest vnode covering its variables, and the part of a vnode is
+the conjunction of its children's parts (case 4) and its own clauses.
+to_circuit exports only the nodes reachable from the root, which is
+already the normal form.
+
 This is deliberately minimal: no vtree search, no garbage collection,
 one compilation session per CNF.  A node budget guards against blow-up.
 """
 
 import sys
 
-from .circuit import Circuit, FALSE, TRUE, Vtree, normalize
+from .circuit import Circuit, FALSE, TRUE, Vtree
+# not called here: perfbench's tracer wraps sddc.normalize by name
+from .circuit import normalize  # noqa: F401
 from .errors import CompileBudgetError, FormatError, ValidationError
 
 _AND, _OR = 0, 1
@@ -236,7 +244,13 @@ class SddBuilder:
         return acc
 
     def to_circuit(self, root):
-        """Export as a Circuit; conj and disj fold the constant subs."""
+        """Export the nodes reachable from root as a Circuit.
+
+        An element whose sub is FALSE folds away in disj, so it is neither
+        marked nor exported: every node made is reachable, and the export
+        is already in normal form, as normalize would return it, with no
+        copy.
+        """
         c = Circuit(self.vt)
         m = {self.false: FALSE, self.true: TRUE}
         # unique-table ids are append-ordered: children precede parents,
@@ -245,25 +259,29 @@ class SddBuilder:
         for n in range(root, 1, -1):
             if live[n] and self.kind[n] == 'D':
                 for p, s in self.elems[n]:
-                    live[p] = live[s] = True
+                    if s != self.false:
+                        live[p] = live[s] = True
         for n in range(2, root + 1):
             if live[n] and self.kind[n] == 'L':
                 m[n] = c.literal(self.lit[n])
             elif live[n]:
-                m[n] = c.disj([c.conj((m[p], m[s])) for p, s in self.elems[n]])
+                m[n] = c.disj([c.conj((m[p], m[s])) for p, s in self.elems[n]
+                               if s != self.false])
         c.root = m[root]
         # primes of a decision are pairwise inconsistent by invariant
         c.deterministic_by_construction = True
-        return normalize(c)
+        return c
 
 
 def compile_cnf(cnf, vt, node_budget=10 ** 6):
     """Conjoin the clauses bottom-up along the vtree.
 
-    Clauses whose variables sit deepest in the vtree are conjoined first,
-    which keeps intermediate results local; a plain left fold after that
-    single sort.  Raises CompileBudgetError when the unique table
-    outgrows node_budget.
+    Each clause goes to the deepest vnode whose scope covers its
+    variables.  Walking the vnodes children first, the part of vnode v is
+    the conjunction of its children's parts (apply's case 4) and then of
+    its own clauses, so every partial SDD stays inside its subtree until
+    the vnode that needs it.  An empty clause makes the CNF FALSE.
+    Raises CompileBudgetError when the unique table outgrows node_budget.
     """
     if cnf.n_vars > vt.n_vars:
         raise ValidationError('CNF mentions %d variables, vtree has %d'
@@ -272,17 +290,23 @@ def compile_cnf(cnf, vt, node_budget=10 ** 6):
     sys.setrecursionlimit(max(old, 4 * vt.n_nodes + 1000))
     try:
         b = SddBuilder(vt, node_budget)
-        keyed = []
-        for i, cl in enumerate(cnf.clauses):
+        if () in cnf.clauses:
+            return b.to_circuit(b.false)
+        bucket = [[] for _ in range(vt.n_nodes + 1)]
+        for cl in cnf.clauses:
             mask = 0
             for sl in cl:
                 mask |= 1 << abs(sl)
-            dvn = vt.deepest_containing(mask) if mask else 0
-            keyed.append((-vt.depth[dvn], i, cl))
-        acc = b.true
-        for _, _, cl in sorted(keyed):
-            acc = b.apply(acc, b.clause(cl), 'and')
-        return b.to_circuit(acc)
+            bucket[vt.deepest_containing(mask)].append(cl)
+        # a vtree numbers children before their parents
+        part = [b.true] * (vt.n_nodes + 1)
+        for v in range(1, vt.n_nodes + 1):
+            acc = b.true if vt.is_leaf(v) else \
+                b.apply(part[vt.left[v]], part[vt.right[v]], _AND)
+            for cl in bucket[v]:
+                acc = b.apply(acc, b.clause(cl), _AND)
+            part[v] = acc
+        return b.to_circuit(part[vt.root])
     finally:
         sys.setrecursionlimit(old)
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from numpy.testing import assert_allclose
 
@@ -11,6 +13,7 @@ from wmcvar.moments import MomentEngine
 from wmcvar.oracle import enumerate_models
 from wmcvar.reductions import ite_circuit
 from wmcvar.sddc import Cnf, compile_cnf
+from wmcvar.weights import VarMoments, WeightModel
 
 VTREE_22 = """vtree 7
 L 0 1
@@ -340,6 +343,26 @@ class TestNormalize:
         c.root = c.conj((c.disj((TRUE, x1)), c.disj((TRUE, x2)), x3))
         n = normalize(c, {1, 2})
         assert n.kind[n.root] == 'L' and n.lit[n.root] == 3
+
+    def test_deep_nary_conjunction(self):
+        # one split per vtree level: 1,199 levels, past the default
+        # recursion limit
+        n = 1200
+        c = Circuit(Vtree.right_linear(n))
+        c.root = c.conj([c.literal(v) for v in range(1, n + 1)])
+        b = normalize(c)
+        assert all(len(b.children[i]) == 2 for i in b.reachable()
+                   if b.kind[i] == 'A')
+        assert validate(b).ok
+        rng = seeded('normalize-deep')
+        wm = WeightModel({v: VarMoments(Fraction(rng.randint(1, 9), 8),
+                                        Fraction(1, 2), Fraction(0),
+                                        Fraction(0), Fraction(0))
+                          for v in range(1, n + 1)})
+        want = Fraction(1)
+        for v in range(1, n + 1):
+            want *= wm.vars[v].muP
+        assert MomentEngine(b.vt, wm).exp(b) == want
 
     def test_idempotent(self):
         rng = seeded('normalize-idempotent')

@@ -1,13 +1,15 @@
 import contextlib
 import hashlib
+import importlib.util
+from pathlib import Path
 
 import pytest
 
 from conftest import (random_cnf, random_shape_vtree, random_weights,
                       random_vtree, seeded)
 from wmcvar import sddc
-from wmcvar.bayes import MarginalPipeline, demo_networks
-from wmcvar.circuit import Vtree, sdd_text, validate
+from wmcvar.bayes import BayesNet, MarginalPipeline, demo_networks
+from wmcvar.circuit import Circuit, Vtree, normalize, sdd_text, validate
 from wmcvar.errors import CompileBudgetError, FormatError
 from wmcvar.moments import var_wmc
 from wmcvar.oracle import enumerate_models
@@ -146,6 +148,10 @@ class TestCompile:
         vt = Vtree.balanced(2)
         c = compile_cnf(Cnf(2, [(1,), (-1,)]), vt)
         assert c.kind[c.root] == 'F'
+
+    def test_empty_clause_is_false(self):
+        c = compile_cnf(Cnf(3, [(1, 2), (), (-3,)]), Vtree.balanced(3))
+        assert c.kind[c.root] == 'F' and len(c) == 2
 
     def test_tautology(self):
         vt = Vtree.balanced(2)
@@ -303,6 +309,102 @@ class TestAgainstCartesian:
         f[4], f[5] = f[5], f[4]
         lines[i] = ' '.join(f)
         assert sdd_shape('\n'.join(lines)) != sdd_shape(text)
+
+
+def left_fold(cnf, vt, rng):
+    """The referee for `compile_cnf`'s clause order: one builder
+    conjoins the clauses in input order, then in a shuffled order, and
+    exports the result.  Returns the circuit and the unique-table size
+    after the input-order fold."""
+    b = SddBuilder(vt)
+    f = b.conjoin(b.clause(cl) for cl in cnf.clauses)
+    size = len(b.kind)
+    shuffled = list(cnf.clauses)
+    rng.shuffle(shuffled)
+    assert b.conjoin(b.clause(cl) for cl in shuffled) == f
+    return b.to_circuit(f), size
+
+
+def perfbench_networks():
+    """The networks of the three perfbench workloads, seed 1, with their
+    encodings."""
+    path = Path(__file__).resolve().parent.parent / 'perfbench' / 'workloads.py'
+    spec = importlib.util.spec_from_file_location('perfbench_workloads', path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for w in workloads.WORKLOADS:
+        net = workloads.make(w, 1)['network']
+        yield w, BayesNet.from_json(net['net']), net['encoding']
+
+
+def network_cases():
+    for name, bn in sorted(demo_networks().items()):
+        binary = all(bn.k(i) == 2 for i in range(len(bn.names)))
+        for encoding in ('enc1', 'enc2') if binary else ('enc1',):
+            yield name, bn, encoding
+    yield from perfbench_networks()
+
+
+class TestClauseOrder:
+    """`compile_cnf`'s bottom-up walk against the plain left fold."""
+
+    def test_random_cnfs(self):
+        rng = seeded('clause-order')
+        shapes = (Vtree.right_linear, Vtree.balanced,
+                  lambda n: random_shape_vtree(rng, n))
+        for i in range(200):
+            n = rng.randint(1, 12)
+            vt = shapes[i % 3](n)
+            cnf = random_cnf(rng, n, max_clauses=n + 2, max_width=4)
+            ref, _ = left_fold(cnf, vt, rng)
+            new = compile_cnf(cnf, vt)
+            assert sdd_shape(sdd_text(new)) == sdd_shape(sdd_text(ref))
+            assert len(new.reachable()) == len(ref.reachable())
+
+    @pytest.mark.parametrize('name,bn,encoding', [
+        pytest.param(*case, id='%s-%s' % (case[0], case[2]))
+        for case in network_cases()])
+    def test_networks(self, name, bn, encoding):
+        # the same SDD from a unique table no larger than the left fold's
+        with compiling_with(SddBuilder) as made:
+            pipe = MarginalPipeline(bn, encoding)
+        (nb,) = made
+        ref, size = left_fold(pipe.cnf, pipe.vt, seeded(name + encoding))
+        assert sdd_shape(sdd_text(pipe.circuit)) == sdd_shape(sdd_text(ref))
+        assert len(nb.kind) <= size
+
+
+class TestExport:
+    """`to_circuit` makes only reachable nodes, already in normal form."""
+
+    def check(self, c):
+        assert set(range(2, len(c))) <= set(c.reachable())
+        n = normalize(c)
+        for attr in ('kind', 'lit', 'children', 'dnode', 'scope', 'root'):
+            assert getattr(n, attr) == getattr(c, attr), attr
+
+    def test_random_cnfs(self, monkeypatch):
+        # the export is the only circuit a compile makes: no closing copy
+        made = []
+        init = Circuit.__init__
+
+        def recording(c, vt):
+            made.append(c)
+            init(c, vt)
+
+        monkeypatch.setattr(Circuit, '__init__', recording)
+        rng = seeded('export-reachable')
+        for _ in range(200):
+            n = rng.randint(1, 12)
+            cnf = random_cnf(rng, n, max_clauses=n + 2, max_width=4)
+            made.clear()
+            c = compile_cnf(cnf, random_vtree(rng, n))
+            assert made == [c]
+            self.check(c)
+
+    def test_networks(self):
+        for _, bn, encoding in network_cases():
+            self.check(MarginalPipeline(bn, encoding).circuit)
 
 
 class TestDimacs:
