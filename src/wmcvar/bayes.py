@@ -500,7 +500,7 @@ class MarginalPipeline:
         excluded = self._resolve(evidence)
         if method == 'conjoin':
             c = self._circuit_for(excluded)
-        elif method in ('zero_weights', 'zero'):
+        elif method == 'zero_weights':
             c = self.circuit
             if excluded:
                 zero = {v: VarMoments(0, 1, 0, 0, 0) for v in excluded}

@@ -45,6 +45,7 @@ tour, which enters left subtrees first, enters their vnodes), so one that
 splits at its vnode reads (left, right).
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .errors import FormatError, ValidationError, VtreeMismatchError
@@ -169,22 +170,12 @@ class Vtree:
     @staticmethod
     def right_linear(n):
         """Chain vtree (1, (2, (3, ...)))."""
-        if n == 1:
-            return Vtree([0, 0], [0, 0], [0, 1])
-        left, right, var = [0], [0], [0]
-        ids = {}
-        for v in range(n, 0, -1):
-            left.append(0)
-            right.append(0)
-            var.append(v)
-            ids[v] = len(var) - 1
-            if v == n:
-                acc = ids[v]
-            else:
-                left.append(ids[v])
-                right.append(acc)
-                var.append(0)
-                acc = len(var) - 1
+        left, right, var = [0, 0], [0, 0], [0, n]
+        for v in range(n - 1, 0, -1):
+            k = len(var)        # v's leaf; k + 1 joins it to the chain k - 1
+            left += (0, k)
+            right += (0, k - 1)
+            var += (v, 0)
         return Vtree(left, right, var)
 
     @staticmethod
@@ -641,46 +632,34 @@ def _binarize(out, chs):
     vtree; the children other than constants carry nonempty, pairwise
     disjoint scopes.
 
-    An explicit stack splits each group at its vnode and conjoins the
-    left group's result with the right one's, making the gates in the
-    order of the plain recursion, left group first."""
+    Sorted once by where the Euler tour enters their vnodes, each group
+    is a run split where its vnode's right subtree begins.  An explicit
+    stack makes the gates in the order of the plain recursion."""
+    if len(chs) <= 2:
+        return out.conj(chs)
     consts = [x for x in chs if x <= TRUE]
-    if consts:
-        chs = [x for x in chs if x > TRUE]
-    vt = out.vt
+    vt, dnode, first = out.vt, out.dnode, out.vt._first
+    chs = sorted((x for x in chs if x > TRUE), key=lambda x: first[dnode[x]])
+    pos = [first[dnode[x]] for x in chs]
     vals = []
-    todo = [chs]        # a group to binarize, or None: conjoin the top two
+    todo = [(0, len(chs))]  # a run to binarize, or None: conjoin the top two
     while todo:
-        grp = todo.pop()
-        if grp is None:
+        run = todo.pop()
+        if run is None:
             r = vals.pop()
             vals.append(out.conj((vals.pop(), r)))
             continue
-        if len(grp) <= 2:
-            vals.append(out.conj(grp))
+        i, j = run
+        if j - i <= 2:
+            vals.append(out.conj(chs[i:j]))
             continue
-        d = BOTTOM
-        for x in grp:
-            d = vt.lca(d, out.dnode[x])
-        if vt.is_leaf(d):
+        d = vt.lca(dnode[chs[i]], dnode[chs[j - 1]])
+        if dnode[chs[i]] == d:
+            # a child at the run's vnode lies under neither side
             raise ValidationError('conjunction children not separable under '
                                   'the vtree')
-        sl = vt.scope[vt.left[d]]
-        sr = vt.scope[vt.right[d]]
-        grp_l, grp_r = [], []
-        for x in grp:
-            s = out.scope[x]
-            if s & ~sl == 0:
-                grp_l.append(x)
-            elif s & ~sr == 0:
-                grp_r.append(x)
-            else:
-                raise ValidationError('conjunction children not separable '
-                                      'under the vtree')
-        if not grp_l or not grp_r:
-            raise ValidationError('conjunction children not separable under '
-                                  'the vtree')
-        todo += (None, grp_r, grp_l)
+        k = bisect_left(pos, first[vt.right[d]], i, j)
+        todo += (None, (k, j), (i, k))
     return out.conj(consts + vals) if consts else vals[0]
 
 

@@ -31,9 +31,10 @@ class CompileBudgetError(ValidationError):
 
 
 class CorrelationScopeError(ValidationError):
-    """An expectation or variance adjustment crossed a correlated weight
-    group, so the independence assumption behind the adjustment tables is
-    void.  Valid encodings never trigger this."""
+    """A lift of an anchored moment to an ancestor vnode spans a
+    correlated weight group, so the W_true factors it multiplies in are
+    not independent and the lift, composed per vtree edge, is void.
+    Valid encodings never trigger this."""
 
 
 class WeightError(WmcvarError):

@@ -9,8 +9,8 @@ means "x is the moment of W taken over exactly the variables of v", with
 v = 0 standing for the empty variable set.  Moving an anchored value up to
 an ancestor vnode w multiplies in the moments of W_true over
 Var(w) \\ Var(v); since weights of distinct variables are independent,
-those factors depend only on (w, v) and are precomputed along root paths
-(the ea/va tables below).
+those factors depend only on (v, w).  _lift composes them edge by edge
+on the path from v up to w only, once per (v, w) asked for.
 
 The covariance pass is a recurrence over node pairs (a, b): a is a node
 of f, b a node of g, and the constants FALSE and TRUE are the same ids in
@@ -35,12 +35,12 @@ a constant child, so each one splits at its own vnode.  The pass memoizes
 each pair as (anc, Cov); a lift reads the pair's anchor from there.
 
 Correlated groups (positive weights of several variables jointly
-distributed) break the independence that the adjustment tables rely on.
+distributed) break the independence that the lifts rely on.
 They are supported under a structural contract: the vtree gathers each
 group under one vnode (registered via `group_vnodes`), and every circuit
 node anchored at that vnode fixes the truth value of all members with at
 most one member true.  Covariances of such blocks are then read directly
-from the group covariance matrix, and any adjustment whose span would
+from the group covariance matrix, and any lift whose span would
 touch a grouped variable raises CorrelationScopeError instead of silently
 using moments that the model cannot express.
 
@@ -71,7 +71,8 @@ class MomentEngine:
     """Moment computations for circuits sharing one vtree and weight model.
 
     The constructor does O(n) work (per-variable moments and the W_true
-    tables); adjustment tables are filled lazily per anchor vnode.
+    tables); lifts are composed per vtree edge, up to their target only,
+    and memoized per (v, w).
     Results take the model's type: float if any value is a float, else
     Fraction if any is a Fraction (computed on scaled ints, see the module
     docstring), else the values' own type (ints stay ints).
@@ -94,66 +95,53 @@ class MomentEngine:
 
         # W_true moments per vnode.  Above a correlated group these
         # recurrences are not valid; such entries are never read because
-        # _guard refuses any span touching guard_mask.
+        # _lift refuses any span touching guard_mask.
         ev = [1] * (vt.n_nodes + 1)
         vv = [0] * (vt.n_nodes + 1)
         for v in range(1, vt.n_nodes + 1):
             l, r = vt.left[v], vt.right[v]
             if l:
-                ev[v] = ev[l] * ev[r]
-                vv[v] = (vv[l] * vv[r] + vv[l] * ev[r] * ev[r]
-                         + ev[l] * ev[l] * vv[r])
+                ev[v], vv[v] = _product(ev[l], vv[l], ev[r], vv[r])
             else:
                 m = self.mom[vt.var[v]]
                 ev[v] = m.muP + m.muN
                 vv[v] = m.varP + m.varN + 2 * m.covPN
         self.ev = ev
         self.vv = vv
-        self._adj = {}          # anchor vnode -> {ancestor: (ea, va)}
+        self._lifts = {}        # (v, w) -> (ea, va)
         self.pairs = 0          # node pairs the last cov resolved
 
-    # ---- adjustment tables -------------------------------------------------
+    # ---- lifts -------------------------------------------------------------
 
-    def _table(self, v):
-        t = self._adj.get(v)
-        if t is None:
-            vt, ev, vv = self.vt, self.ev, self.vv
-            t = {v: (1, 0)}
-            ea, va = 1, 0
-            w = v
-            while w != vt.root:
-                p = vt.parent[w]
-                sib = vt.right[p] if vt.left[p] == w else vt.left[p]
-                et, vtm = ev[sib], vv[sib]
-                va = va * vtm + va * et * et + ea * ea * vtm
-                ea = ea * et
-                t[p] = (ea, va)
-                w = p
-            self._adj[v] = t
-        return t
-
-    def _guard(self, w, v):
-        # span Var(w) \ Var(v) must not touch correlated variables: W_true
-        # over such a span has moments outside the pairwise model
-        if self.guard_mask:
-            span = self.vt.scope[w] & ~(self.vt.scope[v] if v else 0)
-            if span & self.guard_mask:
+    def _lift(self, v, w):
+        """(ea, va): the moments of W_true over Var(w) \\ Var(v), w an
+        ancestor of v, composed per edge from v up to w and memoized."""
+        r = self._lifts.get((v, w))
+        if r is None:
+            vt, ev, vv, gm = self.vt, self.ev, self.vv, self.guard_mask
+            # correlated variables in the span void the pairwise model
+            if gm and vt.scope[w] & ~vt.scope[v] & gm:
                 raise CorrelationScopeError(
                     'adjustment over vtree node %d spans correlated '
                     'variables; the circuit does not fix them here' % w)
+            if not vt.is_ancestor(w, v):
+                raise ValidationError(
+                    'vnode %d is not an ancestor of %d' % (w, v))
+            r, u = ((ev[w], vv[w]), w) if v == BOTTOM else ((1, 0), v)
+            while u != w:
+                p = vt.parent[u]
+                s = vt.right[p] if vt.left[p] == u else vt.left[p]
+                r = _product(*r, ev[s], vv[s])
+                u = p
+            self._lifts[v, w] = r
+        return r
 
     def adj_exp(self, w, e):
         """Lift an anchored expectation (v, x) to ancestor vnode w."""
         v, val = e
         if v == w or val == 0:
             return val
-        self._guard(w, v)
-        if v == BOTTOM:
-            return self.ev[w] * val
-        pair = self._table(v).get(w)
-        if pair is None:
-            raise ValidationError('vnode %d is not an ancestor of %d' % (w, v))
-        return pair[0] * val
+        return self._lift(v, w)[0] * val
 
     def adj_cov(self, w, cv, ef, eg):
         """Lift an anchored covariance to ancestor vnode w.
@@ -165,18 +153,9 @@ class MomentEngine:
         v, val = cv
         if v == w:
             return val
-        if v == BOTTOM:
-            # both operands are constants on Var(v); all covariance over
-            # Var(w) comes from the shared W_true factor
-            if ef[1] == 0 or eg[1] == 0:
-                return 0
-            self._guard(w, BOTTOM)
-            return self.vv[w] * ef[1] * eg[1]
-        self._guard(w, v)
-        pair = self._table(v).get(w)
-        if pair is None:
-            raise ValidationError('vnode %d is not an ancestor of %d' % (w, v))
-        ea, va = pair
+        if v == BOTTOM and (ef[1] == 0 or eg[1] == 0):
+            return 0            # a FALSE operand: no W_true factor to share
+        ea, va = self._lift(v, w)
         a = self.adj_exp(v, ef)
         b = self.adj_exp(v, eg)
         return va * val + va * a * b + ea * ea * val
@@ -458,6 +437,11 @@ class MomentEngine:
         return g.members.index(got.bit_length() - 1)
 
 
+def _product(ea, va, eb, vb):
+    """(E, Var) of the product of independent factors (ea, va), (eb, vb)."""
+    return ea * eb, va * vb + va * eb * eb + ea * ea * vb
+
+
 def _moments_of(wm, n):
     """Moments of variables 1..n and group covariances of wm, on scaled
     ints for an exact model: (mom, gcov, kind, d).
@@ -564,7 +548,7 @@ def var_gradient(c, wm, group_vnodes=None):
     variable or group.
     """
     eng = MomentEngine(c.vt, wm, group_vnodes)
-    vt, ev, vv, table = eng.vt, eng.ev, eng.vv, eng._table
+    vt, ev, vv, lift = eng.vt, eng.ev, eng.vv, eng._lift
     left, right, n, adj_exp = vt.left, vt.right, vt.n_vars, eng.adj_exp
     trace = []
     var, memo, e = eng._pairs(c, c, trace)
@@ -583,7 +567,7 @@ def var_gradient(c, wm, group_vnodes=None):
         elif v == BOTTOM:
             dvv[w] += gr * e[x][1] * e[y][1]
         else:
-            ea, va = table(v)[w]
+            ea, va = lift(v, w)
             adj[kk] = adj.get(kk, 0) + gr * (va + ea * ea)
             dva[v, w] = dva.get((v, w), 0) + gr * (
                 val + adj_exp(v, e[x]) * adj_exp(v, e[y]))
@@ -608,18 +592,23 @@ def var_gradient(c, wm, group_vnodes=None):
             d[0] += gr * (sa >= 0 and sb >= 0)
             d[1] += gr * (sa <= 0 and sb <= 0)
             d[2] += gr * ((sa >= 0 >= sb) + (sa <= 0 <= sb))
-    # va(v, p) = va(v, w) * (vv[s] + ev[s]^2) + ea(v, w)^2 * vv[s], s the
-    # sibling of w under p: walk each anchor's path top-down
-    for v in dict.fromkeys(v for v, _ in dva):
-        t = table(v)
-        path = list(t)              # v, then its ancestors bottom-up
+    # va(v, p) = va(v, u) * (vv[s] + ev[s]^2) + ea(v, u)^2 * vv[s], s the
+    # sibling of u under p: walk each anchor's path top-down, from the
+    # highest vnode it is lifted to
+    # deepest targets first, so each anchor keeps its shallowest
+    top = dict(sorted(dva, key=lambda vw: -vt.depth[vw[1]]))
+    for v, w in top.items():
+        steps, ea, va, u = [], 1, 0, v
+        while u != w:
+            p = vt.parent[u]
+            s = right[p] if left[p] == u else left[p]
+            steps.append((p, s, ea, va))
+            ea, va = _product(ea, va, ev[s], vv[s])
+            u = p
         gr = 0
-        for i in range(len(path) - 1, 0, -1):
-            p, w = path[i], path[i - 1]
+        for p, s, ea, va in reversed(steps):
             gr = gr + dva.get((v, p), 0)
             if gr:
-                s = right[p] if left[p] == w else left[p]
-                ea, va = t[w]
                 dvv[s] += gr * (va + ea * ea)
                 gr = gr * (vv[s] + ev[s] * ev[s])
     # the vv recurrence of MomentEngine, transposed: children have smaller ids

@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from .circuit import Circuit, Vtree, rebuild, validate
 from .errors import ValidationError
-from .moments import cov_wmc, exp_wmc, locate_group_vnodes, var_wmc
+from .moments import MomentEngine, locate_group_vnodes, var_wmc
 # the enumeration fallbacks import the oracle where they run
 from .weights import WeightModel, counting_weights, selector_weights
 
@@ -94,8 +94,8 @@ def entails_via_cov(f, g, n=None, determinism_limit=20):
         if isinstance(f, Circuit) and isinstance(g, Circuit) else None
     if g2 is not None and _engine_ok(f, determinism_limit) \
             and _engine_ok(g2, determinism_limit):
-        var_f = var_wmc(f, wm)
-        cov_fg = cov_wmc(f, g2, wm)
+        eng = MomentEngine(f.vt, wm)
+        var_f, cov_fg = eng.var(f), eng.cov(f, g2)
     else:
         from .oracle import oracle_cov, oracle_var
         var_f = oracle_var(f, wm, n=n)
@@ -194,12 +194,12 @@ def ite_cov_identity_check(f, g, wm=None, n=None, z=None,
             and _engine_ok(g2, determinism_limit):
         g = g2
         gv = locate_group_vnodes(f.vt, wm) if wm.groups else None
-        e_f, e_g = exp_wmc(f, wm, gv), exp_wmc(g, wm, gv)
-        v_f, v_g = var_wmc(f, wm, gv), var_wmc(g, wm, gv)
-        lhs = cov_wmc(f, g, wm, gv)
+        eng = MomentEngine(f.vt, wm, gv)
+        (e_f, v_f), (e_g, v_g) = eng.exp_var(f), eng.exp_var(g)
+        lhs = eng.cov(f, g)
         h, _ = ite_circuit(f, g)
         gv2 = locate_group_vnodes(h.vt, wm_z) if wm_z.groups else None
-        v_h = var_wmc(h, wm_z, gv2)
+        v_h = MomentEngine(h.vt, wm_z, gv2).var(h)
     else:
         from .oracle import (enumerate_models, oracle_cov, oracle_exp,
                              oracle_var)

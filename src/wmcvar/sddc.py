@@ -26,6 +26,9 @@ element (~b, FALSE) and need no compression OR (dually (b, TRUE) for
 OR).  Cases 3 and 4 conjoin no primes at all (Darwiche, "SDD: A New
 Canonical Representation of Propositional Knowledge Bases", IJCAI 2011).
 
+apply and neg run as generator frames on one explicit stack, so no vtree
+is too deep for them; settled operands and cache hits get no frame.
+
 compile_cnf conjoins a CNF bottom-up along the vtree: each clause sits
 at the deepest vnode covering its variables, and the part of a vnode is
 the conjunction of its children's parts (case 4) and its own clauses.
@@ -36,14 +39,12 @@ This is deliberately minimal: no vtree search, no garbage collection,
 one compilation session per CNF.  A node budget guards against blow-up.
 """
 
-import sys
-
 from .circuit import Circuit, FALSE, TRUE, Vtree
 # not called here: perfbench's tracer wraps sddc.normalize by name
 from .circuit import normalize  # noqa: F401
 from .errors import CompileBudgetError, FormatError, ValidationError
 
-_AND, _OR = 0, 1
+_AND, _OR, _NEG = 0, 1, 2
 _OPS = {'and': _AND, 'or': _OR}
 
 
@@ -147,42 +148,36 @@ class SddBuilder:
         self.elems.append(elems)
         return len(self.kind) - 1
 
-    def neg(self, n):
-        r = self._neg.get(n)
-        if r is None:
-            if self.kind[n] == 'L':
-                r = self.literal(-self.lit[n])
-            else:
-                r = self._decision(self.vnode[n],
-                                   [(p, self.neg(s)) for p, s in self.elems[n]])
-            self._neg[n] = r
-            self._neg[r] = n
-        return r
-
-    def _decision(self, v, elements):
-        # compress: merge primes that share a sub
-        by_sub = {}
-        for p, s in elements:
-            q = by_sub.get(s)
-            by_sub[s] = p if q is None else self.apply(q, p, _OR)
-        elements = tuple(sorted((p, s) for s, p in by_sub.items()))
-        if len(elements) == 1 and elements[0][0] == self.true:
-            return elements[0][1]
-        if len(elements) == 2:
-            (p1, s1), (p2, s2) = elements
-            if s1 == self.false and s2 == self.true and p2 == self.neg(p1):
-                return p2
-            if s2 == self.false and s1 == self.true and p1 == self.neg(p2):
-                return p1
-        key = (v, elements)
-        n = self._uniq.get(key)
-        if n is None:
-            n = self._push('D', 0, v, elements)
-            self._uniq[key] = n
-        return n
-
     def apply(self, a, b, op):
-        op = _OPS[op] if isinstance(op, str) else op
+        return self._run(a, b, _OPS[op] if isinstance(op, str) else op)
+
+    def neg(self, n):
+        return self._run(n, n, _NEG)
+
+    def _run(self, a, b, op):
+        r = self._settled(a, b, op)
+        if r is not None:
+            return r
+        # one loop drives the frames of apply and neg: a frame yields a new
+        # frame for each sub-call _settled does not answer, and gets its result
+        stack = [self._negate(a) if op == _NEG else self._apply(a, b, op)]
+        while True:
+            try:
+                stack.append(stack[-1].send(r))
+                r = None
+            except StopIteration as done:
+                stack.pop()
+                if not stack:
+                    return done.value
+                r = done.value
+
+    def _settled(self, a, b, op):
+        # the result of (a, b, op) if it needs no frame, else None
+        if op == _NEG:
+            r = self._neg.get(a)
+            if r is None and self.kind[a] == 'L':
+                r = self.literal(-self.lit[a])
+            return r
         if a > b:
             a, b = b, a
         if a == self.false:
@@ -193,11 +188,49 @@ class SddBuilder:
             return a
         if self._neg.get(a) == b:
             return self.false if op == _AND else self.true
+        return self._app.get((op, a, b))
+
+    def _negate(self, n):
+        out = []
+        for p, s in self.elems[n]:
+            t = self._settled(s, s, _NEG)
+            out.append((p, (yield self._negate(s)) if t is None else t))
+        r = yield from self._decision(self.vnode[n], out)
+        self._neg[n], self._neg[r] = r, n
+        return r
+
+    def _decision(self, v, elements):
+        # compress: merge primes that share a sub
+        by_sub = {}
+        for p, s in elements:
+            q = by_sub.get(s)
+            if q is not None:
+                r = self._settled(q, p, _OR)
+                p = (yield self._apply(q, p, _OR)) if r is None else r
+            by_sub[s] = p
+        elements = tuple(sorted(zip(by_sub.values(), by_sub)))
+        if len(elements) == 1 and elements[0][0] == self.true:
+            return elements[0][1]
+        if len(elements) == 2:
+            # (p, FALSE), (q, TRUE) is q when q is ~p
+            (p, s), (q, t) = elements if elements[1][1] == self.true \
+                else elements[::-1]
+            if s == self.false and t == self.true:
+                r = self._settled(p, p, _NEG)
+                if q == ((yield self._negate(p)) if r is None else r):
+                    return q
+        key = (v, elements)
+        n = self._uniq.get(key)
+        if n is None:
+            n = self._push('D', 0, v, elements)
+            self._uniq[key] = n
+        return n
+
+    def _apply(self, a, b, op):
+        if a > b:
+            a, b = b, a
         key = (op, a, b)
-        r = self._app.get(key)
-        if r is not None:
-            return r
-        vt, vnode = self.vt, self.vnode
+        vt, vnode, ask = self.vt, self.vnode, self._settled
         v = vt.lca(vnode[a], vnode[b])
         if vnode[a] != v:
             a, b = b, a
@@ -205,37 +238,41 @@ class SddBuilder:
             # case 4: the operand under left(v) is the prime
             if not vt.is_ancestor(vt.left[v], vnode[a]):
                 a, b = b, a
-            if op == _AND:
-                out = [(a, b), (self.neg(a), self.false)]
-            else:
-                out = [(a, self.true), (self.neg(a), b)]
+            na = ask(a, a, _NEG)
+            na = (yield self._negate(a)) if na is None else na
+            out = [(a, b), (na, self.false)] if op == _AND \
+                else [(a, self.true), (na, b)]
         elif vnode[b] == v:
             out = []
             for p1, s1 in self.elems[a]:
                 for p2, s2 in self.elems[b]:
-                    p = self.apply(p1, p2, _AND)
+                    q = ask(p1, p2, _AND)
+                    p = (yield self._apply(p1, p2, _AND)) if q is None else q
                     if p != self.false:
-                        out.append((p, self.apply(s1, s2, op)))
+                        t = ask(s1, s2, op)
+                        out.append((p, (yield self._apply(s1, s2, op))
+                                    if t is None else t))
         elif vt.is_ancestor(vt.left[v], vnode[b]):
             # case 2: the primes' parts outside m share one constant sub
             # and, as the primes partition, join into the one prime ~m
-            m = b if op == _AND else self.neg(b)
-            out = [(self.neg(m), self.false if op == _AND else self.true)]
+            nb = ask(b, b, _NEG)
+            nb = (yield self._negate(b)) if nb is None else nb
+            m, nm = (b, nb) if op == _AND else (nb, b)
+            out = [(nm, self.false if op == _AND else self.true)]
             for p, s in self.elems[a]:
-                p = self.apply(p, m, _AND)
+                q = ask(p, m, _AND)
+                p = (yield self._apply(p, m, _AND)) if q is None else q
                 if p != self.false:
                     out.append((p, s))
         else:
-            out = [(p, self.apply(s, b, op)) for p, s in self.elems[a]]
-        r = self._decision(v, out)
+            out = []
+            for p, s in self.elems[a]:
+                t = ask(s, b, op)
+                out.append((p, (yield self._apply(s, b, op))
+                            if t is None else t))
+        r = yield from self._decision(v, out)
         self._app[key] = r
         return r
-
-    def conjoin(self, nodes):
-        acc = self.true
-        for n in nodes:
-            acc = self.apply(acc, n, 'and')
-        return acc
 
     def clause(self, lits):
         acc = self.false
@@ -286,29 +323,24 @@ def compile_cnf(cnf, vt, node_budget=10 ** 6):
     if cnf.n_vars > vt.n_vars:
         raise ValidationError('CNF mentions %d variables, vtree has %d'
                               % (cnf.n_vars, vt.n_vars))
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, 4 * vt.n_nodes + 1000))
-    try:
-        b = SddBuilder(vt, node_budget)
-        if () in cnf.clauses:
-            return b.to_circuit(b.false)
-        bucket = [[] for _ in range(vt.n_nodes + 1)]
-        for cl in cnf.clauses:
-            mask = 0
-            for sl in cl:
-                mask |= 1 << abs(sl)
-            bucket[vt.deepest_containing(mask)].append(cl)
-        # a vtree numbers children before their parents
-        part = [b.true] * (vt.n_nodes + 1)
-        for v in range(1, vt.n_nodes + 1):
-            acc = b.true if vt.is_leaf(v) else \
-                b.apply(part[vt.left[v]], part[vt.right[v]], _AND)
-            for cl in bucket[v]:
-                acc = b.apply(acc, b.clause(cl), _AND)
-            part[v] = acc
-        return b.to_circuit(part[vt.root])
-    finally:
-        sys.setrecursionlimit(old)
+    b = SddBuilder(vt, node_budget)
+    if () in cnf.clauses:
+        return b.to_circuit(b.false)
+    bucket = [[] for _ in range(vt.n_nodes + 1)]
+    for cl in cnf.clauses:
+        mask = 0
+        for sl in cl:
+            mask |= 1 << abs(sl)
+        bucket[vt.deepest_containing(mask)].append(cl)
+    # a vtree numbers children before their parents
+    part = [b.true] * (vt.n_nodes + 1)
+    for v in range(1, vt.n_nodes + 1):
+        acc = b.true if vt.is_leaf(v) else \
+            b.apply(part[vt.left[v]], part[vt.right[v]], _AND)
+        for cl in bucket[v]:
+            acc = b.apply(acc, b.clause(cl), _AND)
+        part[v] = acc
+    return b.to_circuit(part[vt.root])
 
 
 def condition1_vtree(var_blocks):
@@ -323,10 +355,10 @@ def condition1_vtree(var_blocks):
     """
 
     def nest(ids):
-        ids = list(ids)
-        if len(ids) == 1:
-            return ids[0]
-        return (ids[0], nest(ids[1:]))
+        *head, t = ids
+        for x in reversed(head):
+            t = (x, t)
+        return t
 
     parts = []
     for theta_blocks, lambda_vars in var_blocks:

@@ -4,7 +4,10 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
 pass; every check also asserts, so a plain pytest run fails loudly.
 """
 
+import json
 import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -21,6 +24,7 @@ from wmcvar.oracle import enumerate_models, oracle_cov, oracle_var
 from wmcvar.reductions import count_via_variance, ite_cov_identity_check
 from wmcvar.sddc import Cnf, compile_cnf
 from wmcvar.weights import VarMoments, WeightModel, counting_weights
+from test_moments import chain_variance
 
 
 def report(num, name, detail):
@@ -199,3 +203,125 @@ def test_08_external_experiment_substitution():
     assert 'wmcvar bn' in readme
     report(8, 'external experiment substitution',
            'README documents the bnRep export recipe for the sweep')
+
+
+DEEP = """
+import gc, json, sys, time
+from wmcvar.circuit import Vtree, normalize
+from wmcvar.moments import MomentEngine
+from wmcvar.reductions import entails_via_cov, ite_cov_identity_check
+from wmcvar.sddc import Cnf, compile_cnf
+from wmcvar.weights import VarMoments, WeightModel
+
+
+def chain(n, tail):
+    return Cnf(n, [(-v, v + 1) for v in range(1, n)] + tail)
+
+
+sizes, rows = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+out = {'optimize': sys.flags.optimize, 'limit': sys.getrecursionlimit(),
+       'raised': []}
+
+
+def spy(limit, set_limit=sys.setrecursionlimit):
+    out['raised'].append(limit)
+    set_limit(limit)
+
+
+def timed(n, name, fn):
+    # the least CPU time over the rounds, with the cyclic collector
+    # paused as timeit pauses it: its full passes scale with all the
+    # process holds, not with the work of the call
+    gc.disable()
+    t0 = time.process_time()
+    r = fn()
+    t = time.process_time() - t0
+    gc.enable()
+    out[n][name] = min(out[n].get(name, t), t)
+    return r
+
+
+sys.setrecursionlimit = spy
+vt = {n: Vtree.right_linear(n) for n in sizes}
+eng = {n: MomentEngine(vt[n], WeightModel(
+    {v: VarMoments(*rows[v % 6]) for v in range(1, n + 1)})) for n in sizes}
+c = dict.fromkeys(sizes)
+for n in sizes:
+    out[n] = {}
+# every round times both sizes, so both see the same load on the machine
+for _ in range(2):
+    for n in sizes:
+        c[n] = None             # one circuit of each size alive
+        c[n] = timed(n, 'compile',
+                     lambda: compile_cnf(chain(n, [(1, n)]), vt[n]))
+for _ in range(3):
+    for n in sizes:
+        out[n]['var'] = timed(n, 'var_s', lambda: eng[n].var(c[n]))
+        out[n]['pairs'] = eng[n].pairs
+for _ in range(3):
+    for n in sizes:
+        timed(n, 'normalize', lambda: normalize(c[n], {n // 2}))
+for n in sizes:
+    out[n]['var_cond'] = eng[n].var(normalize(c[n], {n // 2}))
+del c
+n = sizes[0]
+# g keeps every other implication of f, so f |= g
+f = compile_cnf(chain(n, [(1, n)]), Vtree.right_linear(n))
+g = compile_cnf(Cnf(n, [(-v, v + 1) for v in range(1, n, 2)]),
+                Vtree.right_linear(n))
+t0 = time.process_time()
+out['entails'] = entails_via_cov(f, g)
+out['residual'] = str(ite_cov_identity_check(f, g)['residual'])
+out['reductions'] = time.process_time() - t0
+out['limit_after'] = sys.getrecursionlimit()
+print(json.dumps(out))
+"""
+
+
+def test_09_deep_vtrees():
+    # implication chains x_v -> x_(v+1) plus the clause (x_1 | x_n) on
+    # right-linear vtrees, n - 1 levels deep, in a python -O interpreter
+    # left at its default recursion limit
+    sizes = (5000, 20000)
+    # mean-one weights keep E[W] and Var[W] of 20,000 variables in range
+    rows = [(1 + (k - 2) / 200, 1 - (k % 3 - 1) / 200, 1e-3, 2e-3, -5e-4)
+            for k in range(6)]
+    env = dict(os.environ, PYTHONPATH=os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 'src'))
+    proc = subprocess.run([sys.executable, '-O', '-c', DEEP,
+                           json.dumps(sizes), json.dumps(rows)],
+                          capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got['optimize'] == 1
+    assert got['raised'] == []
+    assert got['limit_after'] == got['limit'] <= 1000
+    for n in sizes:
+        # given the chain, (x_1 | x_n) is x_n: the referee drops the
+        # negative literal of x_n, and for the conditioned circuit also
+        # the positive one of x_(n/2)
+        ms = [None] + [VarMoments(*rows[v % 6]) for v in range(1, n + 1)]
+        m = ms[n]
+        ms[n] = VarMoments(m.muP, 0, m.varP, 0, 0)
+        want = chain_variance([(-1, 1)] * (n - 1), ms)
+        assert abs(got[str(n)]['var'] - want) <= 1e-9 * want, n
+        m = ms[n // 2]
+        ms[n // 2] = VarMoments(0, m.muN, 0, m.varN, 0)
+        want = chain_variance([(-1, 1)] * (n - 1), ms)
+        assert abs(got[str(n)]['var_cond'] - want) <= 1e-9 * want, n
+    small, big = (got[str(n)] for n in sizes)
+    assert big['pairs'] <= 4 * small['pairs'] + 100
+    # 4x for linear work, 16x for work quadratic in depth.  On a shared
+    # 2-vCPU machine all three read 3.5-6.2x, as the larger working set
+    # falls out of cache and other load comes and goes
+    ratios = {k: big[k] / small[k] for k in ('compile', 'var_s', 'normalize')}
+    assert max(ratios.values()) <= 10.0, (small, big)
+    assert got['entails'] and got['residual'] == '0'
+    assert got['reductions'] < 10.0, got['reductions']
+    report(9, 'deep vtrees',
+           'chains of %d and %d variables at recursion limit %d; '
+           '4x the size costs %s; entails and ite-check at %d in %.1fs'
+           % (sizes + (got['limit'], ', '.join(
+               '%s %.1fx' % kv for kv in sorted(ratios.items())),
+               sizes[0], got['reductions'])))

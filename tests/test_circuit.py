@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -363,6 +364,32 @@ class TestNormalize:
         for v in range(1, n + 1):
             want *= wm.vars[v].muP
         assert MomentEngine(b.vt, wm).exp(b) == want
+
+    def test_wide_conjunction_is_near_linear(self):
+        # each group splits by position in one sorted order of the
+        # children, not by a rescan of their scopes at every vtree level
+        def run(n):
+            c = Circuit(Vtree.right_linear(n))
+            c.root = c.conj([c.literal(v) for v in range(n, 0, -1)])
+            best = float('inf')
+            for _ in range(5):
+                t0 = time.perf_counter()
+                b = normalize(c)
+                best = min(best, time.perf_counter() - t0)
+            # the circuit of the recursion: c's literals, then the gates
+            # from the innermost out, (x1 & (x2 & (... & xn)))
+            want = Circuit(c.vt)
+            for v in range(n, 0, -1):
+                want.literal(v)
+            want.root = want.literal(n)
+            for v in range(n - 1, 0, -1):
+                want.root = want.conj((want.literal(v), want.root))
+            for arr in ('kind', 'lit', 'children', 'dnode', 'scope', 'root'):
+                assert getattr(b, arr) == getattr(want, arr), (n, arr)
+            return best
+
+        t600, t2400 = run(600), run(2400)
+        assert t2400 <= 8 * t600, (t600, t2400)
 
     def test_idempotent(self):
         rng = seeded('normalize-idempotent')

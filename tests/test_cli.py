@@ -24,8 +24,9 @@ def files(tmp_path_factory):
     (d / 'ex.sdd').write_text(sdd_text(c))
 
     b = SddBuilder(c.vt)
-    cube = b.conjoin([b.literal(1), b.literal(2),
-                      b.neg(b.literal(3)), b.literal(4)])
+    cube = b.true
+    for n in (b.literal(1), b.literal(2), b.neg(b.literal(3)), b.literal(4)):
+        cube = b.apply(cube, n, 'and')
     (d / 'x.sdd').write_text(sdd_text(b.to_circuit(cube)))
 
     wm = complementary_weights(4, 0.5, 0.01)

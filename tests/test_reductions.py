@@ -168,6 +168,29 @@ class TestIte:
             r = ite_cov_identity_check(f, g)
             assert r['lhs'] == cov_wmc(f, g, cw)
 
+    def test_one_engine_per_vtree(self, monkeypatch):
+        # entails reads var and cov from one engine; the identity reads
+        # f's and g's moments from one and h's from a second, over the
+        # vtree extended by the selector
+        from wmcvar import moments, reductions
+        made = []
+
+        class Counting(moments.MomentEngine):
+            def __init__(self, vt, *args):
+                super().__init__(vt, *args)
+                made.append(vt)
+
+        monkeypatch.setattr(reductions, 'MomentEngine', Counting)
+        n = 6
+        f = compile_cnf(Cnf(n, [(1, 2), (-3, 4)]), Vtree.right_linear(n))
+        g = compile_cnf(Cnf(n, [(1, 2)]), Vtree.right_linear(n))
+        assert entails_via_cov(f, g)
+        assert len(made) == 1 and made[0] is f.vt
+        del made[:]
+        assert ite_cov_identity_check(f, g)['residual'] == 0
+        assert len(made) == 2 and made[0] is f.vt
+        assert made[1].n_vars == n + 1
+
     def test_selector_collision_rejected(self):
         f = compile_cnf(Cnf(3, [(1,)]), Vtree.balanced(3))
         g = compile_cnf(Cnf(3, [(2,)]), f.vt)

@@ -33,7 +33,9 @@ class CartesianBuilder(SddBuilder):
     """The referee for `SddBuilder.apply`: the compiler's apply before it
     dispatched on where the operands sit.  Both operands are read as
     decisions at their lca vnode, a node below it as (n, TRUE), (~n, FALSE)
-    or (TRUE, n), and every element pair is recursed on."""
+    or (TRUE, n), and every element pair is a sub-apply.  It replaces the
+    builder's apply frame, so every apply of a compile, the compression
+    ORs included, goes through it."""
 
     def _elements_at(self, n, v):
         if self.vnode[n] == v and self.kind[n] == 'D':
@@ -42,30 +44,26 @@ class CartesianBuilder(SddBuilder):
             return ((n, self.true), (self.neg(n), self.false))
         return ((self.true, n),)
 
-    def apply(self, a, b, op):
-        op = sddc._OPS[op] if isinstance(op, str) else op
+    def _apply(self, a, b, op):
+        # a frame of the builder's explicit stack: each sub-apply that
+        # _settled does not answer is yielded as a new frame, whose result
+        # is sent back
         if a > b:
             a, b = b, a
-        if a == self.false:
-            return self.false if op == sddc._AND else b
-        if a == self.true:
-            return b if op == sddc._AND else self.true
-        if a == b:
-            return a
-        if self._neg.get(a) == b:
-            return self.false if op == sddc._AND else self.true
         key = (op, a, b)
-        r = self._app.get(key)
-        if r is not None:
-            return r
         v = self.vt.lca(self.vnode[a], self.vnode[b])
         out = []
         for p1, s1 in self._elements_at(a, v):
             for p2, s2 in self._elements_at(b, v):
-                p = self.apply(p1, p2, sddc._AND)
+                p = self._settled(p1, p2, sddc._AND)
+                if p is None:
+                    p = yield self._apply(p1, p2, sddc._AND)
                 if p != self.false:
-                    out.append((p, self.apply(s1, s2, op)))
-        r = self._decision(v, out)
+                    s = self._settled(s1, s2, op)
+                    if s is None:
+                        s = yield self._apply(s1, s2, op)
+                    out.append((p, s))
+        r = yield from self._decision(v, out)
         self._app[key] = r
         return r
 
@@ -317,11 +315,18 @@ def left_fold(cnf, vt, rng):
     exports the result.  Returns the circuit and the unique-table size
     after the input-order fold."""
     b = SddBuilder(vt)
-    f = b.conjoin(b.clause(cl) for cl in cnf.clauses)
+
+    def fold(clauses):
+        acc = b.true
+        for cl in clauses:
+            acc = b.apply(acc, b.clause(cl), 'and')
+        return acc
+
+    f = fold(cnf.clauses)
     size = len(b.kind)
     shuffled = list(cnf.clauses)
     rng.shuffle(shuffled)
-    assert b.conjoin(b.clause(cl) for cl in shuffled) == f
+    assert fold(shuffled) == f
     return b.to_circuit(f), size
 
 

@@ -29,6 +29,19 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_recursion_limit_changes():
+    # the limit is the whole process's: deep inputs are walked on
+    # explicit stacks instead of raising it
+    found = []
+    for path in sorted(PACKAGE.rglob('*.py')):
+        tree = ast.parse(path.read_text(), str(path))
+        found += ['%s:%d' % (path.name, node.lineno)
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and 'setrecursionlimit' in (getattr(node.func, 'attr', None),
+                                              getattr(node.func, 'id', None))]
+    assert found == []
+
+
 def import_time_modules(tree):
     """Modules a parsed file imports when it is loaded: function bodies,
     which import on call, are skipped."""
