@@ -25,8 +25,8 @@ but itself.
 A circuit is a DAG of false/true/literal/and/or nodes stored in arrays,
 children always having smaller ids than their parents.  Node 0 is always
 the false constant and node 1 the true constant.  Every node carries its
-variable scope (a bitset over variables) and its decomposition vnode: the
-deepest vtree node whose scope covers the node's scope.
+decomposition vnode, the lca of the vtree leaves of its variables (BOTTOM
+for none), which stands for its variable set (see Vtree.is_ancestor).
 
 Circuits are built in normal form: Circuit.conj and Circuit.disj fold
 constants as they build, by the SDD trimming rules (Darwiche, "SDD: A New
@@ -60,7 +60,7 @@ class Vtree:
     """Rooted binary tree over variables 1..n with O(1) lca queries."""
 
     __slots__ = ('n_nodes', 'n_vars', 'root', 'left', 'right', 'parent',
-                 'var', 'scope', 'depth', 'file_ids', '_file_lookup',
+                 'var', 'depth', 'file_ids', '_file_lookup',
                  '_leaf_of', '_first', '_last', '_etab')
 
     def __init__(self, left, right, var, file_ids=None):
@@ -76,6 +76,7 @@ class Vtree:
 
         parent = [0] * (n + 1)
         child_seen = [False] * (n + 1)
+        leaf_of = {}
         for i in range(1, n + 1):
             l, r = left[i], right[i]
             if l or r:
@@ -89,6 +90,11 @@ class Vtree:
                     parent[ch] = i
             elif var[i] < 1:
                 raise FormatError('vtree leaf %d without variable' % i)
+            elif var[i] in leaf_of:
+                raise FormatError('variable %d labels two vtree leaves'
+                                  % var[i])
+            else:
+                leaf_of[var[i]] = i
         roots = [i for i in range(1, n + 1) if not child_seen[i]]
         if len(roots) != 1:
             raise FormatError('vtree must have exactly one root, found %d'
@@ -97,26 +103,10 @@ class Vtree:
         if self.root != n:
             raise FormatError('vtree root must be the last declared node')
         self.parent = parent
-
-        leaf_of = {}
-        scope = [0] * (n + 1)
-        for i in range(1, n + 1):
-            if left[i]:
-                s = scope[left[i]] | scope[right[i]]
-                if scope[left[i]] & scope[right[i]]:
-                    raise FormatError('variable repeats under vtree node %d' % i)
-                scope[i] = s
-            else:
-                v = var[i]
-                if v in leaf_of:
-                    raise FormatError('variable %d labels two vtree leaves' % v)
-                leaf_of[v] = i
-                scope[i] = 1 << v
         self.n_vars = len(leaf_of)
         if sorted(leaf_of) != list(range(1, self.n_vars + 1)):
             raise FormatError('vtree variables must be exactly 1..%d'
                               % self.n_vars)
-        self.scope = scope
         self._leaf_of = leaf_of
 
         depth = [0] * (n + 1)
@@ -251,15 +241,21 @@ class Vtree:
         """True when w is an ancestor of v or equal to it.
 
         BOTTOM is a descendant of every node and an ancestor only of
-        itself.
+        itself.  As a circuit node's decomposition vnode d is the lca of
+        the leaves of its variables (BOTTOM for none), the node's
+        variables all lie under w exactly when is_ancestor(w, d).
         """
         return v == BOTTOM or \
             self._first[w] <= self._first[v] <= self._last[w]
 
+    def n_leaves(self, v):
+        """Leaves under v: L of them span 4L - 3 Euler tour positions."""
+        return (self._last[v] - self._first[v] + 4) // 4
+
     def deepest_containing(self, bits):
-        """Deepest vtree node whose scope covers the given variable bitset:
-        the lca of the leaves of its variables (BOTTOM for no variable)."""
-        if bits & ~self.scope[self.root]:
+        """Deepest vnode over every variable of a bitset: the lca of their
+        leaves (BOTTOM for none)."""
+        if bits & 1 or bits >> (self.n_vars + 1):
             raise ValidationError('variables outside the vtree')
         v = BOTTOM
         while bits:
@@ -348,11 +344,11 @@ class Circuit:
     """st-d-DNNF circuit bound to a vtree.
 
     kind[i] is one of 'F', 'T', 'L', 'A', 'O'.  Literal payload lives in
-    lit[i] (signed variable), gate children in children[i].  scope[i] is the
-    variable bitset, dnode[i] the decomposition vnode.
+    lit[i] (signed variable), gate children in children[i].  dnode[i] is
+    the decomposition vnode; it stands for the node's variables.
     """
 
-    __slots__ = ('vt', 'kind', 'lit', 'children', 'scope', 'dnode', 'root',
+    __slots__ = ('vt', 'kind', 'lit', 'children', 'dnode', 'root',
                  'deterministic_by_construction', '_lit_cache', '_gate_cache')
 
     def __init__(self, vt):
@@ -360,7 +356,6 @@ class Circuit:
         self.kind = ['F', 'T']
         self.lit = [0, 0]
         self.children = [(), ()]
-        self.scope = [0, 0]
         self.dnode = [BOTTOM, BOTTOM]
         self.root = TRUE
         self.deterministic_by_construction = False
@@ -384,7 +379,6 @@ class Circuit:
         self.kind.append('L')
         self.lit.append(sl)
         self.children.append(())
-        self.scope.append(1 << v)
         self.dnode.append(self.vt.leaf_of(v))
         node = len(self.kind) - 1
         self._lit_cache[sl] = node
@@ -403,15 +397,12 @@ class Circuit:
         node = self._gate_cache.get(key)
         if node is not None:
             return node
-        s = 0
         d = BOTTOM
         for c in chs:
-            s |= self.scope[c]
             d = self.vt.lca(d, self.dnode[c])
         self.kind.append(kind)
         self.lit.append(0)
         self.children.append(chs)
-        self.scope.append(s)
         self.dnode.append(d)
         self._gate_cache[key] = here
         return here
@@ -516,42 +507,43 @@ class ValidationReport:
 
 def validate(c, determinism_limit=20):
     """Decide decomposability and structuredness exactly; determinism by
-    exhaustive evaluation when the variable count is within the limit."""
+    exhaustive evaluation when the variable count is within the limit.
+
+    Structuredness reads decomposition vnodes; decomposability needs
+    variable sets, which only this check builds (as bitsets)."""
     vt = c.vt
     problems = []
     decomposable = True
     structured = True
     live = c.reachable()
+    scope = [0] * len(c)
 
     for i in live:
-        if c.kind[i] != 'A':
-            continue
-        chs = c.children[i]
-        union = 0
+        k, chs = c.kind[i], c.children[i]
+        s = 1 << abs(c.lit[i]) if k == 'L' else 0
         total = 0
         for x in chs:
-            union |= c.scope[x]
-            total += c.scope[x].bit_count()
-        if union.bit_count() != total:
+            s |= scope[x]
+            total += scope[x].bit_count()
+        scope[i] = s
+        if k != 'A':
+            continue
+        if s.bit_count() != total:
             decomposable = False
             problems.append('and-node %d has overlapping children scopes' % i)
         if len(chs) != 2:
             structured = False
             problems.append('and-node %d has fan-in %d' % (i, len(chs)))
             continue
-        s1, s2 = c.scope[chs[0]], c.scope[chs[1]]
-        if s1 and s2:
-            v = c.dnode[i]
-            if vt.is_leaf(v):
-                ok = False
-            else:
-                sl, sr = vt.scope[vt.left[v]], vt.scope[vt.right[v]]
-                ok = s1 & ~sl == 0 and s2 & ~sr == 0
-        elif s1 or s2:
-            # one side is constant: need any vnode with the other side's
-            # scope strictly inside one child, i.e. the deepest covering
-            # vnode must not be the vtree root
-            ok = c.dnode[i] != vt.root
+        d1, d2 = c.dnode[chs[0]], c.dnode[chs[1]]
+        v = c.dnode[i]
+        if d1 and d2:
+            ok = not vt.is_leaf(v) and vt.is_ancestor(vt.left[v], d1) \
+                and vt.is_ancestor(vt.right[v], d2)
+        elif d1 or d2:
+            # one side has no variable: the other's must lie strictly
+            # inside a child of some vnode, so not at the vtree root
+            ok = v != vt.root
         else:
             ok = not vt.is_leaf(vt.root)
         if not ok:
@@ -707,7 +699,7 @@ def parse_sdd(text, vt):
             if sl == 0 or not 1 <= var <= vt.n_vars:
                 raise FormatError('literal %d outside vtree variables' % sl,
                                   lineno)
-            if not (vt.scope[v] >> var) & 1:
+            if not vt.is_ancestor(v, vt.leaf_of(var)):
                 raise VtreeMismatchError(
                     'line %d: literal %d not under vtree node %d'
                     % (lineno, sl, vid))
@@ -725,7 +717,7 @@ def parse_sdd(text, vt):
             if vt.is_leaf(v):
                 raise VtreeMismatchError(
                     'line %d: decision node on vtree leaf %d' % (lineno, vid))
-            sl_, sr_ = vt.scope[vt.left[v]], vt.scope[vt.right[v]]
+            vl, vr = vt.left[v], vt.right[v]
             elems = []
             for j in range(m):
                 try:
@@ -734,11 +726,11 @@ def parse_sdd(text, vt):
                 except KeyError:
                     raise FormatError('element child declared after use',
                                       lineno) from None
-                if c.scope[p] & ~sl_:
+                if not vt.is_ancestor(vl, c.dnode[p]):
                     raise VtreeMismatchError(
                         'line %d: prime scope escapes left of vtree node %d'
                         % (lineno, vid))
-                if c.scope[s] & ~sr_:
+                if not vt.is_ancestor(vr, c.dnode[s]):
                     raise VtreeMismatchError(
                         'line %d: sub scope escapes right of vtree node %d'
                         % (lineno, vid))
@@ -801,22 +793,13 @@ def sdd_text(c):
         dn = c.dnode[i]
         if vt.is_leaf(dn) or dn == BOTTOM:
             continue
-        sl = vt.scope[vt.left[dn]]
-        sr = vt.scope[vt.right[dn]]
-        for e in c.children[i]:
-            if c.kind[e] == 'A' and (c.scope[e] & ~sl == 0
-                                     or c.scope[e] & ~sr == 0):
-                needs_id.add(e)
+        needs_id.update(e for e in c.children[i] if c.kind[e] == 'A' and (
+            vt.is_ancestor(vt.left[dn], c.dnode[e])
+            or vt.is_ancestor(vt.right[dn], c.dnode[e])))
 
     fid = {}
     lines = []
-    emitted = 0
-
-    def emit(line):
-        nonlocal emitted
-        lines.append(line)
-        emitted += 1
-
+    emit = lines.append
     for i in order:
         if i in fid:
             continue
@@ -836,16 +819,14 @@ def sdd_text(c):
             emit('L %d %d %d' % (fid[i], vt.file_ids[leaf], c.lit[i]))
         else:
             _emit_decision(c, c.children[i], c.dnode[i], fid, emit, i)
-    header = 'sdd %d' % emitted
-    return '\n'.join([header] + lines) + '\n'
+    return '\n'.join(['sdd %d' % len(lines)] + lines) + '\n'
 
 
 def _emit_decision(c, elements, dnode, fid, emit, node):
     vt = c.vt
     if vt.is_leaf(dnode) or dnode == BOTTOM:
         raise ValidationError('node %d is not in decision form' % node)
-    sl = vt.scope[vt.left[dnode]]
-    sr = vt.scope[vt.right[dnode]]
+    vl, vr, dn = vt.left[dnode], vt.right[dnode], c.dnode
     parts = []
     for e in elements:
         p = s = None
@@ -854,7 +835,7 @@ def _emit_decision(c, elements, dnode, fid, emit, node):
                 raise ValidationError('node %d is not in decision form'
                                       % node)
             a, b = c.children[e]
-            if c.scope[a] & ~sl == 0 and c.scope[b] & ~sr == 0:
+            if vt.is_ancestor(vl, dn[a]) and vt.is_ancestor(vr, dn[b]):
                 p, s = a, b
         elif c.kind[e] not in ('L', 'O'):
             raise ValidationError('node %d is not in decision form' % node)
@@ -863,9 +844,9 @@ def _emit_decision(c, elements, dnode, fid, emit, node):
             if fid.get(TRUE) is None:
                 fid[TRUE] = len(fid)
                 emit('T %d' % fid[TRUE])
-            if c.scope[e] & ~sl == 0:
+            if vt.is_ancestor(vl, dn[e]):
                 p, s = e, TRUE
-            elif c.scope[e] & ~sr == 0:
+            elif vt.is_ancestor(vr, dn[e]):
                 p, s = TRUE, e
             else:
                 raise ValidationError('node %d is not in decision form'

@@ -84,7 +84,7 @@ class MomentEngine:
         self.wm = wm
         self.group_vnodes = dict(group_vnodes or {})
         for v, gi in self.group_vnodes.items():
-            if vt.scope[v] != wm.groups[gi].mask:
+            if not _gathers(vt, wm, v, gi):
                 raise ValidationError(
                     'vtree node %d does not gather group %d exactly' % (v, gi))
         # gcov: group covariances, scaled like mom; d: the variable scales
@@ -93,21 +93,25 @@ class MomentEngine:
         self.scale = None if self.d is None else math.prod(self.d)
         self.guard_mask = wm.grouped_mask
 
-        # W_true moments per vnode.  Above a correlated group these
-        # recurrences are not valid; such entries are never read because
-        # _lift refuses any span touching guard_mask.
+        # W_true moments and grouped variables per vnode.  Above a
+        # correlated group the W_true recurrences are not valid; such entries
+        # are never read because _lift refuses any span with grouped ones.
         ev = [1] * (vt.n_nodes + 1)
         vv = [0] * (vt.n_nodes + 1)
+        grouped = [0] * (vt.n_nodes + 1)
         for v in range(1, vt.n_nodes + 1):
             l, r = vt.left[v], vt.right[v]
             if l:
                 ev[v], vv[v] = _product(ev[l], vv[l], ev[r], vv[r])
+                grouped[v] = grouped[l] + grouped[r]
             else:
                 m = self.mom[vt.var[v]]
                 ev[v] = m.muP + m.muN
                 vv[v] = m.varP + m.varN + 2 * m.covPN
+                grouped[v] = int(wm.group_of(vt.var[v]) is not None)
         self.ev = ev
         self.vv = vv
+        self.grouped = grouped
         self._lifts = {}        # (v, w) -> (ea, va)
         self.pairs = 0          # node pairs the last cov resolved
 
@@ -118,15 +122,15 @@ class MomentEngine:
         ancestor of v, composed per edge from v up to w and memoized."""
         r = self._lifts.get((v, w))
         if r is None:
-            vt, ev, vv, gm = self.vt, self.ev, self.vv, self.guard_mask
-            # correlated variables in the span void the pairwise model
-            if gm and vt.scope[w] & ~vt.scope[v] & gm:
-                raise CorrelationScopeError(
-                    'adjustment over vtree node %d spans correlated '
-                    'variables; the circuit does not fix them here' % w)
+            vt, ev, vv = self.vt, self.ev, self.vv
             if not vt.is_ancestor(w, v):
                 raise ValidationError(
                     'vnode %d is not an ancestor of %d' % (w, v))
+            # correlated variables in the span void the pairwise model
+            if self.grouped[w] != self.grouped[v]:
+                raise CorrelationScopeError(
+                    'adjustment over vtree node %d spans correlated '
+                    'variables; the circuit does not fix them here' % w)
             r, u = ((ev[w], vv[w]), w) if v == BOTTOM else ((1, 0), v)
             while u != w:
                 p = vt.parent[u]
@@ -248,9 +252,9 @@ class MomentEngine:
         if f.vt is not self.vt or g.vt is not self.vt:
             raise VtreeMismatchError('circuits were built on a different vtree')
         vt = self.vt
-        lca, left, right, scope = vt.lca, vt.left, vt.right, vt.scope
+        lca, left, right = vt.lca, vt.left, vt.right
         fd, gd, fk, gk = f.dnode, g.dnode, f.kind, g.kind
-        gmask = self.guard_mask
+        gmask, grouped = self.guard_mask, self.grouped
         same = f is g
         ef = self.exp_table(f)
         eg = ef if same else self.exp_table(g)
@@ -274,7 +278,7 @@ class MomentEngine:
                 if a == FALSE or b == FALSE or anc == BOTTOM:
                     memo[k] = (anc, 0)
                     continue
-                if gmask and scope[anc] & gmask:
+                if gmask and grouped[anc]:
                     blk = self._group_block(f, a, g, b, anc, patt)
                     if blk is not None:
                         gi, ja, jb, pab = blk
@@ -398,43 +402,47 @@ class MomentEngine:
                 if j != jb:
                     pb = pb * mn
             return gi, ja, jb, pa * pb
-        sc = vt.scope[anc]
-        if sc & ~self.guard_mask:
+        n = vt.n_leaves(anc)
+        if n > self.grouped[anc]:
             return None             # anc spans more than grouped variables
-        for grp in wm.groups:
-            if sc & ~grp.mask == 0:
-                raise CorrelationScopeError(
-                    'covariance decomposes inside a correlated group at '
-                    'vnode %d; gather the group under a registered vnode '
-                    'and keep its members fixed by every node there' % anc)
+        u = anc                     # any leaf under anc, and its group
+        while vt.left[u]:
+            u = vt.left[u]
+        if _under(vt, anc, wm.groups[wm.group_of(vt.var[u])[0]]) == n:
+            raise CorrelationScopeError(
+                'covariance decomposes inside a correlated group at '
+                'vnode %d; gather the group under a registered vnode '
+                'and keep its members fixed by every node there' % anc)
         return None                 # spans several groups but nothing else
 
     def _member_pattern(self, c, i, gi, patt):
-        """Index of the member forced true under node i of c, -1 if none.
-        patt[c] holds, per node of c, the grouped variables a positive
-        literal under it sets true, filled children first once per c."""
-        g = self.wm.groups[gi]
-        if c.scope[i] != g.mask:    # constants too: their scope is empty
-            raise CorrelationScopeError(
-                'node at a group vnode must fix every member of the group')
+        """Index of the member forced true under node i of c (which sits at
+        group gi's vnode), -1 if none.  patt[c] holds, per node of c, bit
+        2j if its literals mention member j of a group and bit 2j + 1 if
+        one sets it true, filled children first once per c."""
         t = patt.get(c)
         if t is None:
             t = patt[c] = [0] * len(c)
-            gm = self.guard_mask
+            at = self.wm.group_of
             for j, chs in enumerate(c.children):
-                if c.kind[j] == 'L':
-                    t[j] = (1 << c.lit[j]) & gm if c.lit[j] > 0 else 0
-                else:
-                    for ch in chs:
-                        t[j] |= t[ch]
+                m = c.kind[j] == 'L' and at(abs(c.lit[j]))
+                if m:
+                    t[j] = (3 if c.lit[j] > 0 else 1) << 2 * m[1]
+                for ch in chs:
+                    t[j] |= t[ch]
+        every = ((1 << 2 * len(self.wm.groups[gi].members)) - 1) // 3
         got = t[i]
+        if got & every != every:
+            raise CorrelationScopeError(
+                'node at a group vnode must fix every member of the group')
+        got = got >> 1 & every
         if got == 0:
             return -1
         if got & (got - 1):
             raise CorrelationScopeError(
                 'node sets two members of a correlated group true; '
                 'covariance of such a block is not expressible')
-        return g.members.index(got.bit_length() - 1)
+        return (got.bit_length() - 1) // 2
 
 
 def _product(ea, va, eb, vb):
@@ -515,11 +523,23 @@ def locate_group_vnodes(vt, wm):
     out = {}
     for gi, g in enumerate(wm.groups):
         v = vt.deepest_containing(g.mask)
-        if v == BOTTOM or vt.scope[v] != g.mask:
+        if not _gathers(vt, wm, v, gi):
             raise CorrelationScopeError(
                 'no vtree node gathers group %d exactly' % gi)
         out[v] = gi
     return out
+
+
+def _under(vt, v, group):
+    """The number of group's members under vnode v."""
+    return sum(vt.is_ancestor(v, vt.leaf_of(x)) for x in group.members)
+
+
+def _gathers(vt, wm, v, gi):
+    """True when vnode v's variables are exactly the members of group gi."""
+    g = wm.groups[gi] if 0 <= gi < len(wm.groups) else None
+    return g is not None and 0 < v <= vt.n_nodes \
+        and vt.n_leaves(v) == len(g.members) == _under(vt, v, g)
 
 
 # ---- gradient of the variance ------------------------------------------------
@@ -594,8 +614,7 @@ def var_gradient(c, wm, group_vnodes=None):
             d[2] += gr * ((sa >= 0 >= sb) + (sa <= 0 <= sb))
     # va(v, p) = va(v, u) * (vv[s] + ev[s]^2) + ea(v, u)^2 * vv[s], s the
     # sibling of u under p: walk each anchor's path top-down, from the
-    # highest vnode it is lifted to
-    # deepest targets first, so each anchor keeps its shallowest
+    # highest vnode it is lifted to (deepest first: the shallowest stays)
     top = dict(sorted(dva, key=lambda vw: -vt.depth[vw[1]]))
     for v, w in top.items():
         steps, ea, va, u = [], 1, 0, v

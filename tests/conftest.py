@@ -31,6 +31,24 @@ def random_shape_vtree(rng, n):
     return Vtree.from_nested(build(0, n))
 
 
+def scopes(x):
+    """The variable bitset of every node of a Vtree or a Circuit, built
+    from the leaves or literals up (children have smaller ids)."""
+    if isinstance(x, Vtree):
+        out = [0] * (x.n_nodes + 1)
+        for i in range(1, x.n_nodes + 1):
+            out[i] = out[x.left[i]] | out[x.right[i]] if x.left[i] \
+                else 1 << x.var[i]
+        return out
+    out = []
+    for k, sl, chs in zip(x.kind, x.lit, x.children):
+        s = 1 << abs(sl) if k == 'L' else 0
+        for ch in chs:
+            s |= out[ch]
+        out.append(s)
+    return out
+
+
 def random_cnf(rng, n, max_clauses=6, max_width=3):
     clauses = []
     for _ in range(rng.randint(1, max_clauses)):
@@ -103,6 +121,14 @@ def example_variance(mu, s2):
     t2 = 1 - 2 * mu + 2 * mu ** 2 + 6 * mu ** 4
     t3 = 2 + 4 * mu ** 2
     return t1 * s2 + t2 * s2 ** 2 + t3 * s2 ** 3 + s2 ** 4
+
+
+def outcome(run):
+    """(exception type, message) if run() raises, else what it returns."""
+    try:
+        return run()
+    except Exception as e:
+        return type(e), str(e)
 
 
 def seeded(name):

@@ -206,7 +206,7 @@ def test_08_external_experiment_substitution():
 
 
 DEEP = """
-import gc, json, sys, time
+import gc, json, resource, sys, time
 from wmcvar.circuit import Vtree, normalize
 from wmcvar.moments import MomentEngine
 from wmcvar.reductions import entails_via_cov, ite_cov_identity_check
@@ -274,6 +274,7 @@ out['entails'] = entails_via_cov(f, g)
 out['residual'] = str(ite_cov_identity_check(f, g)['residual'])
 out['reductions'] = time.process_time() - t0
 out['limit_after'] = sys.getrecursionlimit()
+out['maxrss'] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 print(json.dumps(out))
 """
 
@@ -317,6 +318,12 @@ def test_09_deep_vtrees():
     # falls out of cache and other load comes and goes
     ratios = {k: big[k] / small[k] for k in ('compile', 'var_s', 'normalize')}
     assert max(ratios.values()) <= 10.0, (small, big)
+    # peak memory of the whole run: ru_maxrss is in KB on Linux and in
+    # bytes on macOS.  188 MB on Linux with CPython 3.11; it read 594 MB when
+    # every circuit node and vnode held its variable set as an n-bit int
+    maxrss_mb = got['maxrss'] / (2 ** 20 if sys.platform == 'darwin'
+                                 else 2 ** 10)
+    assert maxrss_mb <= 300, maxrss_mb
     assert got['entails'] and got['residual'] == '0'
     assert got['reductions'] < 10.0, got['reductions']
     report(9, 'deep vtrees',

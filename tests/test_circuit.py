@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import (random_circuit, random_cnf, random_shape_vtree,
-                      random_vtree, random_weights, seeded)
+from conftest import (outcome, random_circuit, random_cnf,
+                      random_shape_vtree, random_vtree, random_weights,
+                      scopes, seeded)
 from wmcvar.bayes import MarginalPipeline, demo_networks
 from wmcvar.circuit import (BOTTOM, FALSE, TRUE, Circuit, Vtree, normalize,
                             parse_sdd, parse_vtree, sdd_text, validate)
@@ -42,11 +43,12 @@ def root_walk(vt, bits):
     """Deepest vnode covering bits, by a walk down from the root."""
     if bits == 0:
         return BOTTOM
+    scope = scopes(vt)
     v = vt.root
     while not vt.is_leaf(v):
-        if bits & ~vt.scope[vt.left[v]] == 0:
+        if bits & ~scope[vt.left[v]] == 0:
             v = vt.left[v]
-        elif bits & ~vt.scope[vt.right[v]] == 0:
+        elif bits & ~scope[vt.right[v]] == 0:
             v = vt.right[v]
         else:
             break
@@ -77,10 +79,11 @@ class TestVtree:
     def test_parse_and_scopes(self):
         vt = parse_vtree(VTREE_22)
         assert vt.n_vars == 4
-        assert vt.scope[vt.root] == 0b11110
+        scope = scopes(vt)
+        assert scope[vt.root] == 0b11110
         left, right = vt.left[vt.root], vt.right[vt.root]
-        assert vt.scope[left] == 0b00110
-        assert vt.scope[right] == 0b11000
+        assert scope[left] == 0b00110
+        assert scope[right] == 0b11000
 
     def test_leaf_lookup(self):
         vt = parse_vtree(VTREE_22)
@@ -150,7 +153,7 @@ class TestVtree:
         rng = seeded('deepest-containing')
         for n in (1, 2, 5, 17, 40):
             for vt in shaped_vtrees(rng, n):
-                masks = [0, vt.scope[vt.root]]
+                masks = [0, scopes(vt)[vt.root]]
                 masks += [1 << v for v in range(1, n + 1)]
                 for _ in range(60):
                     vs = rng.sample(range(1, n + 1), rng.randint(1, min(n, 4)))
@@ -229,6 +232,93 @@ class TestParseSdd:
         rep = validate(parse_sdd(text, vt))
         assert not rep.ok
         assert any('true together' in p for p in rep.problems)
+
+
+def problems(vt, build):
+    """validate's structure problems for the circuit on vt whose root is
+    build(c, x), x[v] being variable v's positive literal in c."""
+    c = Circuit(vt)
+    x = {v: c.literal(v) for v in range(1, vt.n_vars + 1)}
+    c.root = build(c, x)
+    return validate(c, determinism_limit=0).problems
+
+
+def decision_text(vt, build):
+    c = Circuit(vt)
+    x = {v: c.literal(v) for v in range(1, vt.n_vars + 1)}
+    c.root = build(c, x)
+    return sdd_text(c)
+
+
+def always(c):
+    # an or-node with no variable: its vnode is BOTTOM
+    return c.disj((TRUE, TRUE))
+
+
+@pytest.mark.parametrize('run, want', [
+    pytest.param(lambda: parse_sdd('sdd 3\nL 0 3 3\nL 1 4 4\nD 2 6 1 0 1\n',
+                                   parse_vtree(VTREE_22)),
+                 (VtreeMismatchError,
+                  'line 4: prime scope escapes left of vtree node 6'),
+                 id='prime-escapes-left'),
+    pytest.param(lambda: parse_sdd('sdd 3\nL 0 0 1\nL 1 1 2\nD 2 6 1 0 1\n',
+                                   parse_vtree(VTREE_22)),
+                 (VtreeMismatchError,
+                  'line 4: sub scope escapes right of vtree node 6'),
+                 id='sub-escapes-right'),
+    pytest.param(lambda: parse_sdd('sdd 1\nL 0 3 2\n', parse_vtree(VTREE_22)),
+                 (VtreeMismatchError,
+                  'line 2: literal 2 not under vtree node 3'),
+                 id='literal-off-its-vnode'),
+    pytest.param(lambda: parse_vtree('vtree 3\nL 0 1\nL 1 1\nI 2 0 1\n'),
+                 (FormatError, 'variable 1 labels two vtree leaves'),
+                 id='repeated-variable'),
+    pytest.param(lambda: parse_vtree('vtree 5\nL 0 1\nL 1 2\nI 2 0 1\n'
+                                     'L 3 2\nI 4 2 3\n'),
+                 (FormatError, 'variable 2 labels two vtree leaves'),
+                 id='repeated-variable-across-levels'),
+    pytest.param(lambda: Vtree.balanced(3).deepest_containing(0b1),
+                 (ValidationError, 'variables outside the vtree'),
+                 id='bit-zero-outside'),
+    pytest.param(lambda: Vtree.balanced(3).deepest_containing(0b10110),
+                 (ValidationError, 'variables outside the vtree'),
+                 id='variable-past-n'),
+    pytest.param(lambda: problems(Vtree.balanced(2),
+                                  lambda c, x: c.conj((x[1], c.literal(-1)))),
+                 ['and-node 5 has overlapping children scopes',
+                  'and-node 5 does not split on any vnode'],
+                 id='overlapping-children'),
+    pytest.param(lambda: problems(Vtree.balanced(3),
+                                  lambda c, x: c.conj((x[1], x[2], x[3]))),
+                 ['and-node 5 has fan-in 3'], id='fan-in-3'),
+    pytest.param(lambda: problems(Vtree.from_nested(((1, 2), 3)),
+                                  lambda c, x: c.conj((c.disj((x[1], x[3])),
+                                                       x[2]))),
+                 ['and-node 6 does not split on any vnode'],
+                 id='splits-on-no-vnode'),
+    pytest.param(lambda: problems(Vtree.balanced(2),
+                                  lambda c, x: c.conj((always(c),
+                                                       c.disj((x[1], x[2]))))),
+                 ['and-node 6 does not split on any vnode'],
+                 id='empty-scope-child-beside-root'),
+    pytest.param(lambda: problems(Vtree.balanced(2),
+                                  lambda c, x: c.conj((always(c), x[1]))),
+                 [], id='empty-scope-child-below-root'),
+    pytest.param(lambda: problems(Vtree.right_linear(1),
+                                  lambda c, x: c.conj((always(c),
+                                                       always(c)))),
+                 ['and-node 4 does not split on any vnode'],
+                 id='empty-scopes-on-leaf-root'),
+    pytest.param(lambda: decision_text(
+        Vtree.from_nested(((1, 2), 3)),
+        lambda c, x: c.disj((c.conj((c.disj((x[1], x[3])), x[2])), x[3]))),
+                 (ValidationError, 'node 7 is not in decision form'),
+                 id='element-on-neither-side'),
+])
+def test_scope_checks(run, want):
+    # the errors and reports of the checks that compare a node's
+    # variables with a vnode's
+    assert outcome(run) == want
 
 
 class TestTruthBlocks:
@@ -384,7 +474,7 @@ class TestNormalize:
             want.root = want.literal(n)
             for v in range(n - 1, 0, -1):
                 want.root = want.conj((want.literal(v), want.root))
-            for arr in ('kind', 'lit', 'children', 'dnode', 'scope', 'root'):
+            for arr in ('kind', 'lit', 'children', 'dnode', 'root'):
                 assert getattr(b, arr) == getattr(want, arr), (n, arr)
             return best
 
@@ -452,9 +542,15 @@ class TestSddText:
 
 
 def check_invariants(c):
-    """The two construction invariants, and reachable() against a
-    set-based DFS; returns the number of splitting conjunctions seen."""
+    """The two construction invariants, reachable() against a set-based
+    DFS, and the identity that stands for node scopes: node x's variables
+    lie under vnode w exactly when w is an ancestor of x's vnode.
+    Returns the number of splitting conjunctions seen."""
     vt = c.vt
+    cs, vs = scopes(c), scopes(vt)
+    for x, d in enumerate(c.dnode):
+        assert [cs[x] & ~vs[w] == 0 for w in range(1, vt.n_nodes + 1)] \
+            == [vt.is_ancestor(w, d) for w in range(1, vt.n_nodes + 1)]
     splits = 0
     for i, chs in enumerate(c.children):
         assert all(x < i for x in chs)

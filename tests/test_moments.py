@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import (complementary_weights, example_circuit,
-                      example_variance, random_circuit, random_cnf,
+                      example_variance, outcome, random_circuit, random_cnf,
                       random_shape_vtree, random_vtree, random_weights,
-                      seeded)
+                      scopes, seeded)
 from wmcvar.bayes import MarginalPipeline, demo_networks
-from wmcvar.circuit import BOTTOM, FALSE, TRUE, Vtree, parse_sdd, sdd_text
-from wmcvar.errors import CorrelationScopeError
+from wmcvar.circuit import (BOTTOM, FALSE, TRUE, Circuit, Vtree, parse_sdd,
+                            sdd_text)
+from wmcvar.errors import CorrelationScopeError, ValidationError
 from wmcvar.moments import (MomentEngine, cov_wmc, exp_wmc,
                             locate_group_vnodes, var_gradient, var_wmc)
 from wmcvar.oracle import enumerate_models, oracle_cov, oracle_exp, oracle_var
@@ -176,7 +177,7 @@ class TestGroupedWeights:
         vt, wm = self.make_grouped()
         gv = locate_group_vnodes(vt, wm)
         (vnode, gi), = gv.items()
-        assert vt.scope[vnode] == 0b00110
+        assert scopes(vt)[vnode] == 0b00110
         assert gi == 0
 
     def grouped_circuit(self, vt, rng):
@@ -243,6 +244,87 @@ class TestGroupedWeights:
         _, wm = self.make_grouped()
         with pytest.raises(CorrelationScopeError):
             locate_group_vnodes(vt, wm)
+
+
+def grouped_model():
+    return TestGroupedWeights().make_grouped()
+
+
+def three_member_model():
+    """Group (1, 2, 3) gathered at vnode 5 of ((1, (2, 3)), 4)."""
+    vt = Vtree.from_nested(((1, (2, 3)), 4))
+    ps = (0.2, 0.3, 0.5)
+    cov = tuple(tuple((p * (1 - p) if i == j else -p * q) / 10
+                      for j, q in enumerate(ps)) for i, p in enumerate(ps))
+    # member 2's negative weight is 0, so the expectation of a node with
+    # literal -2 is 0 and needs no lift over a free member
+    ms = {v: VarMoments(ps[v - 1], float(v != 2), cov[v - 1][v - 1], 0.0,
+                        0.0) for v in (1, 2, 3)}
+    ms[4] = VarMoments(0.4, 0.6, 0.02, 0.02, -0.02)
+    return vt, WeightModel(ms, groups=(Group((1, 2, 3), cov),))
+
+
+def grouped_run(gv, *clause_sets):
+    """cov of the circuits compiled from clause_sets (var of one) under
+    grouped_model, with group vnodes gv (located when None)."""
+    vt, wm = grouped_model()
+    eng = MomentEngine(vt, wm, locate_group_vnodes(vt, wm) if gv is None
+                       else gv)
+    cs = [compile_cnf(Cnf(vt.n_vars, cls), vt) for cls in clause_sets]
+    return eng.cov(cs[0], cs[-1])
+
+
+def free_member():
+    # members 1 and 2 at their vnode, member 3 left free
+    vt, wm = three_member_model()
+    c = Circuit(vt)
+    c.root = c.conj((c.literal(1), c.literal(-2)))
+    return MomentEngine(vt, wm, locate_group_vnodes(vt, wm)).var(c)
+
+
+@pytest.mark.parametrize('run, want', [
+    pytest.param(lambda: grouped_run({7: 0}, [(1,)]),
+                 (ValidationError,
+                  'vtree node 7 does not gather group 0 exactly'),
+                 id='vnode-gathers-more'),
+    pytest.param(lambda: grouped_run({99: 0}, [(1,)]),
+                 (ValidationError,
+                  'vtree node 99 does not gather group 0 exactly'),
+                 id='unknown-vnode'),
+    pytest.param(lambda: grouped_run({5: 3}, [(1,)]),
+                 (ValidationError,
+                  'vtree node 5 does not gather group 3 exactly'),
+                 id='unknown-group'),
+    pytest.param(lambda: locate_group_vnodes(
+        Vtree.from_nested((1, (2, (3, 4)))), grouped_model()[1]),
+                 (CorrelationScopeError,
+                  'no vtree node gathers group 0 exactly'),
+                 id='no-vnode-gathers'),
+    pytest.param(free_member,
+                 (CorrelationScopeError,
+                  'node at a group vnode must fix every member of the group'),
+                 id='member-left-free'),
+    pytest.param(lambda: grouped_run(None, [(1,), (2,)]),
+                 (CorrelationScopeError,
+                  'node sets two members of a correlated group true; '
+                  'covariance of such a block is not expressible'),
+                 id='two-members-true'),
+    pytest.param(lambda: grouped_run(None, [(1,)], [(2,)]),
+                 (CorrelationScopeError,
+                  'covariance decomposes inside a correlated group at vnode '
+                  '3; gather the group under a registered vnode and keep '
+                  'its members fixed by every node there'),
+                 id='cov-inside-group'),
+    pytest.param(lambda: grouped_run(None, [(3, 4)]),
+                 (CorrelationScopeError,
+                  'adjustment over vtree node 7 spans correlated variables; '
+                  'the circuit does not fix them here'),
+                 id='lift-over-group'),
+])
+def test_group_checks(run, want):
+    # the errors of the checks that compare a vnode's variables with a
+    # correlated group's
+    assert outcome(run) == want
 
 
 def rational_moments(rng, q, q2):
@@ -621,6 +703,7 @@ class PairRuleReferee(MomentEngine):
         lca, left, right = vt.lca, vt.left, vt.right
         fd, gd = f.dnode, g.dnode
         gmask = self.guard_mask
+        scope = scopes(vt)
         same = f is g
         ef = self.exp_table(f)
         eg = ef if same else self.exp_table(g)
@@ -648,7 +731,7 @@ class PairRuleReferee(MomentEngine):
                 if a == FALSE or b == FALSE or anc == BOTTOM:
                     memo[k] = 0
                     continue
-                if gmask and vt.scope[anc] & gmask:
+                if gmask and scope[anc] & gmask:
                     blk = self._group_block(f, a, g, b, anc, patt)
                     if blk is not None:
                         gi, ja, jb, pab = blk

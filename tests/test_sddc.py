@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from conftest import (random_cnf, random_shape_vtree, random_weights,
-                      random_vtree, seeded)
+                      random_vtree, scopes, seeded)
 from wmcvar import sddc
 from wmcvar.bayes import BayesNet, MarginalPipeline, demo_networks
 from wmcvar.circuit import Circuit, Vtree, normalize, sdd_text, validate
@@ -385,7 +385,7 @@ class TestExport:
     def check(self, c):
         assert set(range(2, len(c))) <= set(c.reachable())
         n = normalize(c)
-        for attr in ('kind', 'lit', 'children', 'dnode', 'scope', 'root'):
+        for attr in ('kind', 'lit', 'children', 'dnode', 'root'):
             assert getattr(n, attr) == getattr(c, attr), attr
 
     def test_random_cnfs(self, monkeypatch):
@@ -444,12 +444,12 @@ class TestCondition1Vtree:
             for v in group:
                 mask |= 1 << v
             node = vt.deepest_containing(mask)
-            assert vt.scope[node] == mask, group
+            assert scopes(vt)[node] == mask, group
 
     def test_single_variable_network_shape(self):
         vt = condition1_vtree([([(1,)], [2])])
         assert vt.n_vars == 2
-        assert vt.scope[vt.root] == 0b110
+        assert scopes(vt)[vt.root] == 0b110
 
 
 class TestDeterminismTag:
