@@ -47,6 +47,7 @@ splits at its vnode reads (left, right).
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from weakref import WeakKeyDictionary
 
 from .errors import FormatError, ValidationError, VtreeMismatchError
 
@@ -346,10 +347,13 @@ class Circuit:
     kind[i] is one of 'F', 'T', 'L', 'A', 'O'.  Literal payload lives in
     lit[i] (signed variable), gate children in children[i].  dnode[i] is
     the decomposition vnode; it stands for the node's variables.
+    plans holds the covariance plans of MomentEngine (moments.py) with
+    this circuit as f, per partner g (held weakly) and key.
     """
 
     __slots__ = ('vt', 'kind', 'lit', 'children', 'dnode', 'root',
-                 'deterministic_by_construction', '_lit_cache', '_gate_cache')
+                 'deterministic_by_construction', '_lit_cache', '_gate_cache',
+                 'plans', '__weakref__')
 
     def __init__(self, vt):
         self.vt = vt
@@ -361,6 +365,7 @@ class Circuit:
         self.deterministic_by_construction = False
         self._lit_cache = {}
         self._gate_cache = {}
+        self.plans = WeakKeyDictionary()
 
     def __len__(self):
         return len(self.kind)
@@ -509,34 +514,60 @@ def validate(c, determinism_limit=20):
     """Decide decomposability and structuredness exactly; determinism by
     exhaustive evaluation when the variable count is within the limit.
 
-    Structuredness reads decomposition vnodes; decomposability needs
-    variable sets, which only this check builds (as bitsets)."""
+    Structuredness reads decomposition vnodes, and so does
+    decomposability where a binary conjunction has a constant child or
+    children under the two sides of its vnode.  Any other conjunction
+    needs its children's variable sets: bitsets, built for the sub-DAGs
+    below such conjunctions only and dropped on return."""
     vt = c.vt
     problems = []
     decomposable = True
     structured = True
     live = c.reachable()
-    scope = [0] * len(c)
+    bits = {}
+
+    def scope(x):
+        # x's variables as a bitset, memoized over the sub-DAG below x;
+        # children have smaller ids, so ascending ids go children first
+        todo, stack = [], [x]
+        while stack:
+            y = stack.pop()
+            if y not in bits:
+                bits[y] = None
+                todo.append(y)
+                stack.extend(c.children[y])
+        for y in sorted(todo):
+            s = 1 << abs(c.lit[y]) if c.kind[y] == 'L' else 0
+            for z in c.children[y]:
+                s |= bits[z]
+            bits[y] = s
+        return bits[x]
+
+    def apart(v, d1, d2):
+        # Var(d1) and Var(d2) lie under different children of vnode v
+        l, r = vt.left[v], vt.right[v]
+        return l != 0 and (vt.is_ancestor(l, d1) and vt.is_ancestor(r, d2)
+                           or vt.is_ancestor(r, d1) and vt.is_ancestor(l, d2))
 
     for i in live:
-        k, chs = c.kind[i], c.children[i]
-        s = 1 << abs(c.lit[i]) if k == 'L' else 0
-        total = 0
-        for x in chs:
-            s |= scope[x]
-            total += scope[x].bit_count()
-        scope[i] = s
-        if k != 'A':
+        if c.kind[i] != 'A':
             continue
-        if s.bit_count() != total:
-            decomposable = False
-            problems.append('and-node %d has overlapping children scopes' % i)
+        chs, v = c.children[i], c.dnode[i]
+        ds = [c.dnode[x] for x in chs]
+        if len(chs) != 2 or ds[0] and ds[1] and not apart(v, *ds):
+            s = total = 0
+            for x in chs:
+                s |= scope(x)
+                total += bits[x].bit_count()
+            if s.bit_count() != total:
+                decomposable = False
+                problems.append(
+                    'and-node %d has overlapping children scopes' % i)
         if len(chs) != 2:
             structured = False
             problems.append('and-node %d has fan-in %d' % (i, len(chs)))
             continue
-        d1, d2 = c.dnode[chs[0]], c.dnode[chs[1]]
-        v = c.dnode[i]
+        d1, d2 = ds
         if d1 and d2:
             ok = not vt.is_leaf(v) and vt.is_ancestor(vt.left[v], d1) \
                 and vt.is_ancestor(vt.right[v], d2)

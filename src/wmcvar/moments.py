@@ -2,7 +2,7 @@
 
 Given an st-d-DNNF circuit over a vtree and per-variable weight moments,
 computes the first two moments of the weighted model count W_f in a single
-bottom-up pass per circuit plus one traversal over node pairs.
+bottom-up pass per circuit plus one pass over node pairs.
 
 Every intermediate value is anchored to a vtree node: the pair (v, x)
 means "x is the moment of W taken over exactly the variables of v", with
@@ -31,8 +31,15 @@ This is the pairwise product of circuits over one vtree (Vergari et al.,
 "A Compositional Atlas of Tractable Circuit Operations", NeurIPS 2021),
 taken on centred moments.  Circuits must be in the normal form that
 Circuit.conj and Circuit.disj build (see circuit.py): no conjunction has
-a constant child, so each one splits at its own vnode.  The pass memoizes
-each pair as (anc, Cov); a lift reads the pair's anchor from there.
+a constant child, so each one splits at its own vnode.
+
+No rule, and no choice of the pairs a pair reads, depends on a weight.
+So the pass is a plan, the product circuit itself (one record per pair,
+in flat int arrays: 25-32 bytes per pair), evaluated under a model.
+The first query builds the plan and keeps it on f (Circuit.plans), keyed
+by g (held weakly), both roots and the group layout (the registered
+group vnodes and each group's members in order): float, exact, counting
+and zero-weight models share it, and var_gradient walks it back.
 
 Correlated groups (positive weights of several variables jointly
 distributed) break the independence that the lifts rely on.
@@ -58,6 +65,7 @@ and pass through.
 """
 
 import math
+from array import array
 from fractions import Fraction
 from itertools import chain
 
@@ -65,6 +73,26 @@ from .circuit import BOTTOM, FALSE, TRUE
 from .errors import (CorrelationScopeError, ValidationError,
                      VtreeMismatchError)
 from .weights import VarMoments
+
+
+# A plan (codes, args) has one record per pair, after those it reads.
+# codes[i] is record i's anchor vnode times 8 plus its kind, and its
+# arguments follow record i - 1's in args:
+#   ZERO    none;
+#   GROUP   gi, ja, jb: the group, the members a and b force true (or -1);
+#   LEAF    x, and the _TERMS entry of the two literals;
+#   OR      m, then m refs to child pairs, lifted to the anchor and summed;
+#   SPLIT   refs to the (left, right) part pairs.
+# A ref is j, x, y: record j, read as the pair (x, y) of a node of f and
+# one of g (when f is g, maybe the reverse of the pair that j resolved).
+ZERO, GROUP, LEAF, OR, SPLIT = range(5)
+_NARGS = (0, 3, 2, None, 6)     # the arguments of each kind but OR
+# _TERMS[sign(sa)][sign(sb)]: the weight covariances that literals sa, sb
+# (0: TRUE) sum at a leaf, as bits 0-3: varP, varN, covPN (sa true, sb
+# false), covPN (sa false, sb true)
+_TERMS = [[(sa >= 0 and sb >= 0) | (sa <= 0 and sb <= 0) << 1
+           | (sa >= 0 >= sb) << 2 | (sa <= 0 <= sb) << 3
+           for sb in (0, 1, -1)] for sa in (0, 1, -1)]
 
 
 class MomentEngine:
@@ -92,6 +120,9 @@ class MomentEngine:
         self.mom, self.gcov, self.kind, self.d = _moments_of(wm, vt.n_vars)
         self.scale = None if self.d is None else math.prod(self.d)
         self.guard_mask = wm.grouped_mask
+        # all a plan depends on beyond its circuits: no weight value
+        self.layout = (tuple(sorted(self.group_vnodes.items())),
+                       tuple(g.members for g in wm.groups))
 
         # W_true moments and grouped variables per vnode.  Above a
         # correlated group the W_true recurrences are not valid; such entries
@@ -113,7 +144,7 @@ class MomentEngine:
         self.vv = vv
         self.grouped = grouped
         self._lifts = {}        # (v, w) -> (ea, va)
-        self.pairs = 0          # node pairs the last cov resolved
+        self.pairs = 0          # node pairs of the last cov's plan
 
     # ---- lifts -------------------------------------------------------------
 
@@ -148,12 +179,9 @@ class MomentEngine:
         return self._lift(v, w)[0] * val
 
     def adj_cov(self, w, cv, ef, eg):
-        """Lift an anchored covariance to ancestor vnode w.
-
-        cv = (v, c) is Cov of the two counts over Var(v); ef, eg are the
-        anchored expectations of the operands, each anchored at a
-        descendant of v (or at 0).
-        """
+        """Lift an anchored covariance cv = (v, c), Cov of the two counts
+        over Var(v), to ancestor vnode w; ef, eg are the anchored
+        expectations of the operands, anchored under v (or at 0)."""
         v, val = cv
         if v == w:
             return val
@@ -219,7 +247,7 @@ class MomentEngine:
 
     def exp_var(self, c):
         """(exp(c), var(c)) from one expectation table."""
-        x, _, e = self._pairs(c, c)
+        x, _, _, e = self._pairs(c, c)
         return self._result(self.adj_exp(self.vt.root, e[c.root]), 1), \
             self._result(x, 2)
 
@@ -230,125 +258,155 @@ class MomentEngine:
     def var(self, f):
         return self.cov(f, f)
 
-    def _pairs(self, f, g, trace=None):
-        """The pair pass of cov(f, g): (x, memo, ef), x the covariance over
-        Var(root) before _result.
-
-        Resolves node pairs (a, b), a of f and b of g, bottom-up by the
-        pair rule of the module docstring, with an explicit stack.  memo
-        maps a * len(g) + b (the smaller id first when f is g: Cov is
-        symmetric) to (anc, the pair's covariance over Var(anc)); self.pairs
-        is its size after the last call.  ef is f's expectation table.
-
-        A list given as trace gets one record per resolved pair, after the
-        records of the pairs it reads (deps: their (x, y, key) triples):
-          (k, deps, vl, vr, fl, fr)   a split; fl = cr + er and
-                                      fr = cl + el are the partials of Cov
-                                      in cl and cr;
-          (k, deps, anc)              an or-node expansion;
-          (k, a, b, anc)              a vtree leaf;
-          (k, blk)                    a group block, blk from _group_block.
-        """
+    def _pairs(self, f, g):
+        """(x, val, plan, ef): x = cov(f, g) before _result, plan f's plan
+        with g, val its records' covariances and ef f's expectations."""
         if f.vt is not self.vt or g.vt is not self.vt:
             raise VtreeMismatchError('circuits were built on a different vtree')
-        vt = self.vt
-        lca, left, right = vt.lca, vt.left, vt.right
-        fd, gd, fk, gk = f.dnode, g.dnode, f.kind, g.kind
-        gmask, grouped = self.guard_mask, self.grouped
-        same = f is g
         ef = self.exp_table(f)
-        eg = ef if same else self.exp_table(g)
-        adj_exp, adj_cov, split = self.adj_exp, self.adj_cov, self._split
-        n = len(g)
-        memo = {}
+        eg = ef if f is g else self.exp_table(g)
+        key = (f.root, g.root, self.layout)
+        plan = f.plans.get(g, {}).get(key)
+        if plan is None:        # a build that raises keeps nothing
+            plan = f.plans.setdefault(g, {})[key] = self._plan(f, g)
+        val = self._evaluate(plan, ef, eg)
+        self.pairs = len(val)
+        x = self.adj_cov(self.vt.root, (plan[0][-1] >> 3, val[-1]),
+                         ef[f.root], eg[g.root])
+        return x, val, plan, ef
+
+    def _plan(self, f, g):
+        """Resolve the node pairs of cov(f, g) into a plan (codes, args),
+        bottom-up by the pair rule of the module docstring, with an
+        explicit stack.  Pairs are keyed a * len(g) + b, the smaller id
+        first when f is g (Cov is symmetric), and each is resolved once."""
+        lca, left, gmask, grouped = (self.vt.lca, self.vt.left,
+                                     self.guard_mask, self.grouped)
+        fd, gd, fk, gk, fl, gl = f.dnode, g.dnode, f.kind, g.kind, f.lit, g.lit
+        split, pattern = self._split, self._member_pattern
+        same, n = f is g, len(g)
+        plan, codes, args_ = (array('i'), array('i')), [], []
+        memo = {}                   # pair key -> record index
         patt = {}                   # circuit -> _member_pattern's bitsets
 
         ra, rb = f.root, g.root
         rk = rb * n + ra if same and rb < ra else ra * n + rb
-        # entries (a, b, key, plan): plan is None until the pair's rule has
-        # been evaluated, then (deps, vl, vr, anc) while deps resolve
+        # entries (a, b, key, wait): wait is (kind, anc, deps) once the
+        # pair's rule has been applied, while its deps resolve
         stack = [(ra, rb, rk, None)]
+        pop, push = stack.pop, stack.append
         while stack:
-            a, b, k, plan = stack.pop()
-            if plan is None:
-                if k in memo:
-                    continue
+            a, b, k, wait = pop()
+            if wait is not None:
+                kind, anc, deps = wait
+            elif k in memo:
+                continue
+            else:
                 da, db = fd[a], gd[b]
-                anc = lca(da, db)
+                anc = da if da == db else lca(da, db)
+                deps = None
                 if a == FALSE or b == FALSE or anc == BOTTOM:
-                    memo[k] = (anc, 0)
-                    continue
-                if gmask and grouped[anc]:
-                    blk = self._group_block(f, a, g, b, anc, patt)
-                    if blk is not None:
-                        gi, ja, jb, pab = blk
-                        memo[k] = (anc, pab * self.gcov[gi][ja][jb])
-                        if trace is not None:
-                            trace.append((k, blk))
-                        continue
-                vl = vr = 0         # stay 0 when an or-node is expanded
-                if da == anc and fk[a] == 'O':
-                    deps = [(x, b, b * n + x if same and b < x else x * n + b)
-                            for x in f.children[a]]
+                    kind, args = ZERO, ()
+                elif gmask and grouped[anc] and (blk := self._group_block(
+                        f, a, g, b, anc, patt)) is not None:
+                    gi = blk[0]     # blk reads 0 for a member forced by none
+                    kind, args = GROUP, (gi, pattern(f, a, gi, patt),
+                                         pattern(g, b, gi, patt))
+                elif da == anc and fk[a] == 'O':
+                    kind, deps = OR, [(x, b, b * n + x if same and b < x
+                                       else x * n + b, None)
+                                      for x in f.children[a]]
                 elif db == anc and gk[b] == 'O':
-                    deps = [(a, y, y * n + a if same and y < a else a * n + y)
-                            for y in g.children[b]]
+                    kind, deps = OR, [(a, y, y * n + a if same and y < a
+                                       else a * n + y, None)
+                                      for y in g.children[b]]
                 elif left[anc] == 0:
-                    memo[k] = (anc, self._leaf_pair(f, a, g, b))
-                    if trace is not None:
-                        trace.append((k, a, b, anc))
-                    continue
+                    if fk[a] not in 'TL' or gk[b] not in 'TL':
+                        self._leaf_pair(f, a, g, b)     # raises
+                    sa, sb = fl[a], gl[b]
+                    kind, args = LEAF, (abs(sa or sb), _TERMS[
+                        (sa > 0) - (sa < 0)][(sb > 0) - (sb < 0)])
                 else:
-                    vl, vr = left[anc], right[anc]
                     (al, ar), (bl, br) = split(f, a, anc), split(g, b, anc)
-                    deps = ((al, bl, bl * n + al if same and bl < al
-                             else al * n + bl),
-                            (ar, br, br * n + ar if same and br < ar
-                             else ar * n + br))
-                need = [(x, y, kk, None) for x, y, kk in deps
-                        if kk not in memo]
-                if need:
-                    stack.append((a, b, k, (deps, vl, vr, anc)))
-                    stack.extend(need)
+                    kind, deps = SPLIT, (
+                        (al, bl, bl * n + al if same and bl < al
+                         else al * n + bl, None),
+                        (ar, br, br * n + ar if same and br < ar
+                         else ar * n + br, None))
+                if deps is not None:
+                    # deps resolved by the time they pop are skipped
+                    push((a, b, k, (kind, anc, deps)))
+                    stack.extend(deps)
                     continue
-            else:
-                deps, vl, vr, anc = plan
-            # lifts to a value's own anchor are read inline
-            if vl:
-                (al, bl, kl), (ar, br, kr) = deps
-                x, y = ef[al], eg[bl]
-                el = (x[1] if x[0] == vl else adj_exp(vl, x)) \
-                    * (y[1] if y[0] == vl else adj_exp(vl, y))
-                x, y = ef[ar], eg[br]
-                er = (x[1] if x[0] == vr else adj_exp(vr, x)) \
-                    * (y[1] if y[0] == vr else adj_exp(vr, y))
-                x = memo[kl]
-                cl = x[1] if x[0] == vl else adj_cov(vl, x, ef[al], eg[bl])
-                x = memo[kr]
-                cr = x[1] if x[0] == vr else adj_cov(vr, x, ef[ar], eg[br])
-                memo[k] = (anc, cl * cr + cl * er + el * cr)
-                if trace is not None:
-                    trace.append((k, deps, vl, vr, cr + er, cl + el))
-            else:
-                r = 0
-                for p, q, kk in deps:
-                    x = memo[kk]
-                    r = r + (x[1] if x[0] == anc
-                             else adj_cov(anc, x, ef[p], eg[q]))
-                memo[k] = (anc, r)
-                if trace is not None:
-                    trace.append((k, deps, anc))
+            if kind == SPLIT:
+                (x, y, kk, _), (u, w, kw, _) = deps
+                args = memo[kk], x, y, memo[kw], u, w
+            elif deps is not None:
+                args = [len(deps)]
+                for x, y, kk, _ in deps:
+                    args += memo[kk], x, y
+            r = memo[k] = len(memo)
+            codes.append(anc << 3 | kind)
+            args_ += args
+            # records go to plan in batches, as list appends are cheaper
+            # than array appends; the root resolves last, on an empty stack
+            if r & 4095 == 4095 or not stack:
+                plan[0].fromlist(codes)
+                plan[1].fromlist(args_)
+                codes, args_ = [], []
+        return plan
 
-        self.pairs = len(memo)
-        return adj_cov(vt.root, memo[rk], ef[ra], eg[rb]), memo, ef
+    def _evaluate(self, plan, ef, eg):
+        """Each record's covariance over Var(its anchor) under this model,
+        given the expectation tables; lifts to a value's own anchor are
+        read inline."""
+        left, right = self.vt.left, self.vt.right
+        adj_exp, adj_cov, mom = self.adj_exp, self.adj_cov, self.mom
+        codes, arg = plan
+        val, o = [], 0
+        put = val.append
+        for code in codes:
+            kind = code & 7
+            if kind == SPLIT:
+                anc = code >> 3
+                vl, vr = left[anc], right[anc]
+                jl, al, bl = arg[o], ef[arg[o + 1]], eg[arg[o + 2]]
+                jr, ar, br = arg[o + 3], ef[arg[o + 4]], eg[arg[o + 5]]
+                el = (al[1] if al[0] == vl else adj_exp(vl, al)) \
+                    * (bl[1] if bl[0] == vl else adj_exp(vl, bl))
+                er = (ar[1] if ar[0] == vr else adj_exp(vr, ar)) \
+                    * (br[1] if br[0] == vr else adj_exp(vr, br))
+                v = codes[jl] >> 3
+                cl = val[jl] if v == vl else adj_cov(vl, (v, val[jl]), al, bl)
+                v = codes[jr] >> 3
+                cr = val[jr] if v == vr else adj_cov(vr, (v, val[jr]), ar, br)
+                put(cl * cr + cl * er + el * cr)
+                o += 6
+            elif kind == OR:
+                anc, end, r = code >> 3, o + 1 + 3 * arg[o], 0
+                for p in range(o + 1, end, 3):
+                    j = arg[p]
+                    v = codes[j] >> 3
+                    r = r + (val[j] if v == anc else adj_cov(
+                        anc, (v, val[j]), ef[arg[p + 1]], eg[arg[p + 2]]))
+                put(r)
+                o = end
+            elif kind == LEAF:
+                put(_leaf_sum(mom[arg[o]], arg[o + 1]))
+                o += 2
+            elif kind == ZERO:
+                put(0)
+            else:
+                gi, ja, jb, pab = self._block(arg[o], arg[o + 1], arg[o + 2])
+                put(pab * self.gcov[gi][ja][jb])
+                o += 3
+        return val
 
     def _split(self, c, x, anc):
-        """(left, right) parts of node x of c at the internal vnode anc.
-
-        A conjunction at anc gives its two children, stored left first;
-        any other node goes whole to the side that contains it, with TRUE
-        on the other side.
-        """
+        """(left, right) parts of node x of c at the internal vnode anc: a
+        conjunction at anc gives its two children, stored left first; any
+        other node goes whole to the side that contains it, with TRUE on
+        the other side."""
         vt = self.vt
         d = c.dnode[x]
         if d != anc:
@@ -356,25 +414,15 @@ class MomentEngine:
         return c.children[x]
 
     def _leaf_pair(self, f, a, g, b):
-        # Cov of two single-variable counts: split each operand into the
-        # polarities it admits and sum the per-polarity weight covariances.
-        # TRUE admits both; its lit is 0.
+        # Cov of two single-variable counts: the weight covariances of the
+        # polarities both operands admit (TRUE admits both; its lit is 0)
         if f.kind[a] not in 'TL' or g.kind[b] not in 'TL':
             raise ValidationError(
                 'node pair (%d, %d) does not decompose at a vtree leaf'
                 % (a, b))
         sa, sb = f.lit[a], g.lit[b]
-        m = self.mom[abs(sa or sb)]
-        r = 0
-        if sa >= 0 and sb >= 0:
-            r = r + m.varP
-        if sa <= 0 and sb <= 0:
-            r = r + m.varN
-        if sa >= 0 and sb <= 0:
-            r = r + m.covPN
-        if sa <= 0 and sb >= 0:
-            r = r + m.covPN
-        return r
+        return _leaf_sum(self.mom[abs(sa or sb)],
+                         _TERMS[(sa > 0) - (sa < 0)][(sb > 0) - (sb < 0)])
 
     # ---- correlated group blocks ----------------------------------------------
 
@@ -390,18 +438,8 @@ class MomentEngine:
         vt, wm = self.vt, self.wm
         gi = self.group_vnodes.get(anc)
         if gi is not None and f.dnode[a] == anc and g.dnode[b] == anc:
-            ja = self._member_pattern(f, a, gi, patt)
-            jb = self._member_pattern(g, b, gi, patt)
-            if ja < 0 or jb < 0:
-                return gi, 0, 0, 0
-            pa = pb = 1
-            for j, x in enumerate(wm.groups[gi].members):
-                mn = self.mom[x].muN
-                if j != ja:
-                    pa = pa * mn
-                if j != jb:
-                    pb = pb * mn
-            return gi, ja, jb, pa * pb
+            return self._block(gi, self._member_pattern(f, a, gi, patt),
+                               self._member_pattern(g, b, gi, patt))
         n = vt.n_leaves(anc)
         if n > self.grouped[anc]:
             return None             # anc spans more than grouped variables
@@ -414,6 +452,19 @@ class MomentEngine:
                 'vnode %d; gather the group under a registered vnode '
                 'and keep its members fixed by every node there' % anc)
         return None                 # spans several groups but nothing else
+
+    def _block(self, gi, ja, jb):
+        """_group_block's answer for members ja, jb forced true (-1: none)."""
+        if ja < 0 or jb < 0:
+            return gi, 0, 0, 0
+        pa = pb = 1
+        for j, x in enumerate(self.wm.groups[gi].members):
+            mn = self.mom[x].muN
+            if j != ja:
+                pa = pa * mn
+            if j != jb:
+                pb = pb * mn
+        return gi, ja, jb, pa * pb
 
     def _member_pattern(self, c, i, gi, patt):
         """Index of the member forced true under node i of c (which sits at
@@ -530,6 +581,19 @@ def locate_group_vnodes(vt, wm):
     return out
 
 
+def _leaf_sum(m, terms):
+    r = 0                       # the moments of m that terms selects
+    if terms & 1:
+        r = r + m.varP
+    if terms & 2:
+        r = r + m.varN
+    if terms & 4:
+        r = r + m.covPN
+    if terms & 8:
+        r = r + m.covPN
+    return r
+
+
 def _under(vt, v, group):
     """The number of group's members under vnode v."""
     return sum(vt.is_ancestor(v, vt.leaf_of(x)) for x in group.members)
@@ -556,12 +620,13 @@ def var_gradient(c, wm, group_vnodes=None):
     Var is multilinear, with degree 1, in each variable's second-moment
     table and in each group's matrix, so these partials give Var exactly
     after any change to one variable's or one group's second moments.
-    They come from one pair pass of MomentEngine.var, on plain values,
-    that records a trace, and one transposed walk over that trace
-    (reverse-mode differentiation of the pass).  The walk carries
-    adjoints to the memo's pairs, to the lifts' va(v, w) entries, down
-    each lift's path to the vv of the siblings on it, down the vtree to
-    each leaf's varP, varN and covPN, and to the group matrix entries.
+    They come from one evaluation of var(c)'s plan, on plain values, and
+    one walk back over the same plan (reverse-mode differentiation; no
+    trace is kept: a split's partials cr + er and cl + el are recomputed
+    from the record values).  The walk carries adjoints to the records,
+    to the lifts' va(v, w) entries, down each lift's path to the vv of
+    the siblings on it, down the vtree to each leaf's varP, varN and
+    covPN, and to the group matrix entries.
     An exact model runs on the engine's scaled ints: Var is then read off
     as an int over S^2 and each partial as an int over S^2 / d^2, with S
     the product of all variable scales and d the scale of the moment's
@@ -570,48 +635,57 @@ def var_gradient(c, wm, group_vnodes=None):
     eng = MomentEngine(c.vt, wm, group_vnodes)
     vt, ev, vv, lift = eng.vt, eng.ev, eng.vv, eng._lift
     left, right, n, adj_exp = vt.left, vt.right, vt.n_vars, eng.adj_exp
-    trace = []
-    var, memo, e = eng._pairs(c, c, trace)
+    var, val, (codes, arg), e = eng._pairs(c, c)
     var = eng._result(var, 2)
-    adj = {}                # memo key -> adjoint of its covariance
+    starts, o = array('i'), 0   # where each record's arguments start
+    for code in codes:
+        starts.append(o)
+        o += 1 + 3 * arg[o] if code & 7 == OR else _NARGS[code & 7]
+    adj = [0] * len(val)    # record -> adjoint of its covariance
     dva = {}                # lift (v, w) -> adjoint of va(v, w)
     dvv = [0] * (vt.n_nodes + 1)
     dmom = [[0, 0, 0] for _ in range(n + 1)]   # varP, varN, covPN
     dg = [[[0] * len(g.members) for _ in g.members] for g in wm.groups]
 
-    def lift_back(w, kk, x, y, gr):
-        # transpose of adj_cov(w, memo[kk], e[x], e[y]) with adjoint gr
-        v, val = memo[kk]
+    def lift_back(w, j, x, y, gr):
+        # transpose of adj_cov(w, (anchor, val) of record j, x, y)
+        v = codes[j] >> 3
         if v == w:
-            adj[kk] = adj.get(kk, 0) + gr
+            adj[j] = adj[j] + gr
         elif v == BOTTOM:
-            dvv[w] += gr * e[x][1] * e[y][1]
+            dvv[w] += gr * x[1] * y[1]
         else:
             ea, va = lift(v, w)
-            adj[kk] = adj.get(kk, 0) + gr * (va + ea * ea)
+            adj[j] = adj[j] + gr * (va + ea * ea)
             dva[v, w] = dva.get((v, w), 0) + gr * (
-                val + adj_exp(v, e[x]) * adj_exp(v, e[y]))
+                val[j] + adj_exp(v, x) * adj_exp(v, y))
 
-    lift_back(vt.root, c.root * len(c) + c.root, c.root, c.root, 1)
-    for rec in reversed(trace):
-        gr = adj.get(rec[0])
+    lift_back(vt.root, len(val) - 1, e[c.root], e[c.root], 1)
+    for i, o in zip(range(len(val) - 1, -1, -1), reversed(starts)):
+        gr, kind, anc = adj[i], codes[i] & 7, codes[i] >> 3
         if not gr:
             continue
-        if len(rec) == 6:
-            _, ((al, bl, kl), (ar, br, kr)), vl, vr, fl, fr = rec
-            lift_back(vl, kl, al, bl, gr * fl)
-            lift_back(vr, kr, ar, br, gr * fr)
-        elif len(rec) == 3:
-            for p, q, kk in rec[1]:
-                lift_back(rec[2], kk, p, q, gr)
-        elif len(rec) == 2:
-            gi, ja, jb, pab = rec[1]
+        if kind == SPLIT:       # cl * cr + cl * er + el * cr, as evaluated
+            jl, xl, yl = arg[o], e[arg[o + 1]], e[arg[o + 2]]
+            jr, xr, yr = arg[o + 3], e[arg[o + 4]], e[arg[o + 5]]
+            vl, vr = left[anc], right[anc]
+            cl = eng.adj_cov(vl, (codes[jl] >> 3, val[jl]), xl, yl)
+            cr = eng.adj_cov(vr, (codes[jr] >> 3, val[jr]), xr, yr)
+            el = adj_exp(vl, xl) * adj_exp(vl, yl)
+            er = adj_exp(vr, xr) * adj_exp(vr, yr)
+            lift_back(vl, jl, xl, yl, gr * (cr + er))
+            lift_back(vr, jr, xr, yr, gr * (cl + el))
+        elif kind == OR:
+            for p in range(o + 1, o + 1 + 3 * arg[o], 3):
+                lift_back(anc, arg[p], e[arg[p + 1]], e[arg[p + 2]], gr)
+        elif kind == GROUP:
+            gi, ja, jb, pab = eng._block(arg[o], arg[o + 1], arg[o + 2])
             dg[gi][ja][jb] += gr * pab
-        else:               # the terms of _leaf_pair
-            sa, sb, d = c.lit[rec[1]], c.lit[rec[2]], dmom[vt.var[rec[3]]]
-            d[0] += gr * (sa >= 0 and sb >= 0)
-            d[1] += gr * (sa <= 0 and sb <= 0)
-            d[2] += gr * ((sa >= 0 >= sb) + (sa <= 0 <= sb))
+        elif kind == LEAF:      # the terms of _leaf_sum
+            d, t = dmom[arg[o]], arg[o + 1]
+            d[0] += gr * bool(t & 1)
+            d[1] += gr * bool(t & 2)
+            d[2] += gr * (bool(t & 4) + bool(t & 8))
     # va(v, p) = va(v, u) * (vv[s] + ev[s]^2) + ea(v, u)^2 * vv[s], s the
     # sibling of u under p: walk each anchor's path top-down, from the
     # highest vnode it is lifted to (deepest first: the shallowest stays)

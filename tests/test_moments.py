@@ -1,4 +1,7 @@
+import gc
+import sys
 import time
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 
@@ -13,7 +16,7 @@ from conftest import (complementary_weights, example_circuit,
                       scopes, seeded)
 from wmcvar.bayes import MarginalPipeline, demo_networks
 from wmcvar.circuit import (BOTTOM, FALSE, TRUE, Circuit, Vtree, parse_sdd,
-                            sdd_text)
+                            rebuild, sdd_text)
 from wmcvar.errors import CorrelationScopeError, ValidationError
 from wmcvar.moments import (MomentEngine, cov_wmc, exp_wmc,
                             locate_group_vnodes, var_gradient, var_wmc)
@@ -793,6 +796,11 @@ def same_as_referee(vt, wm, f, g=None, gv=None):
     want = ref.var(f) if g is None else ref.cov(f, g)
     assert repr(got) == repr(want)
     assert eng.pairs == ref.pairs > 0
+    # once more, on the plan the first call left on f
+    eng = MomentEngine(vt, wm, gv)
+    got = eng.var(f) if g is None else eng.cov(f, g)
+    assert repr(got) == repr(want)
+    assert eng.pairs == ref.pairs
     return eng.pairs
 
 
@@ -888,3 +896,137 @@ class TestPairRuleReferee:
                     same_as_referee(pipe.vt, wm, c0, c, gv)
             seen += 1
         assert seen >= (5 if encoding == 'enc1' else 3)
+
+
+def count_builds(monkeypatch):
+    """The (f, g) of every plan MomentEngine builds from now on."""
+    built = []
+    plan = MomentEngine._plan
+
+    def counted(self, f, g):
+        built.append((f, g))
+        return plan(self, f, g)
+
+    monkeypatch.setattr(MomentEngine, '_plan', counted)
+    return built
+
+
+class TestPlan:
+    """Each circuit pair's plan is built once, kept on f and keyed by what
+    it depends on: the partner, both roots and the group layout."""
+
+    def test_one_build_per_pair(self, monkeypatch):
+        rng = seeded('plan-once')
+        n = 10
+        vt = Vtree.balanced(n)
+        f, g = (compile_cnf(random_cnf(rng, n, max_clauses=2 * n), vt)
+                for _ in range(2))
+        wm = random_weights(rng, n)
+        zero = WeightModel({**{x: wm.moments(x) for x in range(1, n + 1)},
+                            3: VarMoments(0, 1, 0, 0, 0)})
+        gvt, gwm = TestGroupedWeights().make_grouped()
+        grouped = TestGroupedWeights().grouped_circuit(gvt, rng)
+        gv = locate_group_vnodes(gvt, gwm)
+        built = count_builds(monkeypatch)
+        for model in (wm, wm.to_exact(), counting_weights(), zero):
+            eng = MomentEngine(vt, model)
+            eng.var(f)
+            eng.exp_var(f)
+            eng.cov(f, g)
+            MomentEngine(vt, model).cov(f, g)
+            var_gradient(f, model)
+        for model in (gwm, gwm.to_exact()):
+            MomentEngine(gvt, model, gv).var(grouped)
+            var_gradient(grouped, model, gv)
+        assert built == [(f, f), (f, g), (grouped, grouped)]
+
+    def test_new_root_new_plan(self, monkeypatch):
+        rng = seeded('plan-root')
+        n = 9
+        vt = random_vtree(rng, n)
+        f, g = (compile_cnf(random_cnf(rng, n, max_clauses=2 * n), vt)
+                for _ in range(2))
+        wm = random_weights(rng, n)
+        models = (wm, wm.to_exact())
+
+        def answers(c):
+            out = []
+            for model in models:
+                eng = MomentEngine(vt, model)
+                out.append((repr(eng.var(c)), eng.pairs))
+            return out
+
+        first, r1 = answers(f), f.root
+        built = count_builds(monkeypatch)
+        f.root = rebuild(g, f)      # f now holds g's SDD too
+        assert answers(f) == answers(g)
+        assert len(built) == 2      # one for f, one for g
+        f.root = r1
+        assert answers(f) == first
+        assert len(built) == 2
+
+    def test_member_order_is_layout(self, monkeypatch):
+        # the same group vnode with the members listed the other way
+        # round: another plan, and the same variance
+        vt, wm = TestGroupedWeights().make_grouped()
+        (members, cov), = ((g.members, g.cov) for g in wm.groups)
+        flipped = WeightModel(wm.vars, [Group(
+            members[::-1], tuple(row[::-1] for row in cov[::-1]))])
+        gv = locate_group_vnodes(vt, wm)
+        assert locate_group_vnodes(vt, flipped) == gv
+        f = TestGroupedWeights().grouped_circuit(vt, seeded('plan-members'))
+        built = count_builds(monkeypatch)
+        a = MomentEngine(vt, wm.to_exact(), gv).var(f)
+        b = MomentEngine(vt, flipped.to_exact(), gv).var(f)
+        assert a == b
+        assert len(built) == 2
+
+    def test_failed_build_keeps_nothing(self):
+        # two members true at the group vnode: the build raises every time
+        vt, wm = grouped_model()
+        c = compile_cnf(Cnf(vt.n_vars, [(1,), (2,)]), vt)
+        for _ in range(2):
+            with pytest.raises(CorrelationScopeError, match='two members'):
+                MomentEngine(vt, wm, locate_group_vnodes(vt, wm)).var(c)
+            assert len(c.plans) == 0
+
+    def test_partner_not_kept_alive(self):
+        rng = seeded('plan-weak')
+        vt = Vtree.balanced(6)
+        f, g = (compile_cnf(random_cnf(rng, 6), vt) for _ in range(2))
+        MomentEngine(vt, random_weights(rng, 6)).cov(f, g)
+        assert len(f.plans) == 1
+        dead = weakref.ref(g)
+        del g
+        gc.collect()
+        assert dead() is None
+        assert len(f.plans) == 0
+
+    def test_bytes_per_pair(self):
+        # flat int arrays: 25-32 bytes per pair
+        rng = seeded('plan-bytes')
+        n = 400
+        vt = Vtree.right_linear(n)
+        f, g = (compile_cnf(Cnf(n, [tuple(v if rng.random() < 0.5 else -v
+                                          for v in (x, x + 1))
+                                    for x in range(1, n)]), vt)
+                for _ in range(2))
+        eng = MomentEngine(vt, random_weights(rng, n))
+        eng.var(f)
+        pairs = eng.pairs
+        eng.cov(f, g)
+        pairs += eng.pairs
+        kept = sum(sys.getsizeof(a) for plans in f.plans.values()
+                   for plan in plans.values() for a in plan)
+        assert len(g.plans) == 0
+        assert kept <= 40 * pairs, (kept, pairs)
+
+    def test_sweep_after_zero_weights_query(self, monkeypatch):
+        built = count_builds(monkeypatch)
+        ev = {'JohnCalls': 't'}
+        for encoding in ('enc1', 'enc2'):
+            pipe = MarginalPipeline(demo_networks()['alarm5'], encoding)
+            pipe.moments(ev, 'zero_weights')
+            del built[:]
+            pipe.sweep(ev)
+            assert built == []
