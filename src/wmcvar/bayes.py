@@ -543,8 +543,9 @@ class MarginalPipeline:
 
         Var is affine in each parameter's second moments, so every row
         follows exactly from the baseline variance and its gradient
-        (moments.var_gradient): one pair pass that records a trace, and
-        one transposed walk back over it, in all.
+        (moments.var_gradient): one evaluation of the circuit's pair
+        plan and one transposed walk back over the same plan, with no
+        trace kept.
         """
         if not 0 < factor <= 1:
             raise ValidationError('factor must be in (0, 1]')

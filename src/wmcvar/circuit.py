@@ -348,7 +348,8 @@ class Circuit:
     lit[i] (signed variable), gate children in children[i].  dnode[i] is
     the decomposition vnode; it stands for the node's variables.
     plans holds the covariance plans of MomentEngine (moments.py) with
-    this circuit as f, per partner g (held weakly) and key.
+    this circuit as f: per partner g (held weakly) and group layout, the
+    roots of the last plan built and the plan.
     """
 
     __slots__ = ('vt', 'kind', 'lit', 'children', 'dnode', 'root',

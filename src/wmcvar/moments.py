@@ -36,10 +36,10 @@ a constant child, so each one splits at its own vnode.
 No rule, and no choice of the pairs a pair reads, depends on a weight.
 So the pass is a plan, the product circuit itself (one record per pair,
 in flat int arrays: 25-32 bytes per pair), evaluated under a model.
-The first query builds the plan and keeps it on f (Circuit.plans), keyed
-by g (held weakly), both roots and the group layout (the registered
-group vnodes and each group's members in order): float, exact, counting
-and zero-weight models share it, and var_gradient walks it back.
+The first query builds it and keeps it on f (Circuit.plans) per partner
+g (held weakly) and group layout (the registered group vnodes, each
+group's members in order), with the two roots it was built for: models
+with that layout share it, and a query on other roots replaces it.
 
 Correlated groups (positive weights of several variables jointly
 distributed) break the independence that the lifts rely on.
@@ -265,10 +265,11 @@ class MomentEngine:
             raise VtreeMismatchError('circuits were built on a different vtree')
         ef = self.exp_table(f)
         eg = ef if f is g else self.exp_table(g)
-        key = (f.root, g.root, self.layout)
-        plan = f.plans.get(g, {}).get(key)
-        if plan is None:        # a build that raises keeps nothing
-            plan = f.plans.setdefault(g, {})[key] = self._plan(f, g)
+        kept = f.plans.get(g) or {}
+        roots, plan = kept.get(self.layout, (None, None))
+        if roots != (f.root, g.root):   # a build that raises keeps nothing
+            plan = self._plan(f, g)
+            f.plans.setdefault(g, kept)[self.layout] = (f.root, g.root), plan
         val = self._evaluate(plan, ef, eg)
         self.pairs = len(val)
         x = self.adj_cov(self.vt.root, (plan[0][-1] >> 3, val[-1]),
@@ -283,35 +284,31 @@ class MomentEngine:
         lca, left, gmask, grouped = (self.vt.lca, self.vt.left,
                                      self.guard_mask, self.grouped)
         fd, gd, fk, gk, fl, gl = f.dnode, g.dnode, f.kind, g.kind, f.lit, g.lit
-        split, pattern = self._split, self._member_pattern
-        same, n = f is g, len(g)
+        same, n, split = f is g, len(g), self._split
         plan, codes, args_ = (array('i'), array('i')), [], []
         memo = {}                   # pair key -> record index
         patt = {}                   # circuit -> _member_pattern's bitsets
 
         ra, rb = f.root, g.root
         rk = rb * n + ra if same and rb < ra else ra * n + rb
-        # entries (a, b, key, wait): wait is (kind, anc, deps) once the
+        # entries (a, b, key, None), then (code, 0, key, deps) once the
         # pair's rule has been applied, while its deps resolve
         stack = [(ra, rb, rk, None)]
-        pop, push = stack.pop, stack.append
+        pop, push, put = stack.pop, stack.append, codes.append
         while stack:
-            a, b, k, wait = pop()
-            if wait is not None:
-                kind, anc, deps = wait
+            a, b, k, deps = pop()
+            if deps is not None:
+                code = a
             elif k in memo:
                 continue
             else:
                 da, db = fd[a], gd[b]
                 anc = da if da == db else lca(da, db)
-                deps = None
                 if a == FALSE or b == FALSE or anc == BOTTOM:
                     kind, args = ZERO, ()
-                elif gmask and grouped[anc] and (blk := self._group_block(
+                elif gmask and grouped[anc] and (args := self._group_members(
                         f, a, g, b, anc, patt)) is not None:
-                    gi = blk[0]     # blk reads 0 for a member forced by none
-                    kind, args = GROUP, (gi, pattern(f, a, gi, patt),
-                                         pattern(g, b, gi, patt))
+                    kind = GROUP
                 elif da == anc and fk[a] == 'O':
                     kind, deps = OR, [(x, b, b * n + x if same and b < x
                                        else x * n + b, None)
@@ -333,27 +330,29 @@ class MomentEngine:
                          else al * n + bl, None),
                         (ar, br, br * n + ar if same and br < ar
                          else ar * n + br, None))
+                code = anc << 3 | kind
                 if deps is not None:
                     # deps resolved by the time they pop are skipped
-                    push((a, b, k, (kind, anc, deps)))
+                    push((code, 0, k, deps))
                     stack.extend(deps)
                     continue
-            if kind == SPLIT:
+            if deps is None:
+                args_ += args
+            elif code & 7 == SPLIT:
                 (x, y, kk, _), (u, w, kw, _) = deps
-                args = memo[kk], x, y, memo[kw], u, w
-            elif deps is not None:
-                args = [len(deps)]
+                args_ += memo[kk], x, y, memo[kw], u, w
+            else:
+                args_.append(len(deps))
                 for x, y, kk, _ in deps:
-                    args += memo[kk], x, y
+                    args_ += memo[kk], x, y
             r = memo[k] = len(memo)
-            codes.append(anc << 3 | kind)
-            args_ += args
+            put(code)
             # records go to plan in batches, as list appends are cheaper
             # than array appends; the root resolves last, on an empty stack
             if r & 4095 == 4095 or not stack:
                 plan[0].fromlist(codes)
                 plan[1].fromlist(args_)
-                codes, args_ = [], []
+                del codes[:], args_[:]
         return plan
 
     def _evaluate(self, plan, ef, eg):
@@ -435,11 +434,17 @@ class MomentEngine:
         applies); raises if the pair decomposes inside a correlated block
         in a shape the moment model cannot express.
         """
+        blk = self._group_members(f, a, g, b, anc, patt)
+        return None if blk is None else self._block(*blk)
+
+    def _group_members(self, f, a, g, b, anc, patt):
+        """_group_block before any weight: (gi, ja, jb), -1 for a member
+        forced by none, or None; raises as _group_block does."""
         vt, wm = self.vt, self.wm
         gi = self.group_vnodes.get(anc)
         if gi is not None and f.dnode[a] == anc and g.dnode[b] == anc:
-            return self._block(gi, self._member_pattern(f, a, gi, patt),
-                               self._member_pattern(g, b, gi, patt))
+            return (gi, self._member_pattern(f, a, gi, patt),
+                    self._member_pattern(g, b, gi, patt))
         n = vt.n_leaves(anc)
         if n > self.grouped[anc]:
             return None             # anc spans more than grouped variables

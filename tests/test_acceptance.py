@@ -4,7 +4,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
 pass; every check also asserts, so a plain pytest run fails loudly.
 """
 
-import gc
 import json
 import os
 import subprocess
@@ -166,20 +165,14 @@ def chain_circuit(n):
 def time_variance(n, wm):
     """(cold, warm) for the chain of n variables: the least time over
     three rounds of the first var on a freshly compiled circuit, which
-    builds its pair plan, and of the next var, which reuses it.  The
-    cyclic collector is paused as timeit pauses it: its full passes scale
-    with all the process holds, not with the work of the call."""
+    builds its pair plan, and of the next var, which reuses it."""
     cold = warm = float('inf')
     for _ in range(3):
         c = chain_circuit(n)
         for first in (True, False):
-            gc.disable()
-            try:
-                t0 = time.perf_counter()
-                var_wmc(c, wm)
-                t = time.perf_counter() - t0
-            finally:
-                gc.enable()
+            t0 = time.perf_counter()
+            var_wmc(c, wm)
+            t = time.perf_counter() - t0
             if first:
                 cold = min(cold, t)
             else:

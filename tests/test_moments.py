@@ -961,9 +961,10 @@ class TestPlan:
         f.root = rebuild(g, f)      # f now holds g's SDD too
         assert answers(f) == answers(g)
         assert len(built) == 2      # one for f, one for g
-        f.root = r1
+        f.root = r1                 # one plan per layout: rebuilt
         assert answers(f) == first
-        assert len(built) == 2
+        assert len(built) == 3
+        assert len(f.plans) == len(f.plans[f]) == 1
 
     def test_member_order_is_layout(self, monkeypatch):
         # the same group vnode with the members listed the other way
@@ -979,6 +980,10 @@ class TestPlan:
         a = MomentEngine(vt, wm.to_exact(), gv).var(f)
         b = MomentEngine(vt, flipped.to_exact(), gv).var(f)
         assert a == b
+        assert len(built) == 2
+        # both stay: alternating layouts builds nothing more
+        MomentEngine(vt, wm, gv).var(f)
+        MomentEngine(vt, flipped, gv).var(f)
         assert len(built) == 2
 
     def test_failed_build_keeps_nothing(self):
@@ -1017,7 +1022,7 @@ class TestPlan:
         eng.cov(f, g)
         pairs += eng.pairs
         kept = sum(sys.getsizeof(a) for plans in f.plans.values()
-                   for plan in plans.values() for a in plan)
+                   for _, plan in plans.values() for a in plan)
         assert len(g.plans) == 0
         assert kept <= 40 * pairs, (kept, pairs)
 
