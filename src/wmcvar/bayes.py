@@ -25,6 +25,7 @@ engine's correlated-group interception applicable to the result.
 import itertools
 import json
 import math
+import sys
 from fractions import Fraction
 
 from .circuit import normalize
@@ -38,7 +39,8 @@ _CPT_TOL = 1e-9
 
 
 def _is_number(x):
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    return isinstance(x, (int, float)) and not isinstance(x, bool) \
+        and abs(x) <= sys.float_info.max    # not NaN, inf or past range
 
 
 def _rows(x, what):
@@ -268,10 +270,12 @@ class BayesNet:
                     from None
             cpt = _rows(entry.get('cpt'), 'cpt of %r' % entry['name'])
             cpts.append([list(map(float, row)) for row in cpt])
-        unc = obj.get('uncertainty') or {'theta': float('inf')}
-        if not isinstance(unc, dict):
+        unc = obj.get('uncertainty')
+        if not unc:     # exact CPTs: an infinite pseudo-count
+            uncertainty = ('theta', math.inf)
+        elif not isinstance(unc, dict):
             raise FormatError('uncertainty must be an object')
-        if 'theta' in unc:
+        elif 'theta' in unc:
             if set(unc) != {'theta'}:
                 raise FormatError('theta excludes other uncertainty keys')
             if not _is_number(unc['theta']):
@@ -300,11 +304,11 @@ class BayesNet:
              'parents': [self.names[p] for p in self.parents[i]],
              'cpt': [list(row) for row in self.cpts[i]]}
             for i in range(len(self.names))]}
-        if self.uncertainty[0] == 'theta':
-            out['uncertainty'] = {'theta': self.uncertainty[1]}
-        else:
+        if self.uncertainty[0] == 'explicit':
             out['uncertainty'] = {'params': self.uncertainty[1],
                                   'groups': self.uncertainty[2]}
+        elif self.uncertainty[1] != math.inf:   # none for exact CPTs
+            out['uncertainty'] = {'theta': self.uncertainty[1]}
         return out
 
 

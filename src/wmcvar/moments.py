@@ -14,19 +14,23 @@ on the path from v up to w only, once per (v, w) asked for.
 
 The covariance pass is a recurrence over node pairs (a, b): a is a node
 of f, b a node of g, and the constants FALSE and TRUE are the same ids in
-both.  Each pair is resolved at anc = lca(d(a), d(b)), its covariance
-over Var(anc), by the first rule that applies:
-  - a or b is FALSE, or anc is BOTTOM (both TRUE): 0;
-  - anc is a registered group vnode: read from the group covariance;
-  - an or-node sits at anc: the sum over its children of the child
-    pairs' covariances, each lifted to anc;
-  - anc is a vtree leaf: the covariance of two weights of one variable;
+both.  Each pair is resolved at anc = lca(d(a), d(b)) into a record (c, m)
+over Var(anc): c is Cov(W_a, W_b) and m = E[W_a] E[W_b], by the first rule
+that applies:
+  - a or b is FALSE: (0, 0); anc is BOTTOM (both TRUE): (0, 1);
+  - anc is a registered group vnode: c read from the group covariance, m
+    the product of the nodes' means over the members they fix;
+  - an or-node sits at anc: the sum of its child pairs' records, lifted;
+  - anc is a vtree leaf: the covariance and the mean product of two
+    weights of one variable;
   - otherwise both operands split into (left, right) parts under anc.
     An and-node at anc gives its two children in their stored order,
     which Circuit.conj makes (left, right); any other node goes whole to
-    the side that contains it, with TRUE on the other side.  With cl,
-    cr the part pairs' lifted covariances and el, er the products of
-    their lifted expectations, Cov = cl*cr + cl*er + el*cr.
+    the side that contains it, with TRUE on the other side.  With
+    (cl, ml) and (cr, mr) the part pairs' lifted records, the pair's is
+    (cl*cr + cl*mr + ml*cr, ml*mr).
+A record lifts on its own: multiplying both counts by W_true over the
+span, with moments (ea, va), gives (va*c + va*m + ea*ea*c, ea*ea*m).
 This is the pairwise product of circuits over one vtree (Vergari et al.,
 "A Compositional Atlas of Tractable Circuit Operations", NeurIPS 2021),
 taken on centred moments.  Circuits must be in the normal form that
@@ -35,7 +39,7 @@ a constant child, so each one splits at its own vnode.
 
 No rule, and no choice of the pairs a pair reads, depends on a weight.
 So the pass is a plan, the product circuit itself (one record per pair,
-in flat int arrays: 25-32 bytes per pair), evaluated under a model.
+in flat int arrays: 14-15 bytes per pair), evaluated under a model.
 The first query builds it and keeps it on f (Circuit.plans) per partner
 g (held weakly) and group layout (the registered group vnodes, each
 group's members in order), with the two roots it was built for: models
@@ -49,7 +53,10 @@ node anchored at that vnode fixes the truth value of all members with at
 most one member true.  Covariances of such blocks are then read directly
 from the group covariance matrix, and any lift whose span would
 touch a grouped variable raises CorrelationScopeError instead of silently
-using moments that the model cannot express.
+using moments that the model cannot express.  The plan reads no
+expectation table, yet each query builds both (f's first): their lifts
+refuse an or-node at a group vnode whose children leave a member free,
+which the member patterns let through.
 
 Exact models run on plain ints.  Each variable x gets one scale d_x: a
 multiple of its first moments' denominators whose square every second
@@ -58,10 +65,10 @@ also covers the group's covariance entries).  The engine stores first
 moments times d_x, second moments times d_x^2 and group covariances
 times d_g^2.  The recurrences are multilinear with one moment factor per
 variable, so every anchored expectation over Var(v) is then an int over
-S(v) = prod of d_x for x in Var(v), and every covariance an int over
-S(v)^2.  exp and cov divide by S(root) or S(root)^2 once, at the end; no
-Fraction is formed before that.  Float models and int models take d_x = 1
-and pass through.
+S(v) = prod of d_x for x in Var(v), and every covariance or mean product
+an int over S(v)^2.  exp and cov divide by S(root) or S(root)^2 once, at
+the end; no Fraction is formed before that.  Float models and int models
+take d_x = 1 and pass through.
 """
 
 import math
@@ -78,15 +85,16 @@ from .weights import VarMoments
 # A plan (codes, args) has one record per pair, after those it reads.
 # codes[i] is record i's anchor vnode times 8 plus its kind, and its
 # arguments follow record i - 1's in args:
-#   ZERO    none;
+#   ZERO    the mean product, 1 for TRUE with TRUE, else 0;
 #   GROUP   gi, ja, jb: the group, the members a and b force true (or -1);
 #   LEAF    x, and the _TERMS entry of the two literals;
-#   OR      m, then m refs to child pairs, lifted to the anchor and summed;
-#   SPLIT   refs to the (left, right) part pairs.
-# A ref is j, x, y: record j, read as the pair (x, y) of a node of f and
-# one of g (when f is g, maybe the reverse of the pair that j resolved).
+#   OR      m, then the ids of the m child pairs' records, lifted to the
+#           anchor and summed;
+#   SPLIT   the ids of the (left, right) part pairs' records.
+# A record's value (c, m) is symmetric, so when f is g one record serves a
+# pair and its reverse.
 ZERO, GROUP, LEAF, OR, SPLIT = range(5)
-_NARGS = (0, 3, 2, None, 6)     # the arguments of each kind but OR
+_NARGS = (1, 3, 2, None, 2)     # the arguments of each kind but OR
 # _TERMS[sign(sa)][sign(sb)]: the weight covariances that literals sa, sb
 # (0: TRUE) sum at a leaf, as bits 0-3: varP, varN, covPN (sa true, sb
 # false), covPN (sa false, sb true)
@@ -178,19 +186,14 @@ class MomentEngine:
             return val
         return self._lift(v, w)[0] * val
 
-    def adj_cov(self, w, cv, ef, eg):
-        """Lift an anchored covariance cv = (v, c), Cov of the two counts
-        over Var(v), to ancestor vnode w; ef, eg are the anchored
-        expectations of the operands, anchored under v (or at 0)."""
-        v, val = cv
+    def _up(self, w, v, c, m):
+        """Lift a record (c, m), both over Var(v), to ancestor vnode w."""
         if v == w:
-            return val
-        if v == BOTTOM and (ef[1] == 0 or eg[1] == 0):
-            return 0            # a FALSE operand: no W_true factor to share
+            return c, m
+        if v == BOTTOM and m == 0:
+            return 0, 0         # a FALSE operand: no W_true factor to share
         ea, va = self._lift(v, w)
-        a = self.adj_exp(v, ef)
-        b = self.adj_exp(v, eg)
-        return va * val + va * a * b + ea * ea * val
+        return va * c + va * m + ea * ea * c, ea * ea * m
 
     # ---- expectations --------------------------------------------------------
 
@@ -247,7 +250,7 @@ class MomentEngine:
 
     def exp_var(self, c):
         """(exp(c), var(c)) from one expectation table."""
-        x, _, _, e = self._pairs(c, c)
+        x, *_, e = self._pairs(c, c)
         return self._result(self.adj_exp(self.vt.root, e[c.root]), 1), \
             self._result(x, 2)
 
@@ -259,22 +262,23 @@ class MomentEngine:
         return self.cov(f, f)
 
     def _pairs(self, f, g):
-        """(x, val, plan, ef): x = cov(f, g) before _result, plan f's plan
-        with g, val its records' covariances and ef f's expectations."""
+        """(x, val, mp, plan, ef): x = cov(f, g) before _result, plan f's
+        plan with g, val and mp its records' covariances and mean products
+        and ef f's expectations."""
         if f.vt is not self.vt or g.vt is not self.vt:
             raise VtreeMismatchError('circuits were built on a different vtree')
-        ef = self.exp_table(f)
-        eg = ef if f is g else self.exp_table(g)
+        ef = self.exp_table(f)      # both tables, f's first: the group guard
+        if g is not f:
+            self.exp_table(g)
         kept = f.plans.get(g) or {}
         roots, plan = kept.get(self.layout, (None, None))
         if roots != (f.root, g.root):   # a build that raises keeps nothing
             plan = self._plan(f, g)
             f.plans.setdefault(g, kept)[self.layout] = (f.root, g.root), plan
-        val = self._evaluate(plan, ef, eg)
+        val, mp = self._evaluate(plan)
         self.pairs = len(val)
-        x = self.adj_cov(self.vt.root, (plan[0][-1] >> 3, val[-1]),
-                         ef[f.root], eg[g.root])
-        return x, val, plan, ef
+        x = self._up(self.vt.root, plan[0][-1] >> 3, val[-1], mp[-1])[0]
+        return x, val, mp, plan, ef
 
     def _plan(self, f, g):
         """Resolve the node pairs of cov(f, g) into a plan (codes, args),
@@ -305,7 +309,7 @@ class MomentEngine:
                 da, db = fd[a], gd[b]
                 anc = da if da == db else lca(da, db)
                 if a == FALSE or b == FALSE or anc == BOTTOM:
-                    kind, args = ZERO, ()
+                    kind, args = ZERO, (int(FALSE not in (a, b)),)
                 elif gmask and grouped[anc] and (args := self._group_members(
                         f, a, g, b, anc, patt)) is not None:
                     kind = GROUP
@@ -319,7 +323,9 @@ class MomentEngine:
                                       for y in g.children[b]]
                 elif left[anc] == 0:
                     if fk[a] not in 'TL' or gk[b] not in 'TL':
-                        self._leaf_pair(f, a, g, b)     # raises
+                        raise ValidationError(
+                            'node pair (%d, %d) does not decompose at a '
+                            'vtree leaf' % (a, b))
                     sa, sb = fl[a], gl[b]
                     kind, args = LEAF, (abs(sa or sb), _TERMS[
                         (sa > 0) - (sa < 0)][(sb > 0) - (sb < 0)])
@@ -339,12 +345,10 @@ class MomentEngine:
             if deps is None:
                 args_ += args
             elif code & 7 == SPLIT:
-                (x, y, kk, _), (u, w, kw, _) = deps
-                args_ += memo[kk], x, y, memo[kw], u, w
+                args_ += memo[deps[0][2]], memo[deps[1][2]]
             else:
                 args_.append(len(deps))
-                for x, y, kk, _ in deps:
-                    args_ += memo[kk], x, y
+                args_ += [memo[kk] for _, _, kk, _ in deps]
             r = memo[k] = len(memo)
             put(code)
             # records go to plan in batches, as list appends are cheaper
@@ -355,51 +359,57 @@ class MomentEngine:
                 del codes[:], args_[:]
         return plan
 
-    def _evaluate(self, plan, ef, eg):
-        """Each record's covariance over Var(its anchor) under this model,
-        given the expectation tables; lifts to a value's own anchor are
-        read inline."""
-        left, right = self.vt.left, self.vt.right
-        adj_exp, adj_cov, mom = self.adj_exp, self.adj_cov, self.mom
+    def _evaluate(self, plan):
+        """(val, mp): each record's covariance and mean product over
+        Var(its anchor) under this model; reads at a record's own anchor
+        are inline."""
+        left, right, up, mom = self.vt.left, self.vt.right, self._up, self.mom
         codes, arg = plan
-        val, o = [], 0
-        put = val.append
+        val, mp, o = [], [], 0
+        put, putm = val.append, mp.append
         for code in codes:
             kind = code & 7
             if kind == SPLIT:
                 anc = code >> 3
-                vl, vr = left[anc], right[anc]
-                jl, al, bl = arg[o], ef[arg[o + 1]], eg[arg[o + 2]]
-                jr, ar, br = arg[o + 3], ef[arg[o + 4]], eg[arg[o + 5]]
-                el = (al[1] if al[0] == vl else adj_exp(vl, al)) \
-                    * (bl[1] if bl[0] == vl else adj_exp(vl, bl))
-                er = (ar[1] if ar[0] == vr else adj_exp(vr, ar)) \
-                    * (br[1] if br[0] == vr else adj_exp(vr, br))
-                v = codes[jl] >> 3
-                cl = val[jl] if v == vl else adj_cov(vl, (v, val[jl]), al, bl)
-                v = codes[jr] >> 3
-                cr = val[jr] if v == vr else adj_cov(vr, (v, val[jr]), ar, br)
-                put(cl * cr + cl * er + el * cr)
-                o += 6
+                j, w = arg[o], left[anc]
+                v = codes[j] >> 3
+                if v == w:
+                    cl, ml = val[j], mp[j]
+                else:
+                    cl, ml = up(w, v, val[j], mp[j])
+                j, w = arg[o + 1], right[anc]
+                v = codes[j] >> 3
+                if v == w:
+                    cr, mr = val[j], mp[j]
+                else:
+                    cr, mr = up(w, v, val[j], mp[j])
+                c, m = cl * cr + cl * mr + ml * cr, ml * mr
+                o += 2
             elif kind == OR:
-                anc, end, r = code >> 3, o + 1 + 3 * arg[o], 0
-                for p in range(o + 1, end, 3):
+                anc, end, c, m = code >> 3, o + 1 + arg[o], 0, 0
+                for p in range(o + 1, end):
                     j = arg[p]
                     v = codes[j] >> 3
-                    r = r + (val[j] if v == anc else adj_cov(
-                        anc, (v, val[j]), ef[arg[p + 1]], eg[arg[p + 2]]))
-                put(r)
+                    if v == anc:
+                        c, m = c + val[j], m + mp[j]
+                    else:
+                        cj, mj = up(anc, v, val[j], mp[j])
+                        c, m = c + cj, m + mj
                 o = end
             elif kind == LEAF:
-                put(_leaf_sum(mom[arg[o]], arg[o + 1]))
+                c, m = _leaf(mom[arg[o]], arg[o + 1])
                 o += 2
             elif kind == ZERO:
-                put(0)
+                c, m = 0, arg[o]
+                o += 1
             else:
-                gi, ja, jb, pab = self._block(arg[o], arg[o + 1], arg[o + 2])
-                put(pab * self.gcov[gi][ja][jb])
+                gi = arg[o]
+                ja, jb, pab, m = self._block(gi, arg[o + 1], arg[o + 2])
+                c = pab * self.gcov[gi][ja][jb]
                 o += 3
-        return val
+            put(c)
+            putm(m)
+        return val, mp
 
     def _split(self, c, x, anc):
         """(left, right) parts of node x of c at the internal vnode anc: a
@@ -412,34 +422,14 @@ class MomentEngine:
             return (x, TRUE) if vt.is_ancestor(vt.left[anc], d) else (TRUE, x)
         return c.children[x]
 
-    def _leaf_pair(self, f, a, g, b):
-        # Cov of two single-variable counts: the weight covariances of the
-        # polarities both operands admit (TRUE admits both; its lit is 0)
-        if f.kind[a] not in 'TL' or g.kind[b] not in 'TL':
-            raise ValidationError(
-                'node pair (%d, %d) does not decompose at a vtree leaf'
-                % (a, b))
-        sa, sb = f.lit[a], g.lit[b]
-        return _leaf_sum(self.mom[abs(sa or sb)],
-                         _TERMS[(sa > 0) - (sa < 0)][(sb > 0) - (sb < 0)])
-
     # ---- correlated group blocks ----------------------------------------------
 
-    def _group_block(self, f, a, g, b, anc, patt):
-        """(gi, ja, jb, pab) for a pair anchored at a registered group vnode:
-        its covariance is pab * gcov[gi][ja][jb], ja and jb being the
-        members each node forces true (pab = 0 where one forces none).
-
-        Returns None if anc sits above every group (normal recursion
-        applies); raises if the pair decomposes inside a correlated block
-        in a shape the moment model cannot express.
-        """
-        blk = self._group_members(f, a, g, b, anc, patt)
-        return None if blk is None else self._block(*blk)
-
     def _group_members(self, f, a, g, b, anc, patt):
-        """_group_block before any weight: (gi, ja, jb), -1 for a member
-        forced by none, or None; raises as _group_block does."""
+        """(gi, ja, jb) for a pair anchored at a registered group vnode:
+        the group and the members each node forces true (-1: none).
+        None if anc sits above every group (normal recursion applies);
+        raises if the pair decomposes inside a correlated block in a shape
+        the moment model cannot express."""
         vt, wm = self.vt, self.wm
         gi = self.group_vnodes.get(anc)
         if gi is not None and f.dnode[a] == anc and g.dnode[b] == anc:
@@ -459,17 +449,23 @@ class MomentEngine:
         return None                 # spans several groups but nothing else
 
     def _block(self, gi, ja, jb):
-        """_group_block's answer for members ja, jb forced true (-1: none)."""
-        if ja < 0 or jb < 0:
-            return gi, 0, 0, 0
+        """(ja, jb, pab, mab) for a pair at group gi's vnode whose nodes
+        force members ja and jb true (-1: none): its covariance is
+        pab * gcov[gi][ja][jb] (pab = ja = jb = 0 where one forces none)
+        and mab its nodes' mean product."""
+        mom, members = self.mom, self.wm.groups[gi].members
         pa = pb = 1
-        for j, x in enumerate(self.wm.groups[gi].members):
-            mn = self.mom[x].muN
+        for j, x in enumerate(members):
+            mn = mom[x].muN
             if j != ja:
                 pa = pa * mn
             if j != jb:
                 pb = pb * mn
-        return gi, ja, jb, pa * pb
+        mab = (pa if ja < 0 else pa * mom[members[ja]].muP) \
+            * (pb if jb < 0 else pb * mom[members[jb]].muP)
+        if ja < 0 or jb < 0:
+            return 0, 0, 0, mab
+        return ja, jb, pa * pb, mab
 
     def _member_pattern(self, c, i, gi, patt):
         """Index of the member forced true under node i of c (which sits at
@@ -586,8 +582,11 @@ def locate_group_vnodes(vt, wm):
     return out
 
 
-def _leaf_sum(m, terms):
-    r = 0                       # the moments of m that terms selects
+def _leaf(m, terms):
+    """(cov, mean product) of the two literals of one variable, with
+    moments m, whose _TERMS entry is terms: a admits the positive weight
+    on bits 0 and 2, the negative on 1 and 3; b on 0 and 3, and 1 and 2."""
+    r = 0
     if terms & 1:
         r = r + m.varP
     if terms & 2:
@@ -596,7 +595,9 @@ def _leaf_sum(m, terms):
         r = r + m.covPN
     if terms & 8:
         r = r + m.covPN
-    return r
+    p, n = m.muP, m.muN
+    return r, ((p + n if terms & 10 else p) if terms & 5 else n) \
+        * ((p + n if terms & 6 else p) if terms & 9 else n)
 
 
 def _under(vt, v, group):
@@ -627,66 +628,63 @@ def var_gradient(c, wm, group_vnodes=None):
     after any change to one variable's or one group's second moments.
     They come from one evaluation of var(c)'s plan, on plain values, and
     one walk back over the same plan (reverse-mode differentiation; no
-    trace is kept: a split's partials cr + er and cl + el are recomputed
-    from the record values).  The walk carries adjoints to the records,
-    to the lifts' va(v, w) entries, down each lift's path to the vv of
-    the siblings on it, down the vtree to each leaf's varP, varN and
-    covPN, and to the group matrix entries.
+    trace is kept: a split's partials cr + mr and cl + ml are recomputed
+    from its two records alone).  The mean products hold first moments
+    only, so they take no adjoint.  The walk carries adjoints to the
+    records' covariances, to the lifts' va(v, w) entries, down each
+    lift's path to the vv of the siblings on it, down the vtree to each
+    leaf's varP, varN and covPN, and to the group matrix entries.
     An exact model runs on the engine's scaled ints: Var is then read off
     as an int over S^2 and each partial as an int over S^2 / d^2, with S
     the product of all variable scales and d the scale of the moment's
     variable or group.
     """
     eng = MomentEngine(c.vt, wm, group_vnodes)
-    vt, ev, vv, lift = eng.vt, eng.ev, eng.vv, eng._lift
-    left, right, n, adj_exp = vt.left, vt.right, vt.n_vars, eng.adj_exp
-    var, val, (codes, arg), e = eng._pairs(c, c)
+    vt, ev, vv, lift, up = eng.vt, eng.ev, eng.vv, eng._lift, eng._up
+    left, right, n = vt.left, vt.right, vt.n_vars
+    var, val, mp, (codes, arg), _ = eng._pairs(c, c)
     var = eng._result(var, 2)
     starts, o = array('i'), 0   # where each record's arguments start
     for code in codes:
         starts.append(o)
-        o += 1 + 3 * arg[o] if code & 7 == OR else _NARGS[code & 7]
+        o += 1 + arg[o] if code & 7 == OR else _NARGS[code & 7]
     adj = [0] * len(val)    # record -> adjoint of its covariance
     dva = {}                # lift (v, w) -> adjoint of va(v, w)
     dvv = [0] * (vt.n_nodes + 1)
     dmom = [[0, 0, 0] for _ in range(n + 1)]   # varP, varN, covPN
     dg = [[[0] * len(g.members) for _ in g.members] for g in wm.groups]
 
-    def lift_back(w, j, x, y, gr):
-        # transpose of adj_cov(w, (anchor, val) of record j, x, y)
+    def lift_back(w, j, gr):
+        # transpose of the covariance of _up(w, record j's anchor, ...)
         v = codes[j] >> 3
         if v == w:
             adj[j] = adj[j] + gr
         elif v == BOTTOM:
-            dvv[w] += gr * x[1] * y[1]
+            dvv[w] += gr * mp[j]
         else:
             ea, va = lift(v, w)
             adj[j] = adj[j] + gr * (va + ea * ea)
-            dva[v, w] = dva.get((v, w), 0) + gr * (
-                val[j] + adj_exp(v, x) * adj_exp(v, y))
+            dva[v, w] = dva.get((v, w), 0) + gr * (val[j] + mp[j])
 
-    lift_back(vt.root, len(val) - 1, e[c.root], e[c.root], 1)
+    lift_back(vt.root, len(val) - 1, 1)
     for i, o in zip(range(len(val) - 1, -1, -1), reversed(starts)):
         gr, kind, anc = adj[i], codes[i] & 7, codes[i] >> 3
         if not gr:
             continue
-        if kind == SPLIT:       # cl * cr + cl * er + el * cr, as evaluated
-            jl, xl, yl = arg[o], e[arg[o + 1]], e[arg[o + 2]]
-            jr, xr, yr = arg[o + 3], e[arg[o + 4]], e[arg[o + 5]]
-            vl, vr = left[anc], right[anc]
-            cl = eng.adj_cov(vl, (codes[jl] >> 3, val[jl]), xl, yl)
-            cr = eng.adj_cov(vr, (codes[jr] >> 3, val[jr]), xr, yr)
-            el = adj_exp(vl, xl) * adj_exp(vl, yl)
-            er = adj_exp(vr, xr) * adj_exp(vr, yr)
-            lift_back(vl, jl, xl, yl, gr * (cr + er))
-            lift_back(vr, jr, xr, yr, gr * (cl + el))
+        if kind == SPLIT:       # cl * cr + cl * mr + ml * cr, as evaluated
+            jl, jr, vl, vr = arg[o], arg[o + 1], left[anc], right[anc]
+            cl, ml = up(vl, codes[jl] >> 3, val[jl], mp[jl])
+            cr, mr = up(vr, codes[jr] >> 3, val[jr], mp[jr])
+            lift_back(vl, jl, gr * (cr + mr))
+            lift_back(vr, jr, gr * (cl + ml))
         elif kind == OR:
-            for p in range(o + 1, o + 1 + 3 * arg[o], 3):
-                lift_back(anc, arg[p], e[arg[p + 1]], e[arg[p + 2]], gr)
+            for j in arg[o + 1:o + 1 + arg[o]]:
+                lift_back(anc, j, gr)
         elif kind == GROUP:
-            gi, ja, jb, pab = eng._block(arg[o], arg[o + 1], arg[o + 2])
+            gi = arg[o]
+            ja, jb, pab, _ = eng._block(gi, arg[o + 1], arg[o + 2])
             dg[gi][ja][jb] += gr * pab
-        elif kind == LEAF:      # the terms of _leaf_sum
+        elif kind == LEAF:      # the covariance terms of _leaf
             d, t = dmom[arg[o]], arg[o + 1]
             d[0] += gr * bool(t & 1)
             d[1] += gr * bool(t & 2)

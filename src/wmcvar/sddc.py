@@ -208,17 +208,15 @@ class SddBuilder:
                 r = self._settled(q, p, _OR)
                 p = (yield self._apply(q, p, _OR)) if r is None else r
             by_sub[s] = p
+        # the primes partition left(v): a lone one is TRUE, and in
+        # (p, FALSE), (q, TRUE) q is ~p, so the decision is q
+        if len(by_sub) == 1:
+            return next(iter(by_sub))
+        if len(by_sub) == 2 and self.true in by_sub and self.false in by_sub:
+            p, q = by_sub[self.false], by_sub[self.true]
+            self._neg[p], self._neg[q] = q, p
+            return q
         elements = tuple(sorted(zip(by_sub.values(), by_sub)))
-        if len(elements) == 1 and elements[0][0] == self.true:
-            return elements[0][1]
-        if len(elements) == 2:
-            # (p, FALSE), (q, TRUE) is q when q is ~p
-            (p, s), (q, t) = elements if elements[1][1] == self.true \
-                else elements[::-1]
-            if s == self.false and t == self.true:
-                r = self._settled(p, p, _NEG)
-                if q == ((yield self._negate(p)) if r is None else r):
-                    return q
         key = (v, elements)
         n = self._uniq.get(key)
         if n is None:

@@ -12,6 +12,7 @@ Values may be ints, floats, or fractions.Fraction.  Exact rational runs
 store Fractions here; the moment engine rescales them onto plain ints.
 """
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -83,15 +84,6 @@ class WeightModel:
     def group_of(self, v):
         return self._index.get(v)
 
-    def cov_pp(self, a, b):
-        """Covariance of the positive weights of two variables."""
-        if a == b:
-            return self.moments(a).varP
-        ga, gb = self._index.get(a), self._index.get(b)
-        if ga is not None and gb is not None and ga[0] == gb[0]:
-            return self.groups[ga[0]].cov[ga[1]][gb[1]]
-        return 0
-
     def to_exact(self):
         """Copy with every value converted to an exact Fraction.
 
@@ -162,12 +154,17 @@ class WeightModel:
                                   'rational strings, not %r' % (x,))
             if isinstance(x, str):
                 try:
-                    q = to_fraction(x)
+                    x = to_fraction(x)
                 except (ValueError, ZeroDivisionError):
                     raise FormatError('bad rational weight value %r'
                                       % x) from None
-                return q if exact else float(q)
-            return to_fraction(x) if exact else x
+            # in both modes, so that they read a file alike
+            if not abs(x) <= sys.float_info.max:    # NaN, infinities
+                raise FormatError('weight value %s is not a finite float'
+                                  % x)
+            if exact:
+                return to_fraction(x)
+            return float(x) if type(x) is Fraction else x
 
         variables = obj.get('variables') or {}
         if not isinstance(variables, dict) \

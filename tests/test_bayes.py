@@ -326,6 +326,11 @@ class TestExplicitUncertainty:
         for encoding in ('enc1', 'enc2'):
             assert MarginalPipeline(again, encoding).moments({'B': 't'}) \
                 == MarginalPipeline(bn, encoding).moments({'B': 't'})
+        # exact CPTs: no uncertainty is read or written
+        del doc['uncertainty']
+        bn = BayesNet.from_json(json.dumps(doc))
+        assert bn.uncertainty == ('theta', float('inf'))
+        assert bn.to_json() == doc
 
 
 class TestSweep:

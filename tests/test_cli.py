@@ -288,10 +288,21 @@ class TestExitCodes:
         ('network', net({'uncertainty': {'params': {'A': {'var': 'x'}}}}), 2),
         ('network', net({'uncertainty': {'groups': {'A': 5}}}), 2),
         ('network', net(values=['t', 't']), 3),
+        # non-finite numbers, which Python's json reads
+        ('weights', {'variables': {'1': {'varP': float('nan')}}}, 2),
+        ('network', net({'uncertainty': {'theta': float('nan')}}), 2),
+        ('network', net({'uncertainty': {'theta': 10 ** 400}}), 2),
+        ('network', net(cpt=[[float('inf')], [0.5]]), 2),
+        ('network', net({'uncertainty': {'params': {
+            'A': {'var': float('nan')}}}}), 2),
+        ('network', net({'uncertainty': {'groups': {
+            'A': [[float('-inf')]]}}}), 2),
     ], ids=['dimacs-header', 'weight-variables-list', 'cpt-text',
             'cpt-entry-text', 'variables-int', 'variable-entry-int',
             'theta-text', 'params-entry-int', 'params-var-text',
-            'groups-entry-int', 'duplicate-values'])
+            'groups-entry-int', 'duplicate-values', 'weight-nan',
+            'theta-nan', 'theta-past-float-range', 'cpt-entry-inf',
+            'params-var-nan', 'groups-entry-inf'])
     def test_malformed_input_exit_code(self, files, capsys, tmp_path, kind,
                                        doc, code):
         # a typed error and its exit code, never a traceback
@@ -314,9 +325,14 @@ class TestExitCodes:
                            '--weights', files / 'w.json')
         assert code == 2 and 'error:' in err
 
-    @pytest.mark.parametrize('value', ['true', '"one third"', '"1/0"'])
+    @pytest.mark.parametrize('value', ['true', '"one third"', '"1/0"', 'NaN',
+                                       'Infinity', '-Infinity', '1e400',
+                                       '"1e400"', pytest.param(
+                                           '1' + '0' * 400,
+                                           id='int-past-float-range')])
     def test_non_numeric_weight_is_2(self, files, capsys, tmp_path, value):
-        # booleans are not read as 1/0, and strings must be rationals
+        # booleans are not read as 1/0, strings must be rationals, and no
+        # mode takes a value that a float cannot hold
         good = (files / 'w.json').read_text()
         w = tmp_path / 'w_bad.json'
         w.write_text(good.replace('"muP": 0.5', '"muP": ' + value, 1))

@@ -230,3 +230,32 @@ def test_every_export_resolves():
     got = json.loads(proc.stdout)
     assert got['bad'] == ['no_such_name']
     assert got['names'] == len(wmcvar.__all__) > 40
+
+
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def names_used(node, inside=()):
+    """Names that node reads, as a name, an attribute or an import, except
+    where they sit in a def of the same name (a recursive call)."""
+    for child in ast.iter_child_nodes(node):
+        name = (child.id if isinstance(child, ast.Name) else
+                child.attr if isinstance(child, ast.Attribute) else
+                child.name if isinstance(child, ast.alias) else None)
+        if name is not None and name not in inside:
+            yield name
+        yield from names_used(child, inside + (child.name,)
+                              if isinstance(child, DEFS) else inside)
+
+
+def test_private_helpers_have_callers():
+    # a private function, method or class that only the tests name is
+    # dead code in the package
+    trees = [ast.parse(path.read_text(), str(path))
+             for path in sorted(PACKAGE.rglob('*.py'))]
+    private = {node.name for tree in trees for node in ast.walk(tree)
+               if isinstance(node, DEFS) and node.name.startswith('_')
+               and not node.name.endswith('__')}
+    used = {name for tree in trees for name in names_used(tree)}
+    assert len(private) > 20
+    assert sorted(private - used) == []

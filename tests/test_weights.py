@@ -187,11 +187,3 @@ class TestWeightModel:
         with pytest.raises(WeightError):
             WeightModel({v: VarMoments(0.5, 1, 0, 0, 0) for v in (1, 2, 3)},
                         groups=(g1, g2))
-
-    def test_cov_pp(self):
-        g = Group((3, 5), ((0.04, -0.01), (-0.01, 0.09)))
-        wm = WeightModel({3: VarMoments(0.5, 1, 0.04, 0, 0),
-                          5: VarMoments(0.5, 1, 0.09, 0, 0)}, groups=(g,))
-        assert wm.cov_pp(3, 5) == -0.01
-        assert wm.cov_pp(5, 3) == -0.01
-        assert wm.cov_pp(3, 3) == 0.04
