@@ -349,12 +349,14 @@ class Circuit:
     the decomposition vnode; it stands for the node's variables.
     plans holds the covariance plans of MomentEngine (moments.py) with
     this circuit as f: per partner g (held weakly) and group layout, the
-    roots of the last plan built and the plan.
+    roots of the last plan built and the plan.  checked holds, once
+    MomentEngine has checked the structure under a root, that root and
+    its node order (None before).
     """
 
     __slots__ = ('vt', 'kind', 'lit', 'children', 'dnode', 'root',
                  'deterministic_by_construction', '_lit_cache', '_gate_cache',
-                 'plans', '__weakref__')
+                 'plans', 'checked', '__weakref__')
 
     def __init__(self, vt):
         self.vt = vt
@@ -367,6 +369,7 @@ class Circuit:
         self._lit_cache = {}
         self._gate_cache = {}
         self.plans = WeakKeyDictionary()
+        self.checked = None
 
     def __len__(self):
         return len(self.kind)

@@ -54,9 +54,11 @@ most one member true.  Covariances of such blocks are then read directly
 from the group covariance matrix, and any lift whose span would
 touch a grouped variable raises CorrelationScopeError instead of silently
 using moments that the model cannot express.  The plan reads no
-expectation table, yet each query builds both (f's first): their lifts
-refuse an or-node at a group vnode whose children leave a member free,
-which the member patterns let through.
+expectation table, yet under a model with groups each query builds both
+(f's first): their lifts refuse an or-node at a group vnode whose
+children leave a member free, which the member patterns let through.
+Other queries run only the structure check a table starts with, which a
+circuit keeps per root (Circuit.checked), as it keeps plans.
 
 Exact models run on plain ints.  Each variable x gets one scale d_x: a
 multiple of its first moments' denominators whose square every second
@@ -179,13 +181,6 @@ class MomentEngine:
             self._lifts[v, w] = r
         return r
 
-    def adj_exp(self, w, e):
-        """Lift an anchored expectation (v, x) to ancestor vnode w."""
-        v, val = e
-        if v == w or val == 0:
-            return val
-        return self._lift(v, w)[0] * val
-
     def _up(self, w, v, c, m):
         """Lift a record (c, m), both over Var(v), to ancestor vnode w."""
         if v == w:
@@ -197,47 +192,73 @@ class MomentEngine:
 
     # ---- expectations --------------------------------------------------------
 
+    def _checked(self, c):
+        """c's nodes but FALSE and TRUE reachable from its root, ascending,
+        once checked (binary conjunctions split at their vnodes, known
+        kinds); kept on c per root (c.checked) unless the check raises."""
+        root, order = c.checked or (None, None)
+        if root != c.root:
+            vt, kind, dnode = self.vt, c.kind, c.dnode
+            order = [i for i in c.reachable() if i > TRUE]
+            for i in order:
+                k = kind[i]
+                if k == 'A':
+                    chs = c.children[i]
+                    if len(chs) != 2:
+                        raise ValidationError('conjunction %d is not binary; '
+                                              'normalize first' % i)
+                    v = dnode[i]
+                    if not (vt.is_ancestor(vt.left[v], dnode[chs[0]])
+                            and vt.is_ancestor(vt.right[v], dnode[chs[1]])):
+                        raise ValidationError(
+                            'conjunction %d does not split at its vnode' % i)
+                elif k != 'L' and k != 'O':
+                    raise ValidationError('unknown node kind %r' % k)
+            c.checked = c.root, order
+        return order
+
     def exp_table(self, c):
-        """Anchored expectation (d(alpha), E[W_alpha]) for every node."""
+        """E[W_alpha] over Var(d(alpha)) for each node alpha reachable from
+        c's root (d(alpha) is c.dnode[alpha], BOTTOM for FALSE and TRUE)."""
         if c.vt is not self.vt:
             raise VtreeMismatchError('circuit was built on a different vtree')
-        vt, mom = self.vt, self.mom
-        e = [None] * len(c)
-        e[FALSE] = (BOTTOM, 0)
-        e[TRUE] = (BOTTOM, 1)
-        for i in c.reachable():
-            if i <= TRUE:
-                continue
-            k = c.kind[i]
-            v = c.dnode[i]
-            if k == 'L':
-                m = mom[abs(c.lit[i])]
-                e[i] = (v, m.muP if c.lit[i] > 0 else m.muN)
-            elif k == 'O':
+        order = self._checked(c)
+        left, right, lift, mom = self.vt.left, self.vt.right, self._lift, \
+            self.mom
+        kind, dnode, lit, chs = c.kind, c.dnode, c.lit, c.children
+        e = [0, 1] + [None] * (len(c) - 2)      # FALSE and TRUE, then the rest
+        for i in order:
+            k, v = kind[i], dnode[i]
+            if k == 'O':
                 r = 0
-                for ch in c.children[i]:
-                    r = r + self.adj_exp(v, e[ch])
-                e[i] = (v, r)
+                for ch in chs[i]:
+                    x, u = e[ch], dnode[ch]
+                    r = r + (x if u == v or x == 0 else lift(u, v)[0] * x)
+                e[i] = r
             elif k == 'A':
-                chs = c.children[i]
-                if len(chs) != 2:
-                    raise ValidationError(
-                        'conjunction %d is not binary; normalize first' % i)
-                el, er = e[chs[0]], e[chs[1]]
-                vl, vr = vt.left[v], vt.right[v]
-                if not (vt.is_ancestor(vl, el[0])
-                        and vt.is_ancestor(vr, er[0])):
-                    raise ValidationError(
-                        'conjunction %d does not split at its vnode' % i)
-                e[i] = (v, self.adj_exp(vl, el) * self.adj_exp(vr, er))
+                a, b = chs[i]
+                x, u, w = e[a], dnode[a], left[v]
+                if u != w and x != 0:
+                    x = lift(u, w)[0] * x
+                y, u, w = e[b], dnode[b], right[v]
+                if u != w and y != 0:
+                    y = lift(u, w)[0] * y
+                e[i] = x * y
             else:
-                raise ValidationError('unknown node kind %r' % k)
+                m = mom[abs(lit[i])]
+                e[i] = m.muP if lit[i] > 0 else m.muN
         return e
 
     def exp(self, c):
         """E[W_c] over the full variable set of the vtree."""
-        e = self.exp_table(c)
-        return self._result(self.adj_exp(self.vt.root, e[c.root]), 1)
+        return self._top(c, self.exp_table(c))
+
+    def _top(self, c, e):
+        """E[W_c] from c's expectation table e."""
+        v, x, w = c.dnode[c.root], e[c.root], self.vt.root
+        if v != w and x != 0:
+            x = self._lift(v, w)[0] * x
+        return self._result(x, 1)
 
     def _result(self, x, power):
         # x is over S(root)**power in exact mode; an int from a float
@@ -251,7 +272,7 @@ class MomentEngine:
     def exp_var(self, c):
         """(exp(c), var(c)) from one expectation table."""
         x, *_, e = self._pairs(c, c)
-        return self._result(self.adj_exp(self.vt.root, e[c.root]), 1), \
+        return self._top(c, e if self.guard_mask else self.exp_table(c)), \
             self._result(x, 2)
 
     def cov(self, f, g):
@@ -264,12 +285,14 @@ class MomentEngine:
     def _pairs(self, f, g):
         """(x, val, mp, plan, ef): x = cov(f, g) before _result, plan f's
         plan with g, val and mp its records' covariances and mean products
-        and ef f's expectations."""
+        and ef f's expectation table: with g's, f's first, the group guard.
+        Without correlated groups ef is only f's checked node order."""
         if f.vt is not self.vt or g.vt is not self.vt:
             raise VtreeMismatchError('circuits were built on a different vtree')
-        ef = self.exp_table(f)      # both tables, f's first: the group guard
+        check = self.exp_table if self.guard_mask else self._checked
+        ef = check(f)
         if g is not f:
-            self.exp_table(g)
+            check(g)
         kept = f.plans.get(g) or {}
         roots, plan = kept.get(self.layout, (None, None))
         if roots != (f.root, g.root):   # a build that raises keeps nothing

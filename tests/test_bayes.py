@@ -405,6 +405,9 @@ class TestSweep:
 
     @pytest.mark.parametrize('method', ['conjoin', 'zero_weights'])
     def test_one_expectation_table_per_query(self, monkeypatch, method):
+        # a query's mean needs its one table; the sweep needs none, but
+        # builds one as the correlated-group guard where the model has
+        # groups (enc1's multi-valued parameters)
         seen = []
         table = MomentEngine.exp_table
 
@@ -415,13 +418,14 @@ class TestSweep:
         monkeypatch.setattr(MomentEngine, 'exp_table', counted)
         bn = demo_networks()['alarm5']
         ev = {'JohnCalls': 't'}
-        for encoding in ('enc1', 'enc2'):
+        for encoding, grouped in (('enc1', True), ('enc2', False)):
             pipe = MarginalPipeline(bn, encoding)
             c = pipe._query(ev, method)[0]
-            for query in (pipe.moments, pipe.sweep):
+            for query, want in ((pipe.moments, [c]),
+                                (pipe.sweep, [c] if grouped else [])):
                 seen.clear()
                 query(ev, method=method)
-                assert seen == [c]
+                assert seen == want
 
     def test_bad_factor(self):
         bn = demo_networks()['chain2']

@@ -21,6 +21,7 @@ from wmcvar.errors import CorrelationScopeError, ValidationError
 from wmcvar.moments import (MomentEngine, cov_wmc, exp_wmc,
                             locate_group_vnodes, var_gradient, var_wmc)
 from wmcvar.oracle import enumerate_models, oracle_cov, oracle_exp, oracle_var
+from wmcvar.reductions import count_via_variance
 from wmcvar.sddc import Cnf, SddBuilder, compile_cnf
 from wmcvar.weights import Group, VarMoments, WeightModel, counting_weights
 
@@ -335,6 +336,25 @@ def test_group_checks(run, want):
     # the errors of the checks that compare a vnode's variables with a
     # correlated group's
     assert outcome(run) == want
+
+
+def test_or_leaves_member_free_everywhere():
+    # only the expectation tables refuse this shape (see test_group_checks),
+    # so every query under a model with groups builds them first
+    vt, wm = grouped_model()
+    gv = locate_group_vnodes(vt, wm)
+    bad, fixed = (compile_cnf(Cnf(vt.n_vars, cls), vt)
+                  for cls in ([(-1, -2)], [(1,), (-2,)]))
+    want = (CorrelationScopeError,
+            'adjustment over vtree node 3 spans correlated variables; the '
+            'circuit does not fix them here')
+    for model in (wm, wm.to_exact()):
+        eng = MomentEngine(vt, model, gv)
+        assert outcome(lambda: eng.var(fixed)) != want
+        for run in (lambda: eng.exp_var(bad), lambda: eng.cov(bad, fixed),
+                    lambda: eng.cov(fixed, bad),
+                    lambda: var_gradient(bad, model, gv)):
+            assert outcome(run) == want
 
 
 def rational_moments(rng, q, q2):
@@ -1060,3 +1080,101 @@ class TestPlan:
             del built[:]
             pipe.sweep(ev)
             assert built == []
+
+
+def count_tables(monkeypatch):
+    """The circuit of every expectation table MomentEngine builds from now
+    on."""
+    seen = []
+    table = MomentEngine.exp_table
+
+    def counted(self, c):
+        seen.append(c)
+        return table(self, c)
+
+    monkeypatch.setattr(MomentEngine, 'exp_table', counted)
+    return seen
+
+
+def malformed(shape):
+    """A circuit on Vtree.balanced(3) whose root conjunction is ternary or
+    overlaps its own child."""
+    c = Circuit(Vtree.balanced(3))
+    l1, l2, l3 = (c.literal(x) for x in (1, 2, 3))
+    c.root = (c.conj((l1, l2, l3)) if shape == 'ternary'
+              else c.conj((l1, c.disj((l1, c.literal(-2))))))
+    return c
+
+
+class TestStructureCheck:
+    """A circuit's structure is checked once per root and kept on it
+    (Circuit.checked); without correlated groups only exp and exp_var
+    build an expectation table."""
+
+    def test_tables_without_groups(self, monkeypatch):
+        rng = seeded('tables-no-groups')
+        n = 8
+        vt = Vtree.balanced(n)
+        f, g = (compile_cnf(random_cnf(rng, n, max_clauses=2 * n), vt)
+                for _ in range(2))
+        wm = random_weights(rng, n)
+        eng = MomentEngine(vt, wm)
+        seen = count_tables(monkeypatch)
+        for run, want in ((lambda: eng.var(f), []),
+                          (lambda: eng.cov(f, g), []),
+                          (lambda: count_via_variance(f), []),
+                          (lambda: var_gradient(f, wm), []),
+                          (lambda: eng.exp(f), [f]),
+                          (lambda: eng.exp_var(g), [g])):
+            seen.clear()
+            run()
+            assert seen == want
+
+    def test_checked_once_per_root(self, monkeypatch):
+        rng = seeded('checked-once')
+        vt = Vtree.balanced(6)
+        f, g = (compile_cnf(random_cnf(rng, 6), vt) for _ in range(2))
+        eng = MomentEngine(vt, random_weights(rng, 6))
+        eng.cov(f, g)
+        assert f.checked[0] == f.root and g.checked[0] == g.root
+        walks = []
+        reachable = Circuit.reachable
+        monkeypatch.setattr(Circuit, 'reachable',
+                            lambda c: walks.append(c) or reachable(c))
+        eng.var(f)
+        eng.exp_var(g)
+        eng.cov(g, f)
+        assert walks == []
+
+    @pytest.mark.parametrize('shape, want', [
+        ('ternary', 'conjunction 5 is not binary; normalize first'),
+        ('overlapping', 'conjunction 7 does not split at its vnode')])
+    def test_structural_errors(self, shape, want):
+        c = malformed(shape)
+        g = Circuit(c.vt)
+        g.root = g.conj((g.literal(1), g.literal(2)))
+        eng = MomentEngine(c.vt, random_weights(seeded('malformed'), 3))
+        for run in (lambda: eng.var(c), lambda: eng.cov(c, g),
+                    lambda: eng.cov(g, c), lambda: eng.exp(c)):
+            for _ in range(2):      # a check that raises keeps nothing
+                assert outcome(run) == (ValidationError, want)
+        assert c.checked is None
+        assert len(c.plans) == len(g.plans) == 0
+
+    def test_new_root_checked_again(self):
+        rng = seeded('checked-root')
+        vt = Vtree.balanced(3)
+        f, g = (compile_cnf(random_cnf(rng, 3), vt) for _ in range(2))
+        wm = random_weights(rng, 3)
+        eng = MomentEngine(vt, wm)
+        first, r1 = eng.exp_var(f), f.root
+        f.root = f.conj(tuple(f.literal(x) for x in (1, 2, 3)))
+        for run in (lambda: eng.var(f), lambda: eng.exp(f)):
+            assert outcome(run) == (
+                ValidationError,
+                'conjunction %d is not binary; normalize first' % f.root)
+        f.root = rebuild(g, f)      # nodes the first root did not reach
+        assert eng.exp_var(f) == eng.exp_var(g)
+        assert f.checked[0] == f.root
+        f.root = r1
+        assert eng.exp_var(f) == first
