@@ -53,12 +53,12 @@ node anchored at that vnode fixes the truth value of all members with at
 most one member true.  Covariances of such blocks are then read directly
 from the group covariance matrix, and any lift whose span would
 touch a grouped variable raises CorrelationScopeError instead of silently
-using moments that the model cannot express.  The plan reads no
-expectation table, yet under a model with groups each query builds both
-(f's first): their lifts refuse an or-node at a group vnode whose
-children leave a member free, which the member patterns let through.
-Other queries run only the structure check a table starts with, which a
-circuit keeps per root (Circuit.checked), as it keeps plans.
+using moments that the model cannot express.  The plan enforces the
+contract on structure alone, whatever the weights: a literal fixes its
+variable, an and-node what either child fixes, and an or-node only what
+every child fixes to the same value.  So a variance or covariance needs
+no expectation table, only the structure check a table starts with,
+which a circuit keeps per root (Circuit.checked), as it keeps plans.
 
 Exact models run on plain ints.  Each variable x gets one scale d_x: a
 multiple of its first moments' denominators whose square every second
@@ -76,6 +76,7 @@ take d_x = 1 and pass through.
 import math
 from array import array
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
 
 from .circuit import BOTTOM, FALSE, TRUE
@@ -129,7 +130,6 @@ class MomentEngine:
         # and scale: S(root) of an exact model, else None
         self.mom, self.gcov, self.kind, self.d = _moments_of(wm, vt.n_vars)
         self.scale = None if self.d is None else math.prod(self.d)
-        self.guard_mask = wm.grouped_mask
         # all a plan depends on beyond its circuits: no weight value
         self.layout = (tuple(sorted(self.group_vnodes.items())),
                        tuple(g.members for g in wm.groups))
@@ -270,10 +270,9 @@ class MomentEngine:
     # ---- covariances -----------------------------------------------------------
 
     def exp_var(self, c):
-        """(exp(c), var(c)) from one expectation table."""
-        x, *_, e = self._pairs(c, c)
-        return self._top(c, e if self.guard_mask else self.exp_table(c)), \
-            self._result(x, 2)
+        """(exp(c), var(c)): the pair pass, then one expectation table."""
+        x = self._pairs(c, c)[0]
+        return self._top(c, self.exp_table(c)), self._result(x, 2)
 
     def cov(self, f, g):
         """Cov(W_f, W_g) over the full variable set (f, g share the vtree)."""
@@ -283,16 +282,14 @@ class MomentEngine:
         return self.cov(f, f)
 
     def _pairs(self, f, g):
-        """(x, val, mp, plan, ef): x = cov(f, g) before _result, plan f's
-        plan with g, val and mp its records' covariances and mean products
-        and ef f's expectation table: with g's, f's first, the group guard.
-        Without correlated groups ef is only f's checked node order."""
+        """(x, val, mp, plan): x = cov(f, g) before _result, plan f's plan
+        with g, val and mp its records' covariances and mean products.
+        f's structure is checked first, then g's, then the plan built."""
         if f.vt is not self.vt or g.vt is not self.vt:
             raise VtreeMismatchError('circuits were built on a different vtree')
-        check = self.exp_table if self.guard_mask else self._checked
-        ef = check(f)
+        self._checked(f)
         if g is not f:
-            check(g)
+            self._checked(g)
         kept = f.plans.get(g) or {}
         roots, plan = kept.get(self.layout, (None, None))
         if roots != (f.root, g.root):   # a build that raises keeps nothing
@@ -301,15 +298,14 @@ class MomentEngine:
         val, mp = self._evaluate(plan)
         self.pairs = len(val)
         x = self._up(self.vt.root, plan[0][-1] >> 3, val[-1], mp[-1])[0]
-        return x, val, mp, plan, ef
+        return x, val, mp, plan
 
     def _plan(self, f, g):
         """Resolve the node pairs of cov(f, g) into a plan (codes, args),
         bottom-up by the pair rule of the module docstring, with an
         explicit stack.  Pairs are keyed a * len(g) + b, the smaller id
         first when f is g (Cov is symmetric), and each is resolved once."""
-        lca, left, gmask, grouped = (self.vt.lca, self.vt.left,
-                                     self.guard_mask, self.grouped)
+        lca, left, grouped = self.vt.lca, self.vt.left, self.grouped
         fd, gd, fk, gk, fl, gl = f.dnode, g.dnode, f.kind, g.kind, f.lit, g.lit
         same, n, split = f is g, len(g), self._split
         plan, codes, args_ = (array('i'), array('i')), [], []
@@ -333,7 +329,7 @@ class MomentEngine:
                 anc = da if da == db else lca(da, db)
                 if a == FALSE or b == FALSE or anc == BOTTOM:
                     kind, args = ZERO, (int(FALSE not in (a, b)),)
-                elif gmask and grouped[anc] and (args := self._group_members(
+                elif grouped[anc] and (args := self._group_members(
                         f, a, g, b, anc, patt)) is not None:
                     kind = GROUP
                 elif da == anc and fk[a] == 'O':
@@ -493,8 +489,9 @@ class MomentEngine:
     def _member_pattern(self, c, i, gi, patt):
         """Index of the member forced true under node i of c (which sits at
         group gi's vnode), -1 if none.  patt[c] holds, per node of c, bit
-        2j if its literals mention member j of a group and bit 2j + 1 if
-        one sets it true, filled children first once per c."""
+        2j if all its models set member j of a group false, bit 2j + 1 if
+        all set it true (an and-node's children's bits or-ed, an or-node's
+        and-ed), filled children first once per c."""
         t = patt.get(c)
         if t is None:
             t = patt[c] = [0] * len(c)
@@ -502,12 +499,13 @@ class MomentEngine:
             for j, chs in enumerate(c.children):
                 m = c.kind[j] == 'L' and at(abs(c.lit[j]))
                 if m:
-                    t[j] = (3 if c.lit[j] > 0 else 1) << 2 * m[1]
-                for ch in chs:
-                    t[j] |= t[ch]
+                    t[j] = (2 if c.lit[j] > 0 else 1) << 2 * m[1]
+                elif chs:
+                    t[j] = reduce(int.__and__ if c.kind[j] == 'O'
+                                  else int.__or__, [t[ch] for ch in chs])
         every = ((1 << 2 * len(self.wm.groups[gi].members)) - 1) // 3
         got = t[i]
-        if got & every != every:
+        if (got | got >> 1) & every != every:
             raise CorrelationScopeError(
                 'node at a group vnode must fix every member of the group')
         got = got >> 1 & every
@@ -665,7 +663,7 @@ def var_gradient(c, wm, group_vnodes=None):
     eng = MomentEngine(c.vt, wm, group_vnodes)
     vt, ev, vv, lift, up = eng.vt, eng.ev, eng.vv, eng._lift, eng._up
     left, right, n = vt.left, vt.right, vt.n_vars
-    var, val, mp, (codes, arg), _ = eng._pairs(c, c)
+    var, val, mp, (codes, arg) = eng._pairs(c, c)
     var = eng._result(var, 2)
     starts, o = array('i'), 0   # where each record's arguments start
     for code in codes:

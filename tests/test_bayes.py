@@ -405,9 +405,9 @@ class TestSweep:
 
     @pytest.mark.parametrize('method', ['conjoin', 'zero_weights'])
     def test_one_expectation_table_per_query(self, monkeypatch, method):
-        # a query's mean needs its one table; the sweep needs none, but
-        # builds one as the correlated-group guard where the model has
-        # groups (enc1's multi-valued parameters)
+        # a query's mean needs its one table; the sweep needs none, also
+        # where the model has correlated groups (enc1's multi-valued
+        # parameters), whose guard is in the pair plan
         seen = []
         table = MomentEngine.exp_table
 
@@ -418,11 +418,10 @@ class TestSweep:
         monkeypatch.setattr(MomentEngine, 'exp_table', counted)
         bn = demo_networks()['alarm5']
         ev = {'JohnCalls': 't'}
-        for encoding, grouped in (('enc1', True), ('enc2', False)):
+        for encoding in ('enc1', 'enc2'):
             pipe = MarginalPipeline(bn, encoding)
             c = pipe._query(ev, method)[0]
-            for query, want in ((pipe.moments, [c]),
-                                (pipe.sweep, [c] if grouped else [])):
+            for query, want in ((pipe.moments, [c]), (pipe.sweep, [])):
                 seen.clear()
                 query(ev, method=method)
                 assert seen == want

@@ -13,7 +13,7 @@ from wmcvar.cli import main
 from wmcvar.moments import var_wmc
 from wmcvar.oracle import enumerate_models
 from wmcvar.sddc import Cnf, SddBuilder, compile_cnf
-from wmcvar.weights import VarMoments, WeightModel
+from wmcvar.weights import Group, VarMoments, WeightModel
 
 
 @pytest.fixture(scope='module')
@@ -384,6 +384,33 @@ class TestExitCodes:
         code, _, err = run(capsys, 'count', dup, '--vtree', vt,
                            '--validate-determinism', '0')
         assert code == 3 and 'deterministic' in err
+
+    @pytest.mark.parametrize('command', ['variance', 'covariance'])
+    @pytest.mark.parametrize('exact', [(), ('--exact',)],
+                             ids=['float', 'exact'])
+    def test_group_contract_is_3(self, files, capsys, tmp_path, command,
+                                 exact):
+        # (-1 | -2) leaves a member of the group {1, 2} free at its vnode
+        vt = Vtree.from_nested(((1, 2), (3, 4)))
+        assert vt.to_text() == (files / 'ex.vtree').read_text()
+        paths = []
+        for name, clauses in (('free', [(-1, -2)]), ('fixed', [(1,), (-2,)])):
+            paths.append(tmp_path / (name + '.sdd'))
+            paths[-1].write_text(sdd_text(compile_cnf(Cnf(4, clauses), vt)))
+        cov = ((0.021, -0.021), (-0.021, 0.021))
+        wm = WeightModel({1: VarMoments(0.3, 1.0, 0.021, 0.0, 0.0),
+                          2: VarMoments(0.7, 1.0, 0.021, 0.0, 0.0),
+                          3: VarMoments(0.4, 0.6, 0.02, 0.02, -0.02),
+                          4: VarMoments(0.9, 0.1, 0.005, 0.005, -0.005)},
+                         groups=(Group((1, 2), cov),))
+        w = tmp_path / 'w_grouped.json'
+        w.write_text(json.dumps(wm.to_json()))
+        circuits = paths if command == 'covariance' else paths[:1]
+        code, out, err = run(capsys, command, *circuits, '--vtree',
+                             files / 'ex.vtree', '--weights', w, *exact)
+        assert code == 3 and out == ''
+        assert 'node at a group vnode must fix every member of the group' \
+            in err and 'Traceback' not in err
 
     def test_missing_weights_is_4(self, files, capsys):
         code, _, err = run(capsys, 'expect', files / 'ex.sdd',

@@ -268,10 +268,11 @@ def three_member_model():
     return vt, WeightModel(ms, groups=(Group((1, 2, 3), cov),))
 
 
-def grouped_run(gv, *clause_sets):
+def grouped_run(gv, *clause_sets, model=grouped_model):
     """cov of the circuits compiled from clause_sets (var of one) under
-    grouped_model, with group vnodes gv (located when None)."""
-    vt, wm = grouped_model()
+    model(), grouped_model by default, with group vnodes gv (located when
+    None)."""
+    vt, wm = model()
     eng = MomentEngine(vt, wm, locate_group_vnodes(vt, wm) if gv is None
                        else gv)
     cs = [compile_cnf(Cnf(vt.n_vars, cls), vt) for cls in clause_sets]
@@ -283,6 +284,17 @@ def free_member():
     vt, wm = three_member_model()
     c = Circuit(vt)
     c.root = c.conj((c.literal(1), c.literal(-2)))
+    return MomentEngine(vt, wm, locate_group_vnodes(vt, wm)).var(c)
+
+
+def branches_differ():
+    # (1 & -2) | (-1 & -2): each branch fixes both members, but they set
+    # member 1 differently, so the or-node leaves it free and no group
+    # record stands for it
+    vt, wm = grouped_model()
+    c = Circuit(vt)
+    c.root = c.disj((c.conj((c.literal(1), c.literal(-2))),
+                     c.conj((c.literal(-1), c.literal(-2)))))
     return MomentEngine(vt, wm, locate_group_vnodes(vt, wm)).var(c)
 
 
@@ -325,12 +337,22 @@ def free_member():
                   'the circuit does not fix them here'),
                  id='lift-over-group'),
     # an or-node at the group vnode whose children leave a member free:
-    # the member patterns let it through, the expectation tables do not
+    # an or-node fixes only what every child fixes
     pytest.param(lambda: grouped_run(None, [(-1, -2)]),
                  (CorrelationScopeError,
-                  'adjustment over vtree node 3 spans correlated variables; '
-                  'the circuit does not fix them here'),
+                  'node at a group vnode must fix every member of the group'),
                  id='or-leaves-member-free'),
+    # the same inside a branch of weight 0 (member 2's muN and varN are
+    # 0): the contract is on structure, whatever the weights
+    pytest.param(lambda: grouped_run(None, [(-1,), (-2, -3)],
+                                     model=three_member_model),
+                 (CorrelationScopeError,
+                  'node at a group vnode must fix every member of the group'),
+                 id='zero-weight-branch-leaves-member-free'),
+    pytest.param(branches_differ,
+                 (CorrelationScopeError,
+                  'node at a group vnode must fix every member of the group'),
+                 id='or-branches-differ-on-member'),
 ])
 def test_group_checks(run, want):
     # the errors of the checks that compare a vnode's variables with a
@@ -339,15 +361,14 @@ def test_group_checks(run, want):
 
 
 def test_or_leaves_member_free_everywhere():
-    # only the expectation tables refuse this shape (see test_group_checks),
-    # so every query under a model with groups builds them first
+    # the plan refuses this shape (see test_group_checks) in every query
+    # that runs the pair pass, with no expectation table built before it
     vt, wm = grouped_model()
     gv = locate_group_vnodes(vt, wm)
     bad, fixed = (compile_cnf(Cnf(vt.n_vars, cls), vt)
                   for cls in ([(-1, -2)], [(1,), (-2,)]))
     want = (CorrelationScopeError,
-            'adjustment over vtree node 3 spans correlated variables; the '
-            'circuit does not fix them here')
+            'node at a group vnode must fix every member of the group')
     for model in (wm, wm.to_exact()):
         eng = MomentEngine(vt, model, gv)
         assert outcome(lambda: eng.var(fixed)) != want
@@ -355,6 +376,51 @@ def test_or_leaves_member_free_everywhere():
                     lambda: eng.cov(fixed, bad),
                     lambda: var_gradient(bad, model, gv)):
             assert outcome(run) == want
+
+
+def test_false_partner_is_zero():
+    # Cov(W_f, 0) = 0: the plan resolves the root pair without reading f
+    vt, wm = grouped_model()
+    gv = locate_group_vnodes(vt, wm)
+    bad, false = (compile_cnf(Cnf(vt.n_vars, cls), vt)
+                  for cls in ([(-1, -2)], [(1,), (-1,)]))
+    assert false.root == FALSE
+    for model, zero in ((wm, '0.0'), (wm.to_exact(), 'Fraction(0, 1)')):
+        eng = MomentEngine(vt, model, gv)
+        assert repr(eng.cov(bad, false)) == repr(eng.cov(false, bad)) == zero
+
+
+@pytest.mark.parametrize('model', [grouped_model, three_member_model])
+def test_grouped_cnfs_match_oracle(model):
+    # every grouped var and cov the engine returns on random CNFs (up to 4
+    # clauses of 1-3 literals) is the oracle's; every refusal is typed.
+    # Under three_member_model the first CNF has models setting members 1
+    # and 3 true: the oracle refuses it, so the engine must too
+    vt, wm = model()
+    gv = locate_group_vnodes(vt, wm)
+    rng = seeded('grouped-cnfs-' + model.__name__)
+    cnfs = [Cnf(4, [(-2, -4), (1, -3, 4), (-2,)])] + [
+        random_cnf(rng, 4, max_clauses=4) for _ in range(120)]
+    cs = [compile_cnf(cnf, vt) for cnf in cnfs]
+    seen = set()
+    for exact in (False, True):
+        m = wm.to_exact() if exact else wm
+        for f, g in zip(cs, cs[1:] + cs[:1]):
+            for run, want in ((lambda: var_wmc(f, m, gv),
+                               lambda: oracle_var(f, m)),
+                              (lambda: cov_wmc(f, g, m, gv),
+                               lambda: oracle_cov(f, g, m))):
+                try:
+                    got = run()
+                except CorrelationScopeError:
+                    seen.add('refused')
+                    continue
+                seen.add('accepted')
+                if exact:
+                    assert got == want()
+                else:
+                    assert_allclose(got, want(), rtol=1e-9, atol=1e-12)
+    assert seen == {'refused', 'accepted'}
 
 
 def rational_moments(rng, q, q2):
@@ -734,13 +800,9 @@ class PairRuleReferee(MomentEngine):
         vt = self.vt
         lca, left, right = vt.lca, vt.left, vt.right
         fd, gd = f.dnode, g.dnode
-        gmask = self.guard_mask
+        gmask = self.wm.grouped_mask
         scope = scopes(vt)
         same = f is g
-        # the engine's group guard: both tables, f's first
-        self.exp_table(f)
-        if not same:
-            self.exp_table(g)
         memo = {}
         patt = {}
 
@@ -1108,27 +1170,30 @@ def malformed(shape):
 
 class TestStructureCheck:
     """A circuit's structure is checked once per root and kept on it
-    (Circuit.checked); without correlated groups only exp and exp_var
-    build an expectation table."""
+    (Circuit.checked); with or without correlated groups only exp and
+    exp_var build an expectation table."""
 
     def test_tables_without_groups(self, monkeypatch):
         rng = seeded('tables-no-groups')
         n = 8
         vt = Vtree.balanced(n)
-        f, g = (compile_cnf(random_cnf(rng, n, max_clauses=2 * n), vt)
-                for _ in range(2))
-        wm = random_weights(rng, n)
-        eng = MomentEngine(vt, wm)
+        plain = [compile_cnf(random_cnf(rng, n, max_clauses=2 * n), vt)
+                 for _ in range(2)] + [random_weights(rng, n), None]
+        gvt, gwm = grouped_model()
+        grouped = [TestGroupedWeights().grouped_circuit(gvt, rng)
+                   for _ in range(2)] + [gwm, locate_group_vnodes(gvt, gwm)]
         seen = count_tables(monkeypatch)
-        for run, want in ((lambda: eng.var(f), []),
-                          (lambda: eng.cov(f, g), []),
-                          (lambda: count_via_variance(f), []),
-                          (lambda: var_gradient(f, wm), []),
-                          (lambda: eng.exp(f), [f]),
-                          (lambda: eng.exp_var(g), [g])):
-            seen.clear()
-            run()
-            assert seen == want
+        for f, g, wm, gv in (plain, grouped):
+            eng = MomentEngine(f.vt, wm, gv)
+            for run, want in ((lambda: eng.var(f), []),
+                              (lambda: eng.cov(f, g), []),
+                              (lambda: count_via_variance(f), []),
+                              (lambda: var_gradient(f, wm, gv), []),
+                              (lambda: eng.exp(f), [f]),
+                              (lambda: eng.exp_var(g), [g])):
+                seen.clear()
+                run()
+                assert seen == want
 
     def test_checked_once_per_root(self, monkeypatch):
         rng = seeded('checked-once')
