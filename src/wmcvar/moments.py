@@ -10,7 +10,8 @@ v = 0 standing for the empty variable set.  Moving an anchored value up to
 an ancestor vnode w multiplies in the moments of W_true over
 Var(w) \\ Var(v); since weights of distinct variables are independent,
 those factors depend only on (v, w).  _lift composes them edge by edge
-on the path from v up to w only, once per (v, w) asked for.
+on the path from v up to w only; a plan keeps the distinct (v, w) its
+reads lift through as slots, and each evaluation fills each slot once.
 
 The covariance pass is a recurrence over node pairs (a, b): a is a node
 of f, b a node of g, and the constants FALSE and TRUE are the same ids in
@@ -39,7 +40,7 @@ a constant child, so each one splits at its own vnode.
 
 No rule, and no choice of the pairs a pair reads, depends on a weight.
 So the pass is a plan, the product circuit itself (one record per pair,
-in flat int arrays: 14-15 bytes per pair), evaluated under a model.
+in flat int arrays: 15-20 bytes per pair), evaluated under a model.
 The first query builds it and keeps it on f (Circuit.plans) per partner
 g (held weakly) and group layout (the registered group vnodes, each
 group's members in order), with the two roots it was built for: models
@@ -77,7 +78,7 @@ import math
 from array import array
 from fractions import Fraction
 from functools import reduce
-from itertools import chain
+from itertools import chain, starmap
 
 from .circuit import BOTTOM, FALSE, TRUE
 from .errors import (CorrelationScopeError, ValidationError,
@@ -85,19 +86,22 @@ from .errors import (CorrelationScopeError, ValidationError,
 from .weights import VarMoments
 
 
-# A plan (codes, args) has one record per pair, after those it reads.
-# codes[i] is record i's anchor vnode times 8 plus its kind, and its
-# arguments follow record i - 1's in args:
+# A plan (codes, args, slots, lifts) has one record per pair, after those
+# it reads.  codes[i] is record i's anchor vnode times 8 plus its kind, and
+# its arguments follow record i - 1's in args:
 #   ZERO    the mean product, 1 for TRUE with TRUE, else 0;
 #   GROUP   gi, ja, jb: the group, the members a and b force true (or -1);
 #   LEAF    x, and the _TERMS entry of the two literals;
-#   OR      m, then the ids of the m child pairs' records, lifted to the
-#           anchor and summed;
-#   SPLIT   the ids of the (left, right) part pairs' records.
-# A record's value (c, m) is symmetric, so when f is g one record serves a
-# pair and its reverse.
+#   OR      m, the reads of the m child pairs, summed at the anchor, and m
+#           again, so that a walk from the end finds them;
+#   SPLIT   the reads of the (left, right) part pairs.
+# A read of record j is j << 1, or j << 1 | 1 when j sits below the anchor
+# it is read at (but FALSE's (0, 0) at BOTTOM): then it lifts through the
+# next entry of slots, an index into lifts, the distinct (v, w) in order of
+# first use.  A record's value (c, m) is symmetric, so when f is g one
+# record serves a pair and its reverse.
 ZERO, GROUP, LEAF, OR, SPLIT = range(5)
-_NARGS = (1, 3, 2, None, 2)     # the arguments of each kind but OR
+_NARGS = (1, 3, 2)              # the arguments of ZERO, GROUP, LEAF
 # _TERMS[sign(sa)][sign(sb)]: the weight covariances that literals sa, sb
 # (0: TRUE) sum at a leaf, as bits 0-3: varP, varN, covPN (sa true, sb
 # false), covPN (sa false, sb true)
@@ -282,8 +286,8 @@ class MomentEngine:
         return self.cov(f, f)
 
     def _pairs(self, f, g):
-        """(x, val, mp, plan): x = cov(f, g) before _result, plan f's plan
-        with g, val and mp its records' covariances and mean products.
+        """(x, val, mp, lifted, plan): x = cov(f, g) before _result, plan
+        f's plan with g, val, mp and lifted what _evaluate made of it.
         f's structure is checked first, then g's, then the plan built."""
         if f.vt is not self.vt or g.vt is not self.vt:
             raise VtreeMismatchError('circuits were built on a different vtree')
@@ -295,31 +299,33 @@ class MomentEngine:
         if roots != (f.root, g.root):   # a build that raises keeps nothing
             plan = self._plan(f, g)
             f.plans.setdefault(g, kept)[self.layout] = (f.root, g.root), plan
-        val, mp = self._evaluate(plan)
+        val, mp, lifted = self._evaluate(plan)
         self.pairs = len(val)
         x = self._up(self.vt.root, plan[0][-1] >> 3, val[-1], mp[-1])[0]
-        return x, val, mp, plan
+        return x, val, mp, lifted, plan
 
     def _plan(self, f, g):
-        """Resolve the node pairs of cov(f, g) into a plan (codes, args),
-        bottom-up by the pair rule of the module docstring, with an
-        explicit stack.  Pairs are keyed a * len(g) + b, the smaller id
-        first when f is g (Cov is symmetric), and each is resolved once."""
-        lca, left, grouped = self.vt.lca, self.vt.left, self.grouped
+        """Resolve the node pairs of cov(f, g) into a plan (codes, args,
+        slots, lifts), bottom-up by the pair rule of the module docstring,
+        with an explicit stack.  Pairs are keyed a * len(g) + b, the smaller
+        id first when f is g (Cov is symmetric), and each is resolved once."""
+        lca, left, right = self.vt.lca, self.vt.left, self.vt.right
         fd, gd, fk, gk, fl, gl = f.dnode, g.dnode, f.kind, g.kind, f.lit, g.lit
-        same, n, split = f is g, len(g), self._split
-        plan, codes, args_ = (array('i'), array('i')), [], []
+        same, n, split, grouped = f is g, len(g), self._split, self.grouped
+        codes, args, slots = array('i'), array('i'), array('i')
         memo = {}                   # pair key -> record index
+        lifts = {}                  # (v, w) -> slot, in order of first use
         patt = {}                   # circuit -> _member_pattern's bitsets
 
         ra, rb = f.root, g.root
         rk = rb * n + ra if same and rb < ra else ra * n + rb
-        # entries (a, b, key, None), then (code, 0, key, deps) once the
-        # pair's rule has been applied, while its deps resolve
-        stack = [(ra, rb, rk, None)]
-        pop, push, put = stack.pop, stack.append, codes.append
+        # entries (a, b, key, None, w), w the anchor its reader needs, then
+        # (code, 0, key, deps, None) once the pair's rule has been applied,
+        # while its deps resolve
+        stack = [(ra, rb, rk, None, None)]
+        pop, push, put = stack.pop, stack.append, args.append
         while stack:
-            a, b, k, deps = pop()
+            a, b, k, deps, _ = pop()
             if deps is not None:
                 code = a
             elif k in memo:
@@ -328,17 +334,17 @@ class MomentEngine:
                 da, db = fd[a], gd[b]
                 anc = da if da == db else lca(da, db)
                 if a == FALSE or b == FALSE or anc == BOTTOM:
-                    kind, args = ZERO, (int(FALSE not in (a, b)),)
-                elif grouped[anc] and (args := self._group_members(
+                    kind, own = ZERO, (int(FALSE not in (a, b)),)
+                elif grouped[anc] and (own := self._group_members(
                         f, a, g, b, anc, patt)) is not None:
                     kind = GROUP
                 elif da == anc and fk[a] == 'O':
                     kind, deps = OR, [(x, b, b * n + x if same and b < x
-                                       else x * n + b, None)
+                                       else x * n + b, None, anc)
                                       for x in f.children[a]]
                 elif db == anc and gk[b] == 'O':
                     kind, deps = OR, [(a, y, y * n + a if same and y < a
-                                       else a * n + y, None)
+                                       else a * n + y, None, anc)
                                       for y in g.children[b]]
                 elif left[anc] == 0:
                     if fk[a] not in 'TL' or gk[b] not in 'TL':
@@ -346,77 +352,91 @@ class MomentEngine:
                             'node pair (%d, %d) does not decompose at a '
                             'vtree leaf' % (a, b))
                     sa, sb = fl[a], gl[b]
-                    kind, args = LEAF, (abs(sa or sb), _TERMS[
+                    kind, own = LEAF, (abs(sa or sb), _TERMS[
                         (sa > 0) - (sa < 0)][(sb > 0) - (sb < 0)])
                 else:
                     (al, ar), (bl, br) = split(f, a, anc), split(g, b, anc)
                     kind, deps = SPLIT, (
                         (al, bl, bl * n + al if same and bl < al
-                         else al * n + bl, None),
+                         else al * n + bl, None, left[anc]),
                         (ar, br, br * n + ar if same and br < ar
-                         else ar * n + br, None))
+                         else ar * n + br, None, right[anc]))
                 code = anc << 3 | kind
                 if deps is not None:
                     # deps resolved by the time they pop are skipped
-                    push((code, 0, k, deps))
+                    push((code, 0, k, deps, None))
                     stack.extend(deps)
                     continue
             if deps is None:
-                args_ += args
-            elif code & 7 == SPLIT:
-                args_ += memo[deps[0][2]], memo[deps[1][2]]
+                args.extend(own)
             else:
-                args_.append(len(deps))
-                args_ += [memo[kk] for _, _, kk, _ in deps]
-            r = memo[k] = len(memo)
-            put(code)
-            # records go to plan in batches, as list appends are cheaper
-            # than array appends; the root resolves last, on an empty stack
-            if r & 4095 == 4095 or not stack:
-                plan[0].fromlist(codes)
-                plan[1].fromlist(args_)
-                del codes[:], args_[:]
-        return plan
+                # a read lifts unless its record sits at the anchor w the
+                # reader needs, or is FALSE's at BOTTOM: (0, 0) needs none
+                if code & 7 == OR:      # the fan-in before and after
+                    put(len(deps))
+                for x, y, kk, _, w in deps:
+                    j = memo[kk]
+                    v = codes[j] >> 3
+                    if v == w or v == BOTTOM and FALSE in (x, y):
+                        put(j << 1)
+                    else:
+                        put(j << 1 | 1)
+                        slots.append(lifts.setdefault((v, w), len(lifts)))
+                if code & 7 == OR:
+                    put(len(deps))
+            memo[k] = len(memo)
+            codes.append(code)
+        return codes, args, slots, tuple(lifts)
 
     def _evaluate(self, plan):
-        """(val, mp): each record's covariance and mean product over
-        Var(its anchor) under this model; reads at a record's own anchor
-        are inline."""
-        left, right, up, mom = self.vt.left, self.vt.right, self._up, self.mom
-        codes, arg = plan
+        """(val, mp, lifted): each record's covariance and mean product
+        over Var(its anchor) under this model, and each slot's (ea * ea,
+        va), filled from _lift in the plan's order of first use."""
+        mom, (codes, arg, slots, lifts) = self.mom, plan
+        lifted = [(ea * ea, va) for ea, va in starmap(self._lift, lifts)]
+        take = map(lifted.__getitem__, slots).__next__  # a read's lift
         val, mp, o = [], [], 0
         put, putm = val.append, mp.append
         for code in codes:
             kind = code & 7
             if kind == SPLIT:
-                anc = code >> 3
-                j, w = arg[o], left[anc]
-                v = codes[j] >> 3
-                if v == w:
-                    cl, ml = val[j], mp[j]
-                else:
-                    cl, ml = up(w, v, val[j], mp[j])
-                j, w = arg[o + 1], right[anc]
-                v = codes[j] >> 3
-                if v == w:
-                    cr, mr = val[j], mp[j]
-                else:
-                    cr, mr = up(w, v, val[j], mp[j])
+                j = arg[o]
+                cl, ml = val[j >> 1], mp[j >> 1]
+                if j & 1:
+                    ea2, va = take()
+                    cl, ml = va * cl + va * ml + ea2 * cl, ea2 * ml
+                j = arg[o + 1]
+                cr, mr = val[j >> 1], mp[j >> 1]
+                if j & 1:
+                    ea2, va = take()
+                    cr, mr = va * cr + va * mr + ea2 * cr, ea2 * mr
                 c, m = cl * cr + cl * mr + ml * cr, ml * mr
                 o += 2
             elif kind == OR:
-                anc, end, c, m = code >> 3, o + 1 + arg[o], 0, 0
-                for p in range(o + 1, end):
-                    j = arg[p]
-                    v = codes[j] >> 3
-                    if v == anc:
-                        c, m = c + val[j], m + mp[j]
-                    else:
-                        cj, mj = up(anc, v, val[j], mp[j])
-                        c, m = c + cj, m + mj
-                o = end
-            elif kind == LEAF:
-                c, m = _leaf(mom[arg[o]], arg[o + 1])
+                end, c, m = o + 1 + arg[o], 0, 0
+                for j in arg[o + 1:end]:
+                    cj, mj = val[j >> 1], mp[j >> 1]
+                    if j & 1:
+                        ea2, va = take()
+                        cj, mj = va * cj + va * mj + ea2 * cj, ea2 * mj
+                    c, m = c + cj, m + mj
+                o = end + 1
+            elif kind == LEAF:      # the moments that the _TERMS bits pick:
+                # a's weight is muP on bits 0 and 2, muN on 1 and 3, b's
+                # muP on 0 and 3, muN on 1 and 2
+                x, t = mom[arg[o]], arg[o + 1]
+                p, n = x.muP, x.muN
+                c = 0
+                if t & 1:
+                    c = c + x.varP
+                if t & 2:
+                    c = c + x.varN
+                if t & 4:
+                    c = c + x.covPN
+                if t & 8:
+                    c = c + x.covPN
+                m = ((p + n if t & 10 else p) if t & 5 else n) \
+                    * ((p + n if t & 6 else p) if t & 9 else n)
                 o += 2
             elif kind == ZERO:
                 c, m = 0, arg[o]
@@ -428,7 +448,7 @@ class MomentEngine:
                 o += 3
             put(c)
             putm(m)
-        return val, mp
+        return val, mp, lifted
 
     def _split(self, c, x, anc):
         """(left, right) parts of node x of c at the internal vnode anc: a
@@ -603,24 +623,6 @@ def locate_group_vnodes(vt, wm):
     return out
 
 
-def _leaf(m, terms):
-    """(cov, mean product) of the two literals of one variable, with
-    moments m, whose _TERMS entry is terms: a admits the positive weight
-    on bits 0 and 2, the negative on 1 and 3; b on 0 and 3, and 1 and 2."""
-    r = 0
-    if terms & 1:
-        r = r + m.varP
-    if terms & 2:
-        r = r + m.varN
-    if terms & 4:
-        r = r + m.covPN
-    if terms & 8:
-        r = r + m.covPN
-    p, n = m.muP, m.muN
-    return r, ((p + n if terms & 10 else p) if terms & 5 else n) \
-        * ((p + n if terms & 6 else p) if terms & 9 else n)
-
-
 def _under(vt, v, group):
     """The number of group's members under vnode v."""
     return sum(vt.is_ancestor(v, vt.leaf_of(x)) for x in group.members)
@@ -647,69 +649,88 @@ def var_gradient(c, wm, group_vnodes=None):
     Var is multilinear, with degree 1, in each variable's second-moment
     table and in each group's matrix, so these partials give Var exactly
     after any change to one variable's or one group's second moments.
-    They come from one evaluation of var(c)'s plan, on plain values, and
-    one walk back over the same plan (reverse-mode differentiation; no
-    trace is kept: a split's partials cr + mr and cl + ml are recomputed
-    from its two records alone).  The mean products hold first moments
-    only, so they take no adjoint.  The walk carries adjoints to the
-    records' covariances, to the lifts' va(v, w) entries, down each
-    lift's path to the vv of the siblings on it, down the vtree to each
-    leaf's varP, varN and covPN, and to the group matrix entries.
-    An exact model runs on the engine's scaled ints: Var is then read off
-    as an int over S^2 and each partial as an int over S^2 / d^2, with S
-    the product of all variable scales and d the scale of the moment's
-    variable or group.
+    They come from one evaluation of var(c)'s plan and one walk back over
+    its arguments and slots from their ends (reverse mode, with no trace:
+    a split recomputes its lifted parts from its two records and their
+    slots).  Mean products hold first moments only and take no adjoint.
+    The walk carries adjoints to the records' covariances, to each slot's
+    va, down each lift's path to the vv of the siblings on it, down the
+    vtree to each leaf's varP, varN and covPN, and to the group matrix
+    entries.  An exact model runs on the engine's scaled ints: Var is an
+    int over S^2 and each partial one over S^2 / d^2, with S the product
+    of all variable scales and d the moment's variable's or group's.
     """
     eng = MomentEngine(c.vt, wm, group_vnodes)
-    vt, ev, vv, lift, up = eng.vt, eng.ev, eng.vv, eng._lift, eng._up
+    vt, ev, vv = eng.vt, eng.ev, eng.vv
     left, right, n = vt.left, vt.right, vt.n_vars
-    var, val, mp, (codes, arg) = eng._pairs(c, c)
+    var, val, mp, lifted, (codes, arg, slots, lifts) = eng._pairs(c, c)
     var = eng._result(var, 2)
-    starts, o = array('i'), 0   # where each record's arguments start
-    for code in codes:
-        starts.append(o)
-        o += 1 + arg[o] if code & 7 == OR else _NARGS[code & 7]
+    back = [va + ea2 for ea2, va in lifted]     # slot -> d lifted c / d c
     adj = [0] * len(val)    # record -> adjoint of its covariance
-    dva = {}                # lift (v, w) -> adjoint of va(v, w)
+    dva = {}                # slot -> adjoint of its va, in order of first use
     dvv = [0] * (vt.n_nodes + 1)
     dmom = [[0, 0, 0] for _ in range(n + 1)]   # varP, varN, covPN
     dg = [[[0] * len(g.members) for _ in g.members] for g in wm.groups]
 
-    def lift_back(w, j, gr):
-        # transpose of the covariance of _up(w, record j's anchor, ...)
-        v = codes[j] >> 3
-        if v == w:
-            adj[j] = adj[j] + gr
-        elif v == BOTTOM:
-            dvv[w] += gr * mp[j]
-        else:
-            ea, va = lift(v, w)
-            adj[j] = adj[j] + gr * (va + ea * ea)
-            dva[v, w] = dva.get((v, w), 0) + gr * (val[j] + mp[j])
-
-    lift_back(vt.root, len(val) - 1, 1)
-    for i, o in zip(range(len(val) - 1, -1, -1), reversed(starts)):
-        gr, kind, anc = adj[i], codes[i] & 7, codes[i] >> 3
-        if not gr:
-            continue
+    # the root's read, lifted by _pairs to the vtree root (not if FALSE)
+    i, vw = len(val) - 1, (codes[-1] >> 3, vt.root)
+    adj[i] = 1
+    if vw[0] != vw[1] and (vw[0] != BOTTOM or mp[i]):
+        ea, va = eng._lifts[vw]
+        adj[i] = va + ea * ea
+        lifts += vw,
+        dva[lifts.index(vw)] = val[i] + mp[i]
+    o, q = len(arg), len(slots)     # walk both back from their ends
+    for i in range(len(val) - 1, -1, -1):
+        gr, kind = adj[i], codes[i] & 7
         if kind == SPLIT:       # cl * cr + cl * mr + ml * cr, as evaluated
-            jl, jr, vl, vr = arg[o], arg[o + 1], left[anc], right[anc]
-            cl, ml = up(vl, codes[jl] >> 3, val[jl], mp[jl])
-            cr, mr = up(vr, codes[jr] >> 3, val[jr], mp[jr])
-            lift_back(vl, jl, gr * (cr + mr))
-            lift_back(vr, jr, gr * (cl + ml))
-        elif kind == OR:
-            for j in arg[o + 1:o + 1 + arg[o]]:
-                lift_back(anc, j, gr)
-        elif kind == GROUP:
-            gi = arg[o]
-            ja, jb, pab, _ = eng._block(gi, arg[o + 1], arg[o + 2])
-            dg[gi][ja][jb] += gr * pab
-        elif kind == LEAF:      # the covariance terms of _leaf
-            d, t = dmom[arg[o]], arg[o + 1]
-            d[0] += gr * bool(t & 1)
-            d[1] += gr * bool(t & 2)
-            d[2] += gr * (bool(t & 4) + bool(t & 8))
+            o -= 2
+            jl, jr = arg[o], arg[o + 1]
+            q -= (jl & 1) + (jr & 1)
+            if not gr:
+                continue
+            kl, kr = jl >> 1, jr >> 1
+            cl, ml, cr, mr = val[kl], mp[kl], val[kr], mp[kr]
+            if jl & 1:
+                ea2, va = lifted[sl := slots[q]]
+                cl, ml = va * cl + va * ml + ea2 * cl, ea2 * ml
+            if jr & 1:
+                ea2, va = lifted[sr := slots[q + (jl & 1)]]
+                cr, mr = va * cr + va * mr + ea2 * cr, ea2 * mr
+            g = gr * (cr + mr)
+            if jl & 1:
+                dva[sl] = dva.get(sl, 0) + g * (val[kl] + mp[kl])
+            adj[kl] += g * back[sl] if jl & 1 else g
+            g = gr * (cl + ml)
+            if jr & 1:
+                dva[sr] = dva.get(sr, 0) + g * (val[kr] + mp[kr])
+            adj[kr] += g * back[sr] if jr & 1 else g
+        elif kind == OR:        # its fan-in is written after its reads too
+            o -= arg[o - 1] + 2
+            reads = arg[o + 1:o + 1 + arg[o]]
+            for j in reads:
+                q -= j & 1
+            s = q
+            for j in reads if gr else ():
+                if j & 1:
+                    t, s = slots[s], s + 1
+                    dva[t] = dva.get(t, 0) + gr * (val[j >> 1] + mp[j >> 1])
+                adj[j >> 1] += gr * back[t] if j & 1 else gr
+        else:
+            o -= _NARGS[kind]
+            if gr and kind == LEAF:     # the covariance terms of _evaluate
+                d, t = dmom[arg[o]], arg[o + 1]
+                d[0] += gr * bool(t & 1)
+                d[1] += gr * bool(t & 2)
+                d[2] += gr * (bool(t & 4) + bool(t & 8))
+            elif gr and kind == GROUP:
+                gi = arg[o]
+                ja, jb, pab, _ = eng._block(gi, arg[o + 1], arg[o + 2])
+                dg[gi][ja][jb] += gr * pab
+    # a lift from BOTTOM (TRUE with TRUE) is W_true over Var(w) itself
+    dva = {lifts[s]: x for s, x in dva.items()}
+    for v, w in [vw for vw in dva if vw[0] == BOTTOM]:
+        dvv[w] += dva.pop((v, w))
     # va(v, p) = va(v, u) * (vv[s] + ev[s]^2) + ea(v, u)^2 * vv[s], s the
     # sibling of u under p: walk each anchor's path top-down, from the
     # highest vnode it is lifted to (deepest first: the shallowest stays)

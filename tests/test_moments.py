@@ -14,7 +14,7 @@ from conftest import (complementary_weights, example_circuit,
                       example_variance, outcome, random_circuit, random_cnf,
                       random_shape_vtree, random_vtree, random_weights,
                       scopes, seeded)
-from wmcvar.bayes import MarginalPipeline, demo_networks
+from wmcvar.bayes import BayesNet, MarginalPipeline, demo_networks
 from wmcvar.circuit import (BOTTOM, FALSE, TRUE, Circuit, Vtree, parse_sdd,
                             rebuild, sdd_text)
 from wmcvar.errors import CorrelationScopeError, ValidationError
@@ -376,6 +376,47 @@ def test_or_leaves_member_free_everywhere():
                     lambda: eng.cov(fixed, bad),
                     lambda: var_gradient(bad, model, gv)):
             assert outcome(run) == want
+
+
+def test_lift_over_group_everywhere():
+    # a circuit that leaves the group free needs a lift over it: every
+    # query that runs the pair pass refuses it with the same message, on
+    # the call that builds the plan and on the call that reuses it
+    vt, wm = grouped_model()
+    gv = locate_group_vnodes(vt, wm)
+    bad, other, true = (compile_cnf(Cnf(vt.n_vars, cls), vt)
+                        for cls in ([(3, 4)], [(-3,), (4,)], []))
+    assert true.root == TRUE
+    want = (CorrelationScopeError,
+            'adjustment over vtree node 7 spans correlated variables; the '
+            'circuit does not fix them here')
+    for model in (wm, wm.to_exact()):
+        eng = MomentEngine(vt, model, gv)
+        for run in (lambda: eng.var(bad), lambda: eng.cov(bad, other),
+                    lambda: eng.cov(other, bad), lambda: eng.exp_var(bad),
+                    lambda: var_gradient(bad, model, gv),
+                    lambda: eng.var(true)):
+            for _ in range(2):
+                assert outcome(run) == want
+
+
+@pytest.mark.parametrize('model', [grouped_model, three_member_model])
+def test_false_circuit_needs_no_lift(model):
+    # FALSE's record (0, 0) at BOTTOM is read without a lift, so a lift
+    # the model refuses (TRUE's above) is never asked for
+    vt, wm = model()
+    gv = locate_group_vnodes(vt, wm)
+    false = compile_cnf(Cnf(vt.n_vars, [(1,), (-1,)]), vt)
+    assert false.root == FALSE
+    for m, zero in ((wm, '0.0'), (wm.to_exact(), 'Fraction(0, 1)')):
+        eng = MomentEngine(vt, m, gv)
+        for _ in range(2):
+            assert repr(eng.var(false)) == zero
+            assert repr(eng.exp_var(false)) == '(%s, %s)' % (zero, zero)
+            var, dvar, dgroups = var_gradient(false, m, gv)
+            assert repr(var) == zero
+            assert not any(any(d) for d in dvar[1:])
+            assert not any(any(map(any, rows)) for rows in dgroups)
 
 
 def test_false_partner_is_zero():
@@ -1005,6 +1046,21 @@ class TestPairRuleReferee:
         assert seen >= (5 if encoding == 'enc1' else 3)
 
 
+def windowed_network(n, rng):
+    """A binary network in which X_i has parents X_{i-3} and X_{i-1} (those
+    that exist), with CPT entries in hundredths."""
+    variables = []
+    for i in range(n):
+        parents = sorted({max(0, i - 3), i - 1}) if i else []
+        cols = [rng.randint(5, 95) for _ in range(2 ** len(parents))]
+        variables.append({'name': 'X%d' % i, 'values': ['t', 'f'],
+                          'parents': ['X%d' % p for p in parents],
+                          'cpt': [[p / 100 for p in cols],
+                                  [(100 - p) / 100 for p in cols]]})
+    return BayesNet.from_json({'variables': variables,
+                               'uncertainty': {'theta': 20.0}})
+
+
 def count_builds(monkeypatch):
     """The (f, g) of every plan MomentEngine builds from now on."""
     built = []
@@ -1115,7 +1171,7 @@ class TestPlan:
         assert len(f.plans) == 0
 
     def test_bytes_per_pair(self):
-        # flat int arrays of record ids: 14-15 bytes per pair
+        # flat int arrays of record reads: about 15 bytes per pair
         rng = seeded('plan-bytes')
         n = 400
         vt = Vtree.right_linear(n)
@@ -1132,6 +1188,58 @@ class TestPlan:
                    for _, plan in plans.values() for a in plan)
         assert len(g.plans) == 0
         assert kept <= 20 * pairs, (kept, pairs)
+
+    def test_network_bytes_per_pair(self):
+        # a network plan reads many records through lifts: each lifted
+        # read costs one slot, and each distinct lift one (v, w) pair,
+        # counted here too (about 18.7 bytes per pair)
+        pipe = MarginalPipeline(windowed_network(8, seeded('net-bytes')))
+        c, wm, gv = pipe._query({'X7': 't'}, 'zero_weights')
+        eng = MomentEngine(pipe.vt, wm, gv)
+        eng.var(c)
+        (_, plan), = c.plans[c].values()
+        assert len(plan[2]) > eng.pairs / 4     # lifted reads
+        kept = sum(sys.getsizeof(a) for a in plan) \
+            + sum(map(sys.getsizeof, plan[3]))
+        assert kept <= 20 * eng.pairs, (kept, eng.pairs)
+
+    def test_each_lift_once_per_evaluation(self, monkeypatch):
+        # a warm query asks _lift once per distinct lift its reads need,
+        # and once more for the root's; _up lifts the root only
+        calls = {'_lift': [], '_up': []}
+        for name in calls:
+            method = getattr(MomentEngine, name)
+
+            def counted(self, *args, name=name, method=method):
+                calls[name].append(args)
+                return method(self, *args)
+            monkeypatch.setattr(MomentEngine, name, counted)
+        table = MomentEngine.exp_table
+
+        def uncounted(self, c):     # an expectation table lifts per node
+            lifts = calls['_lift'][:]
+            try:
+                return table(self, c)
+            finally:
+                calls['_lift'][:] = lifts
+        monkeypatch.setattr(MomentEngine, 'exp_table', uncounted)
+        for exact in (False, True):
+            pipe = MarginalPipeline(demo_networks()['alarm5'], 'enc2',
+                                    exact=exact)
+            c, wm, gv = pipe._query({'JohnCalls': 't'}, 'conjoin')
+            c0, _, _ = pipe._query(None, 'conjoin')
+            eng = MomentEngine(pipe.vt, wm, gv)
+            for run in (lambda: eng.var(c), lambda: eng.cov(c, c0),
+                        lambda: eng.cov(c0, c), lambda: eng.exp_var(c),
+                        lambda: var_gradient(c, wm, gv)):
+                run()               # builds or reuses the plan
+                for got in calls.values():
+                    got.clear()
+                run()
+                lifts = calls['_lift']
+                assert len(set(lifts)) > 5
+                assert len(lifts) <= len(set(lifts)) + 1, lifts
+                assert len(calls['_up']) == 1
 
     def test_sweep_after_zero_weights_query(self, monkeypatch):
         built = count_builds(monkeypatch)
