@@ -350,8 +350,8 @@ class Circuit:
     plans holds the covariance plans of MomentEngine (moments.py) with
     this circuit as f: per partner g (held weakly) and group layout, the
     roots of the last plan built and the plan.  checked holds, once
-    MomentEngine has checked the structure under a root, that root and
-    its node order (None before).
+    checked_nodes has passed the structure under a root, that root, its
+    node order and validate's verdict (None before), for both to share.
     """
 
     __slots__ = ('vt', 'kind', 'lit', 'children', 'dnode', 'root',
@@ -445,6 +445,31 @@ class Circuit:
                     live[x] = True
         return [i for i, x in enumerate(live) if x]
 
+    def checked_nodes(self):
+        """The nodes but FALSE and TRUE reachable from the root, ascending,
+        if binary conjunctions split at their vnodes and kinds are known,
+        else ValidationError; kept per root (checked) with validate's verdict,
+        which differs for a conjunction at BOTTOM on a one-leaf vtree only."""
+        if self.checked and self.checked[0] == self.root:
+            return self.checked[1]
+        vt, kind, dnode = self.vt, self.kind, self.dnode
+        order = [i for i in self.reachable() if i > TRUE]
+        for i in order:
+            if kind[i] == 'A':
+                chs, v = self.children[i], dnode[i]
+                if len(chs) != 2:
+                    raise ValidationError('conjunction %d is not binary; '
+                                          'normalize first' % i)
+                if not (vt.is_ancestor(vt.left[v], dnode[chs[0]])
+                        and vt.is_ancestor(vt.right[v], dnode[chs[1]])):
+                    raise ValidationError(
+                        'conjunction %d does not split at its vnode' % i)
+            elif kind[i] != 'L' and kind[i] != 'O':
+                raise ValidationError('unknown node kind %r' % kind[i])
+        self.checked = self.root, order, not vt.is_leaf(vt.root) or all(
+            dnode[i] for i in order if kind[i] == 'A')
+        return order
+
     # ---- brute-force evaluation over all assignments ----------------------
 
     def truth_blocks(self, block_log=13, max_vars=26):
@@ -518,16 +543,21 @@ def validate(c, determinism_limit=20):
     """Decide decomposability and structuredness exactly; determinism by
     exhaustive evaluation when the variable count is within the limit.
 
-    Structuredness reads decomposition vnodes, and so does
-    decomposability where a binary conjunction has a constant child or
-    children under the two sides of its vnode.  Any other conjunction
-    needs its children's variable sets: bitsets, built for the sub-DAGs
-    below such conjunctions only and dropped on return."""
+    Both hold with no conjunction examined if c.checked_nodes' kept
+    verdict says so.  Otherwise structuredness reads decomposition vnodes,
+    and so does decomposability where a binary conjunction has a constant
+    child or children under the two sides of its vnode.  Any other needs
+    its children's variable sets: bitsets, built for the sub-DAGs below
+    such conjunctions only and dropped on return."""
     vt = c.vt
     problems = []
     decomposable = True
     structured = True
-    live = c.reachable()
+    try:
+        live = c.checked_nodes()
+        suspect = () if c.checked[2] else live
+    except ValidationError:
+        live = suspect = c.reachable()
     bits = {}
 
     def scope(x):
@@ -553,7 +583,7 @@ def validate(c, determinism_limit=20):
         return l != 0 and (vt.is_ancestor(l, d1) and vt.is_ancestor(r, d2)
                            or vt.is_ancestor(r, d1) and vt.is_ancestor(l, d2))
 
-    for i in live:
+    for i in suspect:
         if c.kind[i] != 'A':
             continue
         chs, v = c.children[i], c.dnode[i]

@@ -178,7 +178,8 @@ def cmd_count(args):
     vt = _load_vtree(run, args.vtree)
     c, = _load_circuits(run, args, vt)
     run.stage('parse')
-    # _load_circuits ran the exhaustive determinism check already
+    # _load_circuits ran the exhaustive determinism check already, and
+    # its structure walk, which count's validate and the engine reuse
     count, var = count_and_variance(c, determinism_limit=0)
     denom = 4 ** vt.n_vars - 1
     run.stage('query')

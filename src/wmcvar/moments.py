@@ -52,14 +52,14 @@ They are supported under a structural contract: the vtree gathers each
 group under one vnode (registered via `group_vnodes`), and every circuit
 node anchored at that vnode fixes the truth value of all members with at
 most one member true.  Covariances of such blocks are then read directly
-from the group covariance matrix, and any lift whose span would
-touch a grouped variable raises CorrelationScopeError instead of silently
-using moments that the model cannot express.  The plan enforces the
-contract on structure alone, whatever the weights: a literal fixes its
-variable, an and-node what either child fixes, and an or-node only what
-every child fixes to the same value.  So a variance or covariance needs
-no expectation table, only the structure check a table starts with,
-which a circuit keeps per root (Circuit.checked), as it keeps plans.
+from the group covariance matrix, and a lift whose span holds a grouped
+variable raises CorrelationScopeError instead of silently using moments
+the model cannot express.  The plan enforces the contract on structure
+alone: a literal fixes its variable, an and-node what either child fixes
+and an or-node what every child fixes to the same value, and the build
+refuses a lift over grouped variables, keeping no plan.  So a variance or
+covariance needs no expectation table, only the structure check a table
+starts with, kept per root (Circuit.checked, shared with validate).
 
 Exact models run on plain ints.  Each variable x gets one scale d_x: a
 multiple of its first moments' denominators whose square every second
@@ -196,37 +196,12 @@ class MomentEngine:
 
     # ---- expectations --------------------------------------------------------
 
-    def _checked(self, c):
-        """c's nodes but FALSE and TRUE reachable from its root, ascending,
-        once checked (binary conjunctions split at their vnodes, known
-        kinds); kept on c per root (c.checked) unless the check raises."""
-        root, order = c.checked or (None, None)
-        if root != c.root:
-            vt, kind, dnode = self.vt, c.kind, c.dnode
-            order = [i for i in c.reachable() if i > TRUE]
-            for i in order:
-                k = kind[i]
-                if k == 'A':
-                    chs = c.children[i]
-                    if len(chs) != 2:
-                        raise ValidationError('conjunction %d is not binary; '
-                                              'normalize first' % i)
-                    v = dnode[i]
-                    if not (vt.is_ancestor(vt.left[v], dnode[chs[0]])
-                            and vt.is_ancestor(vt.right[v], dnode[chs[1]])):
-                        raise ValidationError(
-                            'conjunction %d does not split at its vnode' % i)
-                elif k != 'L' and k != 'O':
-                    raise ValidationError('unknown node kind %r' % k)
-            c.checked = c.root, order
-        return order
-
     def exp_table(self, c):
         """E[W_alpha] over Var(d(alpha)) for each node alpha reachable from
         c's root (d(alpha) is c.dnode[alpha], BOTTOM for FALSE and TRUE)."""
         if c.vt is not self.vt:
             raise VtreeMismatchError('circuit was built on a different vtree')
-        order = self._checked(c)
+        order = c.checked_nodes()
         left, right, lift, mom = self.vt.left, self.vt.right, self._lift, \
             self.mom
         kind, dnode, lit, chs = c.kind, c.dnode, c.lit, c.children
@@ -288,12 +263,11 @@ class MomentEngine:
     def _pairs(self, f, g):
         """(x, val, mp, lifted, plan): x = cov(f, g) before _result, plan
         f's plan with g, val, mp and lifted what _evaluate made of it.
-        f's structure is checked first, then g's, then the plan built."""
+        f's structure is checked first, then g's (Circuit.checked_nodes,
+        whose kept verdict validate shares), then the plan built."""
         if f.vt is not self.vt or g.vt is not self.vt:
             raise VtreeMismatchError('circuits were built on a different vtree')
-        self._checked(f)
-        if g is not f:
-            self._checked(g)
+        f.checked_nodes(), g.checked_nodes()
         kept = f.plans.get(g) or {}
         roots, plan = kept.get(self.layout, (None, None))
         if roots != (f.root, g.root):   # a build that raises keeps nothing
@@ -386,6 +360,13 @@ class MomentEngine:
                     put(len(deps))
             memo[k] = len(memo)
             codes.append(code)
+        # _lift refuses a lift over grouped variables; ask it here, before a
+        # plan is kept, in the order _evaluate and then _pairs would lift
+        v = codes[-1] >> 3
+        for v, w in chain(lifts, [] if v == BOTTOM and FALSE in (ra, rb)
+                          else [(v, self.vt.root)]):
+            if grouped[w] != grouped[v]:
+                self._lift(v, w)
         return codes, args, slots, tuple(lifts)
 
     def _evaluate(self, plan):

@@ -54,7 +54,9 @@ def _nvars(f, n):
 def _engine_ok(c, determinism_limit):
     # any ok report, 'assumed' determinism included, as for the CLI's
     # variance command: the caller picks the exhaustive-check limit, and
-    # count_and_variance rejects a variance no model count explains
+    # count_and_variance rejects a variance no model count explains.
+    # validate keeps its structure walk on c for the engine, so a repeat
+    # call on the same root walks nothing
     return validate(c, determinism_limit=determinism_limit).ok
 
 

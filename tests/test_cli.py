@@ -260,6 +260,28 @@ class TestValidation:
         assert json.loads(out)['results']['count'] == m
         assert len(passes) == 1
 
+    @pytest.mark.parametrize('command, results', [
+        ('variance', {'variance': 0.00196551, 'over': 'all'}),
+        ('covariance', {'covariance': 0.0009630100000000001, 'over': 'all'}),
+        ('count', {'count': 3, 'variance': '759', 'ratio': '253/85',
+                   'over': 'all'})], ids=['variance', 'covariance', 'count'])
+    def test_each_circuit_walked_once(self, files, capsys, monkeypatch,
+                                      command, results):
+        # the loader's validate walks each circuit's structure and keeps
+        # its verdict; the engine, and count's own validate, read it
+        walks = []
+        reachable = Circuit.reachable
+        monkeypatch.setattr(Circuit, 'reachable',
+                            lambda c: walks.append(c) or reachable(c))
+        sdds = [files / 'ex.sdd'] + (
+            [files / 'x.sdd'] if command == 'covariance' else [])
+        weights = [] if command == 'count' else ['--weights', files / 'w.json']
+        code, out, _ = run(capsys, command, *sdds, '--vtree',
+                           files / 'ex.vtree', *weights)
+        assert code == 0
+        assert json.loads(out)['results'] == results
+        assert len(walks) == len({id(c) for c in walks}) == len(sdds)
+
 
 NET = {'variables': [
     {'name': 'A', 'values': ['t', 'f'], 'parents': [], 'cpt': [[0.3], [0.7]]},

@@ -16,12 +16,13 @@ from conftest import (complementary_weights, example_circuit,
                       scopes, seeded)
 from wmcvar.bayes import BayesNet, MarginalPipeline, demo_networks
 from wmcvar.circuit import (BOTTOM, FALSE, TRUE, Circuit, Vtree, parse_sdd,
-                            rebuild, sdd_text)
+                            rebuild, sdd_text, validate)
 from wmcvar.errors import CorrelationScopeError, ValidationError
 from wmcvar.moments import (MomentEngine, cov_wmc, exp_wmc,
                             locate_group_vnodes, var_gradient, var_wmc)
 from wmcvar.oracle import enumerate_models, oracle_cov, oracle_exp, oracle_var
-from wmcvar.reductions import count_via_variance
+from wmcvar.reductions import (count_via_variance, entails_via_cov,
+                               ite_cov_identity_check)
 from wmcvar.sddc import Cnf, SddBuilder, compile_cnf
 from wmcvar.weights import Group, VarMoments, WeightModel, counting_weights
 
@@ -398,6 +399,31 @@ def test_lift_over_group_everywhere():
                     lambda: eng.var(true)):
             for _ in range(2):
                 assert outcome(run) == want
+
+
+def test_lift_over_group_refused_at_build(monkeypatch):
+    # the build refuses that lift, its own checks done: no plan is kept,
+    # and none is evaluated, on the first call or any repeat
+    vt, wm = grouped_model()
+    gv = locate_group_vnodes(vt, wm)
+    bad, other = (compile_cnf(Cnf(vt.n_vars, cls), vt)
+                  for cls in ([(3, 4)], [(-3,), (4,)]))
+    evaluated = []
+    evaluate = MomentEngine._evaluate
+    monkeypatch.setattr(MomentEngine, '_evaluate', lambda self, plan: (
+        evaluated.append(plan) or evaluate(self, plan)))
+    for model in (wm, wm.to_exact()):
+        eng = MomentEngine(vt, model, gv)
+        for run in (lambda: eng.var(bad), lambda: eng.cov(bad, other),
+                    lambda: eng.cov(other, bad), lambda: eng.exp_var(bad),
+                    lambda: var_gradient(bad, model, gv)):
+            for _ in range(3):
+                assert outcome(run) == (
+                    CorrelationScopeError,
+                    'adjustment over vtree node 7 spans correlated '
+                    'variables; the circuit does not fix them here')
+                assert evaluated == []
+                assert len(bad.plans) == len(other.plans) == 0
 
 
 @pytest.mark.parametrize('model', [grouped_model, three_member_model])
@@ -1276,10 +1302,122 @@ def malformed(shape):
     return c
 
 
+def engine_rule(c):
+    """The engine's verdict on c's structure, read off variable sets: None,
+    or the refusal of the first reachable conjunction that is not binary
+    or whose children's variables do not lie under the left and the right
+    child of the vnode over its own variables."""
+    vt, sc, under = c.vt, scopes(c), scopes(c.vt)
+    seen, stack = set(), [c.root]
+    while stack:
+        i = stack.pop()
+        if i not in seen:
+            seen.add(i)
+            stack.extend(c.children[i])
+    for i in sorted(seen):
+        chs = c.children[i]
+        if c.kind[i] != 'A':
+            continue
+        if len(chs) != 2:
+            return 'conjunction %d is not binary; normalize first' % i
+        v = vt.deepest_containing(sc[i])
+        if sc[chs[0]] & ~under[vt.left[v]] or sc[chs[1]] & ~under[vt.right[v]]:
+            return 'conjunction %d does not split at its vnode' % i
+    return None
+
+
+def structure_corpus(rng):
+    """Random gates over random vtrees of 1-5 variables, compiled CNFs,
+    hand-built faults, and conjunctions over an or-node of TRUE (at
+    BOTTOM): validate accepts one beside a literal below the vtree root,
+    which the engine refuses, and refuses two on a one-leaf vtree, which
+    the engine accepts."""
+    out = []
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        c = Circuit(random_vtree(rng, n))
+        nodes = [FALSE, TRUE] + [c.literal(s * v) for v in range(1, n + 1)
+                                 for s in (1, -1)]
+        for _ in range(rng.randint(1, 12)):
+            chs = rng.sample(nodes, rng.randint(0, 3))
+            nodes.append(c.conj(chs) if rng.random() < 0.5 else c.disj(chs))
+        c.root = nodes[-1]
+        out.append(c)
+    out += [random_circuit(rng, rng.randint(2, 7)) for _ in range(30)]
+    out += [malformed('ternary'), malformed('overlapping')]
+    for vt, build in (
+            (Vtree.from_nested(((1, 2), 3)),    # splits on no vnode
+             lambda c: c.conj((c.disj((c.literal(1), c.literal(3))),
+                               c.literal(2)))),
+            (Vtree.balanced(2),
+             lambda c: c.conj((c.disj((TRUE, TRUE)), c.literal(1)))),
+            (Vtree.right_linear(1),
+             lambda c: c.conj((c.disj((TRUE, TRUE)),) * 2))):
+        c = Circuit(vt)
+        c.root = build(c)
+        out.append(c)
+    return out
+
+
 class TestStructureCheck:
     """A circuit's structure is checked once per root and kept on it
     (Circuit.checked); with or without correlated groups only exp and
     exp_var build an expectation table."""
+
+    def test_validate_and_engine_share_the_walk(self, monkeypatch):
+        # validate's report with no verdict to read: every conjunction
+        # examined, as when the engine's rule refuses the circuit
+        def diagnosed(c, limit):
+            with monkeypatch.context() as m:
+                m.setattr(Circuit, 'checked_nodes', refuse)
+                return validate(c, determinism_limit=limit)
+
+        def refuse(c):
+            raise ValidationError('unchecked')
+
+        rng = seeded('shared-walk')
+        for c in structure_corpus(rng):
+            eng = MomentEngine(c.vt, random_weights(rng, c.vt.n_vars))
+            # under its root, any node of c as a moved root, its root again
+            for root in (c.root, rng.randrange(len(c)), c.root):
+                c.root = root
+                rule = engine_rule(c)
+                for limit in (0, 20):
+                    want = diagnosed(c, limit)
+                    c.checked = None
+                    got = [validate(c, limit)]
+                    answer = repr(outcome(lambda: eng.var(c)))
+                    got.append(validate(c, limit))
+                    c.checked = None
+                    assert repr(outcome(lambda: eng.var(c))) == answer
+                    got.append(validate(c, limit))
+                    assert got == [want] * 3
+                    if rule is None:
+                        assert c.checked[:2] == (c.root, [
+                            i for i in c.reachable() if i > TRUE])
+                    else:
+                        assert outcome(c.checked_nodes) == (
+                            ValidationError, rule)
+                        assert c.checked is None
+
+    def test_warm_reductions_walk_nothing(self, monkeypatch):
+        rng = seeded('warm-reductions')
+        vt = Vtree.balanced(6)
+        f, g = (compile_cnf(random_cnf(rng, 6), vt) for _ in range(2))
+        runs = (lambda: count_via_variance(f), lambda: entails_via_cov(f, g),
+                lambda: ite_cov_identity_check(f, g))
+        for run in runs:
+            run()
+        walks = []
+        reachable = Circuit.reachable
+        monkeypatch.setattr(Circuit, 'reachable', lambda c: walks.append(
+            (sys._getframe(1).f_code.co_name, c in (f, g))) or reachable(c))
+        for run in runs:
+            run()
+        # the selector construction copies f and g into a new circuit and
+        # checks that: neither validate nor the engine walks f or g again
+        assert walks == [('rebuild', True), ('rebuild', True),
+                         ('checked_nodes', False)]
 
     def test_tables_without_groups(self, monkeypatch):
         rng = seeded('tables-no-groups')

@@ -146,6 +146,10 @@ def test_perfbench_tracer_wraps_every_layer():
         # conditioning on evidence goes through bayes.normalize
         pipe.moments({'B': 't'}, 'conjoin')
         queried = tracer.dump()[len(compiled):]
+        # a count's validate, which perfbench's circuit.validate_s reads
+        wmcvar.reductions.count_via_variance(
+            wmcvar.sddc.compile_cnf(Cnf(3, [(1, 2)]), Vtree.balanced(3)))
+        counted = tracer.dump()[len(compiled) + len(queried):]
     finally:
         tracer.uninstall()
     names = {s['name'] for s in compiled}
@@ -155,6 +159,7 @@ def test_perfbench_tracer_wraps_every_layer():
     # moments.exp_table_s needs samples of
     assert {'circuit.normalize', 'moments.exp_table'} <= {
         s['name'] for s in queried}
+    assert 'circuit.validate' in {s['name'] for s in counted}
     assert [getattr(owner, attr) for owner, attr in wrapped] == before
 
 
