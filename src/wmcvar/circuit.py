@@ -34,8 +34,10 @@ Canonical Representation of Propositional Knowledge Bases", IJCAI 2011).
 conj drops TRUE children and is FALSE if any child is FALSE; disj drops
 FALSE children and keeps TRUE ones.  Either gives TRUE (conj) or FALSE
 (disj) with no child left and the child itself with one.  Every other
-conjunction is built as given, n-ary or overlapping, for validate to
-report; rebuild binarizes n-ary ones along the vtree.
+gate is built as given, even an or-node of TRUE children alone or an
+n-ary or overlapping conjunction.  Circuit.checked_nodes refuses these,
+validate says why, and rebuild binarizes n-ary conjunctions along the
+vtree.
 
 Construction also fixes two invariants, the contract that exp_table and
 MomentEngine._split (moments.py), validate, sdd_text and rebuild rely on:
@@ -350,8 +352,8 @@ class Circuit:
     plans holds the covariance plans of MomentEngine (moments.py) with
     this circuit as f: per partner g (held weakly) and group layout, the
     roots of the last plan built and the plan.  checked holds, once
-    checked_nodes has passed the structure under a root, that root, its
-    node order and validate's verdict (None before), for both to share.
+    checked_nodes has passed the structure under a root, that root and
+    its node order (None before), for validate and the engine to share.
     """
 
     __slots__ = ('vt', 'kind', 'lit', 'children', 'dnode', 'root',
@@ -447,15 +449,20 @@ class Circuit:
 
     def checked_nodes(self):
         """The nodes but FALSE and TRUE reachable from the root, ascending,
-        if binary conjunctions split at their vnodes and kinds are known,
-        else ValidationError; kept per root (checked) with validate's verdict,
-        which differs for a conjunction at BOTTOM on a one-leaf vtree only."""
+        kept per root (checked), if they meet the structure rule, else
+        ValidationError naming the first that does not.  The rule, the one
+        validate reports by: each conjunction is binary and splits at its
+        vnode, each or-node has a variable, and each kind is known.  An
+        or-node with no variable has TRUE children only, so it is never
+        deterministic; a conjunction with none, as conj builds it, sits
+        above one."""
         if self.checked and self.checked[0] == self.root:
             return self.checked[1]
         vt, kind, dnode = self.vt, self.kind, self.dnode
         order = [i for i in self.reachable() if i > TRUE]
         for i in order:
-            if kind[i] == 'A':
+            k = kind[i]
+            if k == 'A':
                 chs, v = self.children[i], dnode[i]
                 if len(chs) != 2:
                     raise ValidationError('conjunction %d is not binary; '
@@ -464,10 +471,12 @@ class Circuit:
                         and vt.is_ancestor(vt.right[v], dnode[chs[1]])):
                     raise ValidationError(
                         'conjunction %d does not split at its vnode' % i)
-            elif kind[i] != 'L' and kind[i] != 'O':
-                raise ValidationError('unknown node kind %r' % kind[i])
-        self.checked = self.root, order, not vt.is_leaf(vt.root) or all(
-            dnode[i] for i in order if kind[i] == 'A')
+            elif k == 'O':
+                if dnode[i] == BOTTOM:
+                    raise ValidationError('or-node %d has no variable' % i)
+            elif k != 'L':
+                raise ValidationError('unknown node kind %r' % k)
+        self.checked = self.root, order
         return order
 
     # ---- brute-force evaluation over all assignments ----------------------
@@ -543,21 +552,20 @@ def validate(c, determinism_limit=20):
     """Decide decomposability and structuredness exactly; determinism by
     exhaustive evaluation when the variable count is within the limit.
 
-    Both hold with no conjunction examined if c.checked_nodes' kept
-    verdict says so.  Otherwise structuredness reads decomposition vnodes,
-    and so does decomposability where a binary conjunction has a constant
-    child or children under the two sides of its vnode.  Any other needs
-    its children's variable sets: bitsets, built for the sub-DAGs below
-    such conjunctions only and dropped on return."""
-    vt = c.vt
+    c is structured exactly when c.checked_nodes passes it, and then
+    decomposable, with no node examined.  Otherwise each reachable node is
+    examined by the same rule, to report why.  A conjunction that does not
+    split is decomposable when its children's variable sets are disjoint:
+    bitsets, built for the sub-DAGs below such conjunctions only and
+    dropped on return."""
+    vt, kind, dnode = c.vt, c.kind, c.dnode
     problems = []
-    decomposable = True
-    structured = True
+    decomposable = structured = True
     try:
         live = c.checked_nodes()
-        suspect = () if c.checked[2] else live
     except ValidationError:
-        live = suspect = c.reachable()
+        live = c.reachable()
+        structured = False
     bits = {}
 
     def scope(x):
@@ -571,24 +579,18 @@ def validate(c, determinism_limit=20):
                 todo.append(y)
                 stack.extend(c.children[y])
         for y in sorted(todo):
-            s = 1 << abs(c.lit[y]) if c.kind[y] == 'L' else 0
+            s = 1 << abs(c.lit[y]) if kind[y] == 'L' else 0
             for z in c.children[y]:
                 s |= bits[z]
             bits[y] = s
         return bits[x]
 
-    def apart(v, d1, d2):
-        # Var(d1) and Var(d2) lie under different children of vnode v
-        l, r = vt.left[v], vt.right[v]
-        return l != 0 and (vt.is_ancestor(l, d1) and vt.is_ancestor(r, d2)
-                           or vt.is_ancestor(r, d1) and vt.is_ancestor(l, d2))
-
-    for i in suspect:
-        if c.kind[i] != 'A':
-            continue
-        chs, v = c.children[i], c.dnode[i]
-        ds = [c.dnode[x] for x in chs]
-        if len(chs) != 2 or ds[0] and ds[1] and not apart(v, *ds):
+    for i in () if structured else live:
+        chs, v = c.children[i], dnode[i]
+        if kind[i] == 'A':
+            if len(chs) == 2 and vt.is_ancestor(vt.left[v], dnode[chs[0]]) \
+                    and vt.is_ancestor(vt.right[v], dnode[chs[1]]):
+                continue
             s = total = 0
             for x in chs:
                 s |= scope(x)
@@ -597,23 +599,13 @@ def validate(c, determinism_limit=20):
                 decomposable = False
                 problems.append(
                     'and-node %d has overlapping children scopes' % i)
-        if len(chs) != 2:
-            structured = False
-            problems.append('and-node %d has fan-in %d' % (i, len(chs)))
-            continue
-        d1, d2 = ds
-        if d1 and d2:
-            ok = not vt.is_leaf(v) and vt.is_ancestor(vt.left[v], d1) \
-                and vt.is_ancestor(vt.right[v], d2)
-        elif d1 or d2:
-            # one side has no variable: the other's must lie strictly
-            # inside a child of some vnode, so not at the vtree root
-            ok = v != vt.root
-        else:
-            ok = not vt.is_leaf(vt.root)
-        if not ok:
-            structured = False
-            problems.append('and-node %d does not split on any vnode' % i)
+            problems.append('and-node %d has fan-in %d' % (i, len(chs))
+                            if len(chs) != 2 else
+                            'and-node %d does not split on any vnode' % i)
+        elif kind[i] == 'O' and v == BOTTOM:
+            problems.append('or-node %d has no variable' % i)
+        elif kind[i] not in ('F', 'T', 'L', 'O'):
+            problems.append('node %d has unknown kind %r' % (i, kind[i]))
 
     determinism = 'assumed'
     counterexample = None
@@ -623,7 +615,7 @@ def validate(c, determinism_limit=20):
             and determinism != 'by-construction':
         determinism = 'verified'
         or_nodes = [i for i in live
-                    if c.kind[i] == 'O' and len(c.children[i]) > 1]
+                    if kind[i] == 'O' and len(c.children[i]) > 1]
         for start, tabs in c.truth_blocks():
             for i in or_nodes:
                 seen = over = 0

@@ -18,7 +18,8 @@ of f, b a node of g, and the constants FALSE and TRUE are the same ids in
 both.  Each pair is resolved at anc = lca(d(a), d(b)) into a record (c, m)
 over Var(anc): c is Cov(W_a, W_b) and m = E[W_a] E[W_b], by the first rule
 that applies:
-  - a or b is FALSE: (0, 0); anc is BOTTOM (both TRUE): (0, 1);
+  - a or b is FALSE: (0, 0); anc is BOTTOM: (0, 1), as both are TRUE
+    (the structure rule, Circuit.checked_nodes, refuses or-nodes there);
   - anc is a registered group vnode: c read from the group covariance, m
     the product of the nodes' means over the members they fix;
   - an or-node sits at anc: the sum of its child pairs' records, lifted;
@@ -58,8 +59,8 @@ the model cannot express.  The plan enforces the contract on structure
 alone: a literal fixes its variable, an and-node what either child fixes
 and an or-node what every child fixes to the same value, and the build
 refuses a lift over grouped variables, keeping no plan.  So a variance or
-covariance needs no expectation table, only the structure check a table
-starts with, kept per root (Circuit.checked, shared with validate).
+covariance needs no expectation table, only the structure rule a table
+starts with (Circuit.checked_nodes, which validate reports by).
 
 Exact models run on plain ints.  Each variable x gets one scale d_x: a
 multiple of its first moments' denominators whose square every second
@@ -263,8 +264,7 @@ class MomentEngine:
     def _pairs(self, f, g):
         """(x, val, mp, lifted, plan): x = cov(f, g) before _result, plan
         f's plan with g, val, mp and lifted what _evaluate made of it.
-        f's structure is checked first, then g's (Circuit.checked_nodes,
-        whose kept verdict validate shares), then the plan built."""
+        f's structure is checked, then g's, then the plan built."""
         if f.vt is not self.vt or g.vt is not self.vt:
             raise VtreeMismatchError('circuits were built on a different vtree')
         f.checked_nodes(), g.checked_nodes()

@@ -4,7 +4,7 @@ import random
 import zlib
 from fractions import Fraction
 
-from wmcvar.circuit import Vtree
+from wmcvar.circuit import FALSE, TRUE, Circuit, Vtree
 from wmcvar.sddc import Cnf, SddBuilder, compile_cnf
 from wmcvar.weights import VarMoments, WeightModel
 
@@ -66,6 +66,20 @@ def random_circuit(rng, n):
         if c.kind[c.root] not in ('F', 'T'):
             return c
     raise RuntimeError('no nontrivial circuit after 50 draws')
+
+
+def random_gates(rng, n, gates):
+    """Random conj and disj gates over the literals of n variables on a
+    random vtree, the last one the root: gates of them, or as many as
+    drawn from the range gates once the vtree is drawn."""
+    c = Circuit(random_vtree(rng, n))
+    nodes = [FALSE, TRUE] + [c.literal(s * v) for v in range(1, n + 1)
+                             for s in (1, -1)]
+    for _ in range(gates if isinstance(gates, int) else rng.choice(gates)):
+        chs = rng.sample(nodes, rng.randint(0, 3))
+        nodes.append(c.conj(chs) if rng.random() < 0.5 else c.disj(chs))
+    c.root = nodes[-1]
+    return c
 
 
 def random_weights(rng, n, exact=False):

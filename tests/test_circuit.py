@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import (outcome, random_circuit, random_cnf,
+from conftest import (outcome, random_circuit, random_cnf, random_gates,
                       random_shape_vtree, random_vtree, random_weights,
                       scopes, seeded)
 from wmcvar.bayes import MarginalPipeline, demo_networks
@@ -256,6 +256,11 @@ def always(c):
     return c.disj((TRUE, TRUE))
 
 
+def unknown_kind(c, x):
+    c.kind[x[2]] = 'X'
+    return c.conj((x[1], x[2]))
+
+
 @pytest.mark.parametrize('run, want', [
     pytest.param(lambda: parse_sdd('sdd 3\nL 0 3 3\nL 1 4 4\nD 2 6 1 0 1\n',
                                    parse_vtree(VTREE_22)),
@@ -300,16 +305,21 @@ def always(c):
     pytest.param(lambda: problems(Vtree.balanced(2),
                                   lambda c, x: c.conj((always(c),
                                                        c.disj((x[1], x[2]))))),
-                 ['and-node 6 does not split on any vnode'],
+                 ['or-node 4 has no variable',
+                  'and-node 6 does not split on any vnode'],
                  id='empty-scope-child-beside-root'),
     pytest.param(lambda: problems(Vtree.balanced(2),
                                   lambda c, x: c.conj((always(c), x[1]))),
-                 [], id='empty-scope-child-below-root'),
+                 ['or-node 4 has no variable',
+                  'and-node 5 does not split on any vnode'],
+                 id='empty-scope-child-below-root'),
     pytest.param(lambda: problems(Vtree.right_linear(1),
                                   lambda c, x: c.conj((always(c),
                                                        always(c)))),
-                 ['and-node 4 does not split on any vnode'],
+                 ['or-node 3 has no variable'],
                  id='empty-scopes-on-leaf-root'),
+    pytest.param(lambda: problems(Vtree.balanced(2), unknown_kind),
+                 ["node 3 has unknown kind 'X'"], id='unknown-kind'),
     pytest.param(lambda: decision_text(
         Vtree.from_nested(((1, 2), 3)),
         lambda c, x: c.disj((c.conj((c.disj((x[1], x[3])), x[2])), x[3]))),
@@ -323,23 +333,12 @@ def test_scope_checks(run, want):
 
 
 class TestTruthBlocks:
-    def random_gates(self, rng, n, gates):
-        vt = random_vtree(rng, n)
-        c = Circuit(vt)
-        nodes = [FALSE, TRUE] + [c.literal(s * v) for v in range(1, n + 1)
-                                 for s in (1, -1)]
-        for _ in range(gates):
-            chs = rng.sample(nodes, rng.randint(0, 3))
-            nodes.append(c.conj(chs) if rng.random() < 0.5 else c.disj(chs))
-        c.root = nodes[-1]
-        return c
-
     def test_gates_in_normal_form(self):
         # conj and disj fold constants as they build: no gate keeps fewer
         # than two children, a FALSE child, or (and-nodes) a TRUE child
         rng = seeded('truth-blocks-normal-form')
         for _ in range(30):
-            c = self.random_gates(rng, rng.randint(1, 6), 20)
+            c = random_gates(rng, rng.randint(1, 6), 20)
             for i in range(len(c)):
                 if c.kind[i] in 'AO':
                     chs = c.children[i]
@@ -362,14 +361,14 @@ class TestTruthBlocks:
     def test_tables_match_assignment_evaluator(self):
         rng = seeded('truth-blocks')
         for n in (1, 3, 6, 15):
-            assert self.check(self.random_gates(rng, n, 12)) \
+            assert self.check(random_gates(rng, n, 12)) \
                 == max(1, 2 ** (n - 13))
 
     def test_small_blocks(self):
         rng = seeded('truth-blocks-small')
         for _ in range(20):
             n = rng.randint(1, 8)
-            c = self.random_gates(rng, n, 20)
+            c = random_gates(rng, n, 20)
             assert self.check(c, block_log=3) == max(1, 2 ** (n - 3))
 
     def test_refuted_past_first_block(self):

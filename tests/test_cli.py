@@ -392,11 +392,22 @@ class TestExitCodes:
         vt.write_text('vtree 3\nL 0 1\nL 1 2\nI 2 0 1\n')
         dup = tmp_path / 'dup.sdd'
         dup.write_text('sdd 3\nL 0 0 1\nT 1\nD 2 2 2 0 1 0 1\n')
+        # an or-node of TRUE children alone: no variable, never deterministic
+        always = tmp_path / 'always.sdd'
+        always.write_text('sdd 3\nT 0\nT 1\nD 2 2 2 0 1 1 0\n')
         w = tmp_path / 'w2.json'
         w.write_text(json.dumps(complementary_weights(2, .5, .01).to_json()))
-        code, _, err = run(capsys, 'expect', dup, '--vtree', vt,
-                           '--weights', w)
-        assert code == 3
+        weights = ('--weights', w)
+        for argv, want in (
+                (('expect', dup) + weights, ''),
+                (('expect', always, '--validate-determinism', 0) + weights,
+                 'has no variable'),
+                (('variance', always, '--validate-determinism', 0) + weights,
+                 'has no variable'),
+                (('count', always, '--validate-determinism', 0),
+                 'has no variable')):
+            code, out, err = run(capsys, *argv, '--vtree', vt)
+            assert code == 3 and want in err and out == ''
 
     def test_nondeterministic_count_is_3(self, capsys, tmp_path):
         vt = tmp_path / 'two.vtree'

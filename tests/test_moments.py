@@ -12,8 +12,8 @@ from numpy.testing import assert_allclose
 
 from conftest import (complementary_weights, example_circuit,
                       example_variance, outcome, random_circuit, random_cnf,
-                      random_shape_vtree, random_vtree, random_weights,
-                      scopes, seeded)
+                      random_gates, random_shape_vtree, random_vtree,
+                      random_weights, scopes, seeded)
 from wmcvar.bayes import BayesNet, MarginalPipeline, demo_networks
 from wmcvar.circuit import (BOTTOM, FALSE, TRUE, Circuit, Vtree, parse_sdd,
                             rebuild, sdd_text, validate)
@@ -1304,9 +1304,10 @@ def malformed(shape):
 
 def engine_rule(c):
     """The engine's verdict on c's structure, read off variable sets: None,
-    or the refusal of the first reachable conjunction that is not binary
-    or whose children's variables do not lie under the left and the right
-    child of the vnode over its own variables."""
+    or the refusal of the first reachable node that breaks the rule: an
+    or-node with no variable, or a conjunction that is not binary or whose
+    children's variables do not lie under the left and the right child of
+    the vnode over its own variables."""
     vt, sc, under = c.vt, scopes(c), scopes(c.vt)
     seen, stack = set(), [c.root]
     while stack:
@@ -1316,6 +1317,8 @@ def engine_rule(c):
             stack.extend(c.children[i])
     for i in sorted(seen):
         chs = c.children[i]
+        if c.kind[i] == 'O' and not sc[i]:
+            return 'or-node %d has no variable' % i
         if c.kind[i] != 'A':
             continue
         if len(chs) != 2:
@@ -1329,20 +1332,9 @@ def engine_rule(c):
 def structure_corpus(rng):
     """Random gates over random vtrees of 1-5 variables, compiled CNFs,
     hand-built faults, and conjunctions over an or-node of TRUE (at
-    BOTTOM): validate accepts one beside a literal below the vtree root,
-    which the engine refuses, and refuses two on a one-leaf vtree, which
-    the engine accepts."""
-    out = []
-    for _ in range(200):
-        n = rng.randint(1, 5)
-        c = Circuit(random_vtree(rng, n))
-        nodes = [FALSE, TRUE] + [c.literal(s * v) for v in range(1, n + 1)
-                                 for s in (1, -1)]
-        for _ in range(rng.randint(1, 12)):
-            chs = rng.sample(nodes, rng.randint(0, 3))
-            nodes.append(c.conj(chs) if rng.random() < 0.5 else c.disj(chs))
-        c.root = nodes[-1]
-        out.append(c)
+    BOTTOM)."""
+    out = [random_gates(rng, rng.randint(1, 5), range(1, 13))
+           for _ in range(200)]
     out += [random_circuit(rng, rng.randint(2, 7)) for _ in range(30)]
     out += [malformed('ternary'), malformed('overlapping')]
     for vt, build in (
@@ -1364,17 +1356,10 @@ class TestStructureCheck:
     (Circuit.checked); with or without correlated groups only exp and
     exp_var build an expectation table."""
 
-    def test_validate_and_engine_share_the_walk(self, monkeypatch):
-        # validate's report with no verdict to read: every conjunction
-        # examined, as when the engine's rule refuses the circuit
-        def diagnosed(c, limit):
-            with monkeypatch.context() as m:
-                m.setattr(Circuit, 'checked_nodes', refuse)
-                return validate(c, determinism_limit=limit)
-
-        def refuse(c):
-            raise ValidationError('unchecked')
-
+    def test_validate_and_engine_share_the_walk(self):
+        # validate reports a circuit structured exactly when the engine's
+        # walk passes it; otherwise its first problem names the node the
+        # walk refuses
         rng = seeded('shared-walk')
         for c in structure_corpus(rng):
             eng = MomentEngine(c.vt, random_weights(rng, c.vt.n_vars))
@@ -1383,7 +1368,6 @@ class TestStructureCheck:
                 c.root = root
                 rule = engine_rule(c)
                 for limit in (0, 20):
-                    want = diagnosed(c, limit)
                     c.checked = None
                     got = [validate(c, limit)]
                     answer = repr(outcome(lambda: eng.var(c)))
@@ -1391,14 +1375,18 @@ class TestStructureCheck:
                     c.checked = None
                     assert repr(outcome(lambda: eng.var(c))) == answer
                     got.append(validate(c, limit))
-                    assert got == [want] * 3
+                    assert got == [got[0]] * 3
+                    assert got[0].structured == (rule is None)
                     if rule is None:
-                        assert c.checked[:2] == (c.root, [
+                        assert c.checked == (c.root, [
                             i for i in c.reachable() if i > TRUE])
-                    else:
-                        assert outcome(c.checked_nodes) == (
-                            ValidationError, rule)
-                        assert c.checked is None
+                        continue
+                    assert outcome(c.checked_nodes) == (ValidationError, rule)
+                    assert c.checked is None
+                    assert got[0].problems[0].split()[1] == rule.split()[1]
+                    # an or-node with no variable is never deterministic
+                    if limit and rule.endswith('has no variable'):
+                        assert got[0].determinism == 'refuted'
 
     def test_warm_reductions_walk_nothing(self, monkeypatch):
         rng = seeded('warm-reductions')
