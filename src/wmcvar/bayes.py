@@ -511,8 +511,7 @@ class MarginalPipeline:
                 wm = WeightModel({**wm.vars, **zero}, wm.groups, wm.default)
         else:
             raise ValidationError('unknown method %r' % method)
-        gv = locate_group_vnodes(self.vt, wm) if wm.groups else None
-        return c, wm, gv
+        return c, wm, locate_group_vnodes(self.vt, wm)
 
     def moments(self, evidence=None, method='conjoin', wm=None):
         """Mean and variance of the marginal probability of the evidence."""

@@ -163,8 +163,7 @@ def cmd_moment(args):
     circuits = _load_circuits(run, args, vt)
     wm = _load_weights(run, args.weights, vt.n_vars, args.exact)
     run.stage('parse')
-    eng = MomentEngine(vt, wm,
-                       locate_group_vnodes(vt, wm) if wm.groups else None)
+    eng = MomentEngine(vt, wm, locate_group_vnodes(vt, wm))
     run.stage('preprocess')
     val = getattr(eng, MOMENTS[args.cmd])(*circuits)
     run.stage('query')

@@ -41,7 +41,9 @@ a constant child, so each one splits at its own vnode.
 
 No rule, and no choice of the pairs a pair reads, depends on a weight.
 So the pass is a plan, the product circuit itself (one record per pair,
-in flat int arrays: 15-20 bytes per pair), evaluated under a model.
+in flat int arrays: 15-20 bytes per pair), evaluated under a model.  Its
+last record reads the roots' pair at the vtree root, lifted by the rule
+of every read, so cov(f, g) is that record's c.
 The first query builds it and keeps it on f (Circuit.plans) per partner
 g (held weakly) and group layout (the registered group vnodes, each
 group's members in order), with the two roots it was built for: models
@@ -96,6 +98,7 @@ from .weights import VarMoments
 #   OR      m, the reads of the m child pairs, summed at the anchor, and m
 #           again, so that a walk from the end finds them;
 #   SPLIT   the reads of the (left, right) part pairs.
+# The last record is an OR at the vtree root, of fan-in 1: the roots' pair.
 # A read of record j is j << 1, or j << 1 | 1 when j sits below the anchor
 # it is read at (but FALSE's (0, 0) at BOTTOM): then it lifts through the
 # next entry of slots, an index into lifts, the distinct (v, w) in order of
@@ -186,15 +189,6 @@ class MomentEngine:
             self._lifts[v, w] = r
         return r
 
-    def _up(self, w, v, c, m):
-        """Lift a record (c, m), both over Var(v), to ancestor vnode w."""
-        if v == w:
-            return c, m
-        if v == BOTTOM and m == 0:
-            return 0, 0         # a FALSE operand: no W_true factor to share
-        ea, va = self._lift(v, w)
-        return va * c + va * m + ea * ea * c, ea * ea * m
-
     # ---- expectations --------------------------------------------------------
 
     def exp_table(self, c):
@@ -262,9 +256,9 @@ class MomentEngine:
         return self.cov(f, f)
 
     def _pairs(self, f, g):
-        """(x, val, mp, lifted, plan): x = cov(f, g) before _result, plan
-        f's plan with g, val, mp and lifted what _evaluate made of it.
-        f's structure is checked, then g's, then the plan built."""
+        """(x, val, mp, lifted, plan): x = val[-1], cov(f, g) before
+        _result, and val, mp, lifted what _evaluate made of plan, f's with
+        g.  f's structure is checked, then g's, then the plan built."""
         if f.vt is not self.vt or g.vt is not self.vt:
             raise VtreeMismatchError('circuits were built on a different vtree')
         f.checked_nodes(), g.checked_nodes()
@@ -274,15 +268,15 @@ class MomentEngine:
             plan = self._plan(f, g)
             f.plans.setdefault(g, kept)[self.layout] = (f.root, g.root), plan
         val, mp, lifted = self._evaluate(plan)
-        self.pairs = len(val)
-        x = self._up(self.vt.root, plan[0][-1] >> 3, val[-1], mp[-1])[0]
-        return x, val, mp, lifted, plan
+        self.pairs = len(val) - 1
+        return val[-1], val, mp, lifted, plan
 
     def _plan(self, f, g):
         """Resolve the node pairs of cov(f, g) into a plan (codes, args,
         slots, lifts), bottom-up by the pair rule of the module docstring,
         with an explicit stack.  Pairs are keyed a * len(g) + b, the smaller
-        id first when f is g (Cov is symmetric), and each is resolved once."""
+        id first when f is g (Cov is symmetric), each is resolved once, and
+        the last record reads the roots' pair at the vtree root."""
         lca, left, right = self.vt.lca, self.vt.left, self.vt.right
         fd, gd, fk, gk, fl, gl = f.dnode, g.dnode, f.kind, g.kind, f.lit, g.lit
         same, n, split, grouped = f is g, len(g), self._split, self.grouped
@@ -292,11 +286,12 @@ class MomentEngine:
         patt = {}                   # circuit -> _member_pattern's bitsets
 
         ra, rb = f.root, g.root
-        rk = rb * n + ra if same and rb < ra else ra * n + rb
         # entries (a, b, key, None, w), w the anchor its reader needs, then
         # (code, 0, key, deps, None) once the pair's rule has been applied,
-        # while its deps resolve
-        stack = [(ra, rb, rk, None, None)]
+        # while its deps resolve; the last record's key is -1
+        top = ((ra, rb, rb * n + ra if same and rb < ra else ra * n + rb,
+                None, self.vt.root),)
+        stack = [(self.vt.root << 3 | OR, 0, -1, top, None), *top]
         pop, push, put = stack.pop, stack.append, args.append
         while stack:
             a, b, k, deps, _ = pop()
@@ -361,10 +356,8 @@ class MomentEngine:
             memo[k] = len(memo)
             codes.append(code)
         # _lift refuses a lift over grouped variables; ask it here, before a
-        # plan is kept, in the order _evaluate and then _pairs would lift
-        v = codes[-1] >> 3
-        for v, w in chain(lifts, [] if v == BOTTOM and FALSE in (ra, rb)
-                          else [(v, self.vt.root)]):
+        # plan is kept, in the order _evaluate would lift
+        for v, w in lifts:
             if grouped[w] != grouped[v]:
                 self._lift(v, w)
         return codes, args, slots, tuple(lifts)
@@ -647,20 +640,12 @@ def var_gradient(c, wm, group_vnodes=None):
     var, val, mp, lifted, (codes, arg, slots, lifts) = eng._pairs(c, c)
     var = eng._result(var, 2)
     back = [va + ea2 for ea2, va in lifted]     # slot -> d lifted c / d c
-    adj = [0] * len(val)    # record -> adjoint of its covariance
+    adj = [0] * (len(val) - 1) + [1]    # record -> adjoint of its covariance
     dva = {}                # slot -> adjoint of its va, in order of first use
     dvv = [0] * (vt.n_nodes + 1)
     dmom = [[0, 0, 0] for _ in range(n + 1)]   # varP, varN, covPN
     dg = [[[0] * len(g.members) for _ in g.members] for g in wm.groups]
 
-    # the root's read, lifted by _pairs to the vtree root (not if FALSE)
-    i, vw = len(val) - 1, (codes[-1] >> 3, vt.root)
-    adj[i] = 1
-    if vw[0] != vw[1] and (vw[0] != BOTTOM or mp[i]):
-        ea, va = eng._lifts[vw]
-        adj[i] = va + ea * ea
-        lifts += vw,
-        dva[lifts.index(vw)] = val[i] + mp[i]
     o, q = len(arg), len(slots)     # walk both back from their ends
     for i in range(len(val) - 1, -1, -1):
         gr, kind = adj[i], codes[i] & 7

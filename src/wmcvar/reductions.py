@@ -51,15 +51,6 @@ def _nvars(f, n):
     return n
 
 
-def _engine_ok(c, determinism_limit):
-    # any ok report, 'assumed' determinism included, as for the CLI's
-    # variance command: the caller picks the exhaustive-check limit, and
-    # count_and_variance rejects a variance no model count explains.
-    # validate keeps its structure walk on c for the engine, so a repeat
-    # call on the same root walks nothing
-    return validate(c, determinism_limit=determinism_limit).ok
-
-
 def count_and_variance(f, n=None, determinism_limit=20):
     """(model count of f, Var(W_f) under counting weights), from one
     variance pass: the count is ceil(Var(W_f) / (4^n - 1)).  f may be a
@@ -67,7 +58,13 @@ def count_and_variance(f, n=None, determinism_limit=20):
     Circuits are validated with the given exhaustive determinism limit."""
     wm = counting_weights()
     n = _nvars(f, n)
-    if isinstance(f, Circuit) and _engine_ok(f, determinism_limit):
+    # any ok report, 'assumed' determinism included, as for the CLI's
+    # variance command: the caller picks the exhaustive-check limit, and a
+    # variance no model count explains is rejected below.  validate keeps
+    # its structure walk on f for the engine, so a repeat call on the same
+    # root walks nothing
+    if isinstance(f, Circuit) \
+            and validate(f, determinism_limit=determinism_limit).ok:
         var = var_wmc(f, wm)
     else:
         from .oracle import oracle_var
@@ -92,10 +89,8 @@ def entails_via_cov(f, g, n=None, determinism_limit=20):
     Circuits are validated with the given exhaustive determinism limit."""
     wm = counting_weights()
     n = _nvars(f, _nvars(g, n))
-    g2 = _shared_vtree(f, g) \
-        if isinstance(f, Circuit) and isinstance(g, Circuit) else None
-    if g2 is not None and _engine_ok(f, determinism_limit) \
-            and _engine_ok(g2, determinism_limit):
+    g2 = _engine_partner(f, g, determinism_limit)
+    if g2 is not None:
         eng = MomentEngine(f.vt, wm)
         var_f, cov_fg = eng.var(f), eng.cov(f, g2)
     else:
@@ -121,22 +116,27 @@ def _same_shape(a, b):
     return True
 
 
-def _shared_vtree(f, g):
-    """g rebased onto f's vtree object when the trees agree, else None.
-    None too when g has a conjunction rebuild cannot binarize: the
-    callers then fall back to enumeration, as for any circuit that
-    fails validation."""
-    if f.vt is g.vt:
-        return g
-    if not _same_shape(f.vt, g.vt):
+def _engine_partner(f, g, determinism_limit):
+    """g on f's vtree object, for the moment engine, when f and g are
+    circuits on one vtree shape and both pass validate at the given limit
+    (any ok report, as for count_and_variance), else None: the callers
+    then fall back to enumeration.  None too when g has a conjunction
+    rebuild cannot binarize.  f is validated first, then g's rebase."""
+    if not (isinstance(f, Circuit) and isinstance(g, Circuit)):
         return None
-    g2 = Circuit(f.vt)
-    try:
-        g2.root = rebuild(g, g2)
-    except ValidationError:
-        return None
-    g2.deterministic_by_construction = g.deterministic_by_construction
-    return g2
+    if f.vt is not g.vt:
+        if not _same_shape(f.vt, g.vt):
+            return None
+        g2 = Circuit(f.vt)
+        try:
+            g2.root = rebuild(g, g2)
+        except ValidationError:
+            return None
+        g2.deterministic_by_construction = g.deterministic_by_construction
+        g = g2
+    ok = validate(f, determinism_limit=determinism_limit).ok \
+        and validate(g, determinism_limit=determinism_limit).ok
+    return g if ok else None
 
 
 def ite_circuit(f, g):
@@ -190,18 +190,15 @@ def ite_cov_identity_check(f, g, wm=None, n=None, z=None,
     wm_z = WeightModel({**wm.vars, z: selector_weights()},
                        wm.groups, wm.default)
 
-    g2 = _shared_vtree(f, g) \
-        if isinstance(f, Circuit) and isinstance(g, Circuit) else None
-    if g2 is not None and _engine_ok(f, determinism_limit) \
-            and _engine_ok(g2, determinism_limit):
+    g2 = _engine_partner(f, g, determinism_limit)
+    if g2 is not None:
         g = g2
-        gv = locate_group_vnodes(f.vt, wm) if wm.groups else None
-        eng = MomentEngine(f.vt, wm, gv)
+        eng = MomentEngine(f.vt, wm, locate_group_vnodes(f.vt, wm))
         (e_f, v_f), (e_g, v_g) = eng.exp_var(f), eng.exp_var(g)
         lhs = eng.cov(f, g)
         h, _ = ite_circuit(f, g)
-        gv2 = locate_group_vnodes(h.vt, wm_z) if wm_z.groups else None
-        v_h = MomentEngine(h.vt, wm_z, gv2).var(h)
+        v_h = MomentEngine(
+            h.vt, wm_z, locate_group_vnodes(h.vt, wm_z)).var(h)
     else:
         from .oracle import (enumerate_models, oracle_cov, oracle_exp,
                              oracle_var)

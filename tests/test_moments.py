@@ -18,7 +18,7 @@ from wmcvar.bayes import BayesNet, MarginalPipeline, demo_networks
 from wmcvar.circuit import (BOTTOM, FALSE, TRUE, Circuit, Vtree, parse_sdd,
                             rebuild, sdd_text, validate)
 from wmcvar.errors import CorrelationScopeError, ValidationError
-from wmcvar.moments import (MomentEngine, cov_wmc, exp_wmc,
+from wmcvar.moments import (OR, MomentEngine, cov_wmc, exp_wmc,
                             locate_group_vnodes, var_gradient, var_wmc)
 from wmcvar.oracle import enumerate_models, oracle_cov, oracle_exp, oracle_var
 from wmcvar.reductions import (count_via_variance, entails_via_cov,
@@ -950,6 +950,15 @@ class PairRuleReferee(MomentEngine):
         self.pairs = len(memo)
         return self._result(lifted(vt.root, *root)[0], 2)
 
+    def _up(self, w, v, c, m):
+        """Lift a record (c, m), both over Var(v), to ancestor vnode w."""
+        if v == w:
+            return c, m
+        if v == BOTTOM and m == 0:
+            return 0, 0         # a FALSE operand: no W_true factor to share
+        ea, va = self._lift(v, w)
+        return va * c + va * m + ea * ea * c, ea * ea * m
+
     def _split(self, c, x, anc):
         vt = self.vt
         vl, vr = vt.left[anc], vt.right[anc]
@@ -1231,24 +1240,25 @@ class TestPlan:
 
     def test_each_lift_once_per_evaluation(self, monkeypatch):
         # a warm query asks _lift once per distinct lift its reads need,
-        # and once more for the root's; _up lifts the root only
-        calls = {'_lift': [], '_up': []}
-        for name in calls:
+        # the roots' read included: no lift is made outside the plan
+        assert not hasattr(MomentEngine, '_up')
+        calls = []
+        lift = MomentEngine._lift
+
+        def counted(self, v, w):
+            calls.append((v, w))
+            return lift(self, v, w)
+        monkeypatch.setattr(MomentEngine, '_lift', counted)
+        for name in ('exp_table', '_top'):  # exp_var's expectation side
             method = getattr(MomentEngine, name)
 
-            def counted(self, *args, name=name, method=method):
-                calls[name].append(args)
-                return method(self, *args)
-            monkeypatch.setattr(MomentEngine, name, counted)
-        table = MomentEngine.exp_table
-
-        def uncounted(self, c):     # an expectation table lifts per node
-            lifts = calls['_lift'][:]
-            try:
-                return table(self, c)
-            finally:
-                calls['_lift'][:] = lifts
-        monkeypatch.setattr(MomentEngine, 'exp_table', uncounted)
+            def uncounted(self, *args, method=method):
+                seen = calls[:]
+                try:
+                    return method(self, *args)
+                finally:
+                    calls[:] = seen
+            monkeypatch.setattr(MomentEngine, name, uncounted)
         for exact in (False, True):
             pipe = MarginalPipeline(demo_networks()['alarm5'], 'enc2',
                                     exact=exact)
@@ -1259,13 +1269,43 @@ class TestPlan:
                         lambda: eng.cov(c0, c), lambda: eng.exp_var(c),
                         lambda: var_gradient(c, wm, gv)):
                 run()               # builds or reuses the plan
-                for got in calls.values():
-                    got.clear()
+                calls.clear()
                 run()
-                lifts = calls['_lift']
-                assert len(set(lifts)) > 5
-                assert len(lifts) <= len(set(lifts)) + 1, lifts
-                assert len(calls['_up']) == 1
+                assert len(set(calls)) > 5
+                assert len(calls) == len(set(calls)), calls
+
+    def test_last_record_reads_the_roots(self):
+        # every plan ends with an OR of fan-in 1 at the vtree root whose
+        # one read is the roots' pair: it lifts exactly when that pair's
+        # record sits below the vtree root, and never for FALSE's (0, 0)
+        # at BOTTOM
+        rng = seeded('plan-last')
+        seen = set()
+        for _ in range(12):
+            n = rng.randint(3, 8)
+            vt = random_vtree(rng, n)
+            wm = random_weights(rng, n)
+            cs = [compile_cnf(cnf, vt) for cnf in (
+                Cnf(n, []), Cnf(n, [(1,), (-1,)]), Cnf(n, [(n,)]),
+                random_cnf(rng, n), random_cnf(rng, n, max_clauses=2))]
+            for f in cs:
+                for g in cs:
+                    MomentEngine(vt, wm).cov(f, g)
+                    (_, (codes, args, slots, lifts)), = f.plans[g].values()
+                    assert codes[-1] == vt.root << 3 | OR
+                    assert args[-1] == args[-3] == 1
+                    j, v = args[-2], codes[-2] >> 3
+                    assert j >> 1 == len(codes) - 2
+                    assert v == vt.lca(f.dnode[f.root], g.dnode[g.root])
+                    lift = v != vt.root and not (
+                        v == BOTTOM and FALSE in (f.root, g.root))
+                    assert j & 1 == lift
+                    if lift:
+                        assert lifts[slots[-1]] == (v, vt.root)
+                    seen.add((v == BOTTOM, FALSE in (f.root, g.root), lift))
+        assert seen >= {(True, True, False), (True, False, True),
+                        (False, True, True), (False, False, True),
+                        (False, False, False)}
 
     def test_sweep_after_zero_weights_query(self, monkeypatch):
         built = count_builds(monkeypatch)

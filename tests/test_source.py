@@ -42,6 +42,26 @@ def test_no_recursion_limit_changes():
     assert found == []
 
 
+def test_no_unused_imports():
+    # every name a module imports is used in it, but on lines marked
+    # noqa: F401 (an import kept for its side or for a wrapper to find)
+    found = []
+    for path in sorted(PACKAGE.rglob('*.py')):
+        text = path.read_text()
+        lines, tree = text.splitlines(), ast.parse(text, str(path))
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split('.')[0]
+                if name not in used and \
+                        '# noqa: F401' not in lines[alias.lineno - 1]:
+                    found.append('%s:%d %s' % (path.name, alias.lineno, name))
+    assert found == []
+
+
 def import_time_modules(tree):
     """Modules a parsed file imports when it is loaded: function bodies,
     which import on call, are skipped."""
