@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .circuit import normalize
 from .errors import (EvidenceError, FormatError, ValidationError, WeightError)
-from .moments import MomentEngine, locate_group_vnodes, var_gradient
+from .moments import MomentEngine, locate_group_vnodes
 from .sddc import Cnf, compile_cnf, condition1_vtree
 from .weights import (Group, VarMoments, WeightModel, beta_variance,
                       group_cov_from_probs)
@@ -456,7 +456,16 @@ class MarginalPipeline:
     """Compiled network ready for repeated marginal queries.
 
     Compilation happens once per encoding; queries swap evidence, method
-    and weight model freely on top of the same circuit.
+    and weight model freely on top of the same circuit.  The pipeline
+    owns its weight model (wm: read it, do not change it) and keeps, per
+    model it answers from, the setup of a moment engine that depends on
+    the model alone (variable moments, W_true tables, group tables,
+    lifts): one engine for wm, shared by every conjoin query, and for
+    zero_weights one per evidence set, for the copy of wm with the
+    positive weights of that set's excluded indicators zeroed, which is
+    kept beside the circuit conditioned on the set.  Each is made at
+    first use.  An engine keeps no result: every query runs its own
+    passes.  A query given another wm gets a new engine, kept nowhere.
     """
 
     def __init__(self, bn, encoding='enc2', node_budget=10 ** 6,
@@ -471,7 +480,8 @@ class MarginalPipeline:
             self.wm = self.wm.to_exact()
         self.vt = condition1_vtree(self.layout.var_blocks)
         self.circuit = compile_cnf(self.cnf, self.vt, node_budget)
-        self._conditioned = {}
+        self._conditioned = {}      # excluded -> [circuit, zero model]
+        self._engines = {}          # kept model -> its engine
 
     def _resolve(self, evidence):
         if evidence is None:
@@ -483,8 +493,8 @@ class MarginalPipeline:
     def _circuit_for(self, excluded):
         if not excluded:
             return self.circuit
-        c = self._conditioned.get(excluded)
-        if c is None:
+        kept = self._conditioned.setdefault(excluded, [None, None])
+        if kept[0] is None:
             # only positive leaves of an excluded indicator become false;
             # its negative leaves stay, so the indicator remains in the
             # support with every model putting it on the negative-weight
@@ -493,30 +503,47 @@ class MarginalPipeline:
             # Relies on every model's subtree touching each excluded
             # indicator through a literal leaf, which the exactly-one
             # indicator blocks guarantee.
-            c = normalize(self.circuit, set(excluded))
-            self._conditioned[excluded] = c
-        return c
+            kept[0] = normalize(self.circuit, set(excluded))
+        return kept[0]
 
     def _query(self, evidence, method, wm=None):
         """Circuit, weight model and group vnodes answering a marginal
-        query for the evidence by the given method."""
-        wm = self.wm if wm is None else wm
+        query for the evidence by the given method.  Without wm the model
+        is the pipeline's, or for zero_weights the copy with the excluded
+        indicators' positive weights zeroed, kept beside the evidence's
+        conditioned circuit; either has a kept engine (_engines), whose
+        vnodes these are."""
         excluded = self._resolve(evidence)
         if method == 'conjoin':
-            c = self._circuit_for(excluded)
+            c, zeroed = self._circuit_for(excluded), ()
         elif method == 'zero_weights':
-            c = self.circuit
-            if excluded:
-                zero = {v: VarMoments(0, 1, 0, 0, 0) for v in excluded}
-                wm = WeightModel({**wm.vars, **zero}, wm.groups, wm.default)
+            c, zeroed = self.circuit, excluded
         else:
             raise ValidationError('unknown method %r' % method)
-        return c, wm, locate_group_vnodes(self.vt, wm)
+        if wm is not None:
+            wm = _zero_weights(wm, zeroed)
+            return c, wm, locate_group_vnodes(self.vt, wm)
+        wm = self.wm
+        if zeroed:
+            kept = self._conditioned.setdefault(zeroed, [None, None])
+            if kept[1] is None:
+                kept[1] = _zero_weights(wm, zeroed)
+            wm = kept[1]
+        eng = self._engines.get(wm)
+        if eng is None:
+            eng = self._engines[wm] = MomentEngine(
+                self.vt, wm, locate_group_vnodes(self.vt, wm))
+        return c, wm, eng.group_vnodes
+
+    def _engine(self, wm, gv):
+        """The kept engine of wm, or a new one for a caller's model."""
+        eng = self._engines.get(wm)
+        return MomentEngine(self.vt, wm, gv) if eng is None else eng
 
     def moments(self, evidence=None, method='conjoin', wm=None):
         """Mean and variance of the marginal probability of the evidence."""
         c, wm, gv = self._query(evidence, method, wm)
-        mean, var = MomentEngine(self.vt, wm, gv).exp_var(c)
+        mean, var = self._engine(wm, gv).exp_var(c)
         return {'mean': mean, 'variance': var}
 
     # ---- sensitivity ------------------------------------------------------
@@ -546,14 +573,14 @@ class MarginalPipeline:
 
         Var is affine in each parameter's second moments, so every row
         follows exactly from the baseline variance and its gradient
-        (moments.var_gradient): one evaluation of the circuit's pair
-        plan and one transposed walk back over the same plan, with no
-        trace kept.
+        (MomentEngine.var_gradient, on the engine the query would use):
+        one evaluation of the circuit's pair plan and one transposed walk
+        back over the same plan, with no trace kept.
         """
         if not 0 < factor <= 1:
             raise ValidationError('factor must be in (0, 1]')
         c, wm, gv = self._query(evidence, method)
-        base, dvar, dgroups = var_gradient(c, wm, gv)
+        base, dvar, dgroups = self._engine(wm, gv).var_gradient(c)
         root = _sqrt(factor)
         rows = [{'parameter': '(none)', 'variance': base}]
         for label, i, k, j in self.parameters():
@@ -573,6 +600,14 @@ class MarginalPipeline:
             rows.append({'parameter': label, 'variance': base + delta})
         rows.sort(key=lambda r: (float(r['variance']), r['parameter']))
         return rows
+
+
+def _zero_weights(wm, indicators):
+    """wm with the positive weights of the indicators set to 0."""
+    if not indicators:
+        return wm
+    zero = {v: VarMoments(0, 1, 0, 0, 0) for v in indicators}
+    return WeightModel({**wm.vars, **zero}, wm.groups, wm.default)
 
 
 def _sqrt(x):

@@ -352,8 +352,11 @@ class Circuit:
     plans holds the covariance plans of MomentEngine (moments.py) with
     this circuit as f: per partner g (held weakly) and group layout, the
     roots of the last plan built and the plan.  checked holds, once
-    checked_nodes has passed the structure under a root, that root and
-    its node order (None before), for validate and the engine to share.
+    checked_nodes has passed the structure under a root, that root, its
+    node order, for validate and the engine to share, and validate's
+    exhaustive determinism verdict under it (None before validate
+    enumerates; then the (or-node, assignment) that refutes it, or ()).
+    checked is None before.
     """
 
     __slots__ = ('vt', 'kind', 'lit', 'children', 'dnode', 'root',
@@ -476,7 +479,7 @@ class Circuit:
                     raise ValidationError('or-node %d has no variable' % i)
             elif k != 'L':
                 raise ValidationError('unknown node kind %r' % k)
-        self.checked = self.root, order
+        self.checked = self.root, order, None
         return order
 
     # ---- brute-force evaluation over all assignments ----------------------
@@ -557,7 +560,9 @@ def validate(c, determinism_limit=20):
     examined by the same rule, to report why.  A conjunction that does not
     split is decomposable when its children's variable sets are disjoint:
     bitsets, built for the sub-DAGs below such conjunctions only and
-    dropped on return."""
+    dropped on return.  The exhaustive determinism verdict of a structured
+    circuit is kept with its structure's (c.checked), so a repeat validate
+    under the same root, at any limit that admits the check, reads it."""
     vt, kind, dnode = c.vt, c.kind, c.dnode
     problems = []
     decomposable = structured = True
@@ -613,31 +618,42 @@ def validate(c, determinism_limit=20):
         determinism = 'by-construction'
     if determinism_limit and vt.n_vars <= determinism_limit \
             and determinism != 'by-construction':
+        found = c.checked[2] if structured else None
+        if found is None:
+            found = _first_overlap(c, live)
+            if structured:
+                c.checked = c.checked[:2] + (found,)
         determinism = 'verified'
-        or_nodes = [i for i in live
-                    if kind[i] == 'O' and len(c.children[i]) > 1]
-        for start, tabs in c.truth_blocks():
-            for i in or_nodes:
-                seen = over = 0
-                for x in c.children[i]:
-                    t = tabs[x]
-                    over |= seen & t
-                    seen |= t
-                if over:
-                    g = start + (over & -over).bit_length() - 1
-                    counterexample = {
-                        'node': i,
-                        'assignment': {v: bool((g >> (v - 1)) & 1)
-                                       for v in range(1, vt.n_vars + 1)},
-                    }
-                    determinism = 'refuted'
-                    problems.append(
-                        'or-node %d has two children true together' % i)
-                    break
-            if determinism == 'refuted':
-                break
+        if found:
+            i, g = found
+            counterexample = {
+                'node': i,
+                'assignment': {v: bool((g >> (v - 1)) & 1)
+                               for v in range(1, vt.n_vars + 1)},
+            }
+            determinism = 'refuted'
+            problems.append('or-node %d has two children true together' % i)
     return ValidationReport(decomposable, structured, determinism,
                             counterexample, problems)
+
+
+def _first_overlap(c, live):
+    """(i, g): in the first block of assignments where an or-node of
+    live has two children true together, the first such or-node i and
+    its first such assignment g; () if there is none.  One pass over
+    all 2^n assignments."""
+    or_nodes = [i for i in live
+                if c.kind[i] == 'O' and len(c.children[i]) > 1]
+    for start, tabs in c.truth_blocks():
+        for i in or_nodes:
+            seen = over = 0
+            for x in c.children[i]:
+                t = tabs[x]
+                over |= seen & t
+                seen |= t
+            if over:
+                return i, start + (over & -over).bit_length() - 1
+    return ()
 
 
 # ---- normal form -----------------------------------------------------------

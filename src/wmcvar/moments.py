@@ -15,13 +15,15 @@ reads lift through as slots, and each evaluation fills each slot once.
 
 The covariance pass is a recurrence over node pairs (a, b): a is a node
 of f, b a node of g, and the constants FALSE and TRUE are the same ids in
-both.  Each pair is resolved at anc = lca(d(a), d(b)) into a record (c, m)
-over Var(anc): c is Cov(W_a, W_b) and m = E[W_a] E[W_b], by the first rule
-that applies:
-  - a or b is FALSE: (0, 0); anc is BOTTOM: (0, 1), as both are TRUE
-    (the structure rule, Circuit.checked_nodes, refuses or-nodes there);
-  - anc is a registered group vnode: c read from the group covariance, m
-    the product of the nodes' means over the members they fix;
+both.  Each pair is resolved at anc = lca(d(a), d(b)), or BOTTOM if a or
+b is FALSE, into a record (c, m) over Var(anc): c is Cov(W_a, W_b) and
+m = E[W_a] E[W_b], by the first rule that applies:
+  - a or b is FALSE: (0, 0), which no read lifts, so that no lift is asked
+    of the model; anc is BOTTOM: (0, 1), as both are TRUE (the structure
+    rule, Circuit.checked_nodes, refuses or-nodes there);
+  - anc is a registered group vnode: c and m read from the engine's group
+    tables by the members the two nodes force true: c from the group
+    covariance, m the product of the nodes' means over the members;
   - an or-node sits at anc: the sum of its child pairs' records, lifted;
   - anc is a vtree leaf: the covariance and the mean product of two
     weights of one variable;
@@ -93,14 +95,15 @@ from .weights import VarMoments
 # it reads.  codes[i] is record i's anchor vnode times 8 plus its kind, and
 # its arguments follow record i - 1's in args:
 #   ZERO    the mean product, 1 for TRUE with TRUE, else 0;
-#   GROUP   gi, ja, jb: the group, the members a and b force true (or -1);
+#   GROUP   gi, ja, jb: the group and the members a and b force true (-1:
+#           none), its entry group_tables[gi][ja][jb] in the engine's tables;
 #   LEAF    x, and the _TERMS entry of the two literals;
 #   OR      m, the reads of the m child pairs, summed at the anchor, and m
 #           again, so that a walk from the end finds them;
 #   SPLIT   the reads of the (left, right) part pairs.
 # The last record is an OR at the vtree root, of fan-in 1: the roots' pair.
 # A read of record j is j << 1, or j << 1 | 1 when j sits below the anchor
-# it is read at (but FALSE's (0, 0) at BOTTOM): then it lifts through the
+# it is read at (but FALSE's (0, 0), at BOTTOM): then it lifts through the
 # next entry of slots, an index into lifts, the distinct (v, w) in order of
 # first use.  A record's value (c, m) is symmetric, so when f is g one
 # record serves a pair and its reverse.
@@ -117,9 +120,14 @@ _TERMS = [[(sa >= 0 and sb >= 0) | (sa <= 0 and sb <= 0) << 1
 class MomentEngine:
     """Moment computations for circuits sharing one vtree and weight model.
 
-    The constructor does O(n) work (per-variable moments and the W_true
-    tables); lifts are composed per vtree edge, up to their target only,
-    and memoized per (v, w).
+    The constructor does the work that depends on the model alone, once:
+    O(n) for the per-variable moments and the W_true tables, and per
+    correlated group of k members a table of (k + 1)^2 group blocks (see
+    _group_table), which a GROUP record of a plan reads whole.  Lifts
+    are composed per vtree edge, up to their target only, and memoized
+    per (v, w).  An engine keeps nothing else: every exp, cov and
+    var_gradient runs its own passes, so one engine serves any number
+    of queries under its model.
     Results take the model's type: float if any value is a float, else
     Fraction if any is a Fraction (computed on scaled ints, see the module
     docstring), else the values' own type (ints stay ints).
@@ -138,6 +146,10 @@ class MomentEngine:
         # and scale: S(root) of an exact model, else None
         self.mom, self.gcov, self.kind, self.d = _moments_of(wm, vt.n_vars)
         self.scale = None if self.d is None else math.prod(self.d)
+        # per group gi and members ja, jb forced true (-1, the last entry:
+        # none): group_tables[gi][ja][jb] = (c, m, pab), see _group_table
+        self.group_tables = [_group_table(self.mom, g.members, cov)
+                             for g, cov in zip(wm.groups, self.gcov)]
         # all a plan depends on beyond its circuits: no weight value
         self.layout = (tuple(sorted(self.group_vnodes.items())),
                        tuple(g.members for g in wm.groups))
@@ -301,8 +313,9 @@ class MomentEngine:
                 continue
             else:
                 da, db = fd[a], gd[b]
-                anc = da if da == db else lca(da, db)
-                if a == FALSE or b == FALSE or anc == BOTTOM:
+                anc = BOTTOM if a == FALSE or b == FALSE else \
+                    da if da == db else lca(da, db)
+                if anc == BOTTOM:
                     kind, own = ZERO, (int(FALSE not in (a, b)),)
                 elif grouped[anc] and (own := self._group_members(
                         f, a, g, b, anc, patt)) is not None:
@@ -366,7 +379,8 @@ class MomentEngine:
         """(val, mp, lifted): each record's covariance and mean product
         over Var(its anchor) under this model, and each slot's (ea * ea,
         va), filled from _lift in the plan's order of first use."""
-        mom, (codes, arg, slots, lifts) = self.mom, plan
+        mom, tables, (codes, arg, slots, lifts) = \
+            self.mom, self.group_tables, plan
         lifted = [(ea * ea, va) for ea, va in starmap(self._lift, lifts)]
         take = map(lifted.__getitem__, slots).__next__  # a read's lift
         val, mp, o = [], [], 0
@@ -416,9 +430,7 @@ class MomentEngine:
                 c, m = 0, arg[o]
                 o += 1
             else:
-                gi = arg[o]
-                ja, jb, pab, m = self._block(gi, arg[o + 1], arg[o + 2])
-                c = pab * self.gcov[gi][ja][jb]
+                c, m, _ = tables[arg[o]][arg[o + 1]][arg[o + 2]]
                 o += 3
             put(c)
             putm(m)
@@ -434,6 +446,149 @@ class MomentEngine:
         if d != anc:
             return (x, TRUE) if vt.is_ancestor(vt.left[anc], d) else (TRUE, x)
         return c.children[x]
+
+    # ---- gradient of the variance ------------------------------------------
+
+    def var_gradient(self, c):
+        """Var[W_c] and its partial derivatives in every second moment.
+
+        Returns (var, dvar, dgroups).  dvar[x] holds the partials in
+        variable x's varP, varN and covPN (dvar[0] is None); for a grouped
+        variable varP is its group's diagonal entry, so the first partial
+        repeats that entry's.  dgroups[gi][a][b] is the partial in entry
+        [a][b] of group gi's covariance matrix.
+
+        Var is multilinear, with degree 1, in each variable's second-moment
+        table and in each group's matrix, so these partials give Var
+        exactly after any change to one variable's or one group's second
+        moments.  They come from one evaluation of var(c)'s plan and one
+        walk back over its arguments and slots from their ends (reverse
+        mode, with no trace: a split recomputes its lifted parts from its
+        two records and their slots).  Mean products hold first moments
+        only and take no adjoint.  The walk carries adjoints to the
+        records' covariances, to each slot's va, down each lift's path to
+        the vv of the siblings on it, down the vtree to each leaf's varP,
+        varN and covPN, and to the group matrix entries, by the
+        coefficients in the group tables.  An exact model runs on the
+        engine's scaled ints: Var is an int over S^2 and each partial one
+        over S^2 / d^2, with S the product of all variable scales and d
+        the moment's variable's or group's.
+        """
+        vt, ev, vv, wm = self.vt, self.ev, self.vv, self.wm
+        left, right, n = vt.left, vt.right, vt.n_vars
+        var, val, mp, lifted, (codes, arg, slots, lifts) = self._pairs(c, c)
+        var = self._result(var, 2)
+        back = [va + ea2 for ea2, va in lifted]     # slot -> d lifted c / d c
+        adj = [0] * (len(val) - 1) + [1]    # record -> adjoint of its cov
+        dva = {}            # slot -> adjoint of its va, in order of first use
+        dvv = [0] * (vt.n_nodes + 1)
+        dmom = [[0, 0, 0] for _ in range(n + 1)]   # varP, varN, covPN
+        dg = [[[0] * len(g.members) for _ in g.members] for g in wm.groups]
+
+        o, q = len(arg), len(slots)     # walk both back from their ends
+        for i in range(len(val) - 1, -1, -1):
+            gr, kind = adj[i], codes[i] & 7
+            if kind == SPLIT:       # cl * cr + cl * mr + ml * cr, as evaluated
+                o -= 2
+                jl, jr = arg[o], arg[o + 1]
+                q -= (jl & 1) + (jr & 1)
+                if not gr:
+                    continue
+                kl, kr = jl >> 1, jr >> 1
+                cl, ml, cr, mr = val[kl], mp[kl], val[kr], mp[kr]
+                if jl & 1:
+                    ea2, va = lifted[sl := slots[q]]
+                    cl, ml = va * cl + va * ml + ea2 * cl, ea2 * ml
+                if jr & 1:
+                    ea2, va = lifted[sr := slots[q + (jl & 1)]]
+                    cr, mr = va * cr + va * mr + ea2 * cr, ea2 * mr
+                g = gr * (cr + mr)
+                if jl & 1:
+                    dva[sl] = dva.get(sl, 0) + g * (val[kl] + mp[kl])
+                adj[kl] += g * back[sl] if jl & 1 else g
+                g = gr * (cl + ml)
+                if jr & 1:
+                    dva[sr] = dva.get(sr, 0) + g * (val[kr] + mp[kr])
+                adj[kr] += g * back[sr] if jr & 1 else g
+            elif kind == OR:        # its fan-in is written after its reads too
+                o -= arg[o - 1] + 2
+                reads = arg[o + 1:o + 1 + arg[o]]
+                for j in reads:
+                    q -= j & 1
+                s = q
+                for j in reads if gr else ():
+                    if j & 1:
+                        t, s = slots[s], s + 1
+                        dva[t] = dva.get(t, 0) \
+                            + gr * (val[j >> 1] + mp[j >> 1])
+                    adj[j >> 1] += gr * back[t] if j & 1 else gr
+            else:
+                o -= _NARGS[kind]
+                if gr and kind == LEAF:     # the covariance terms of _evaluate
+                    d, t = dmom[arg[o]], arg[o + 1]
+                    d[0] += gr * bool(t & 1)
+                    d[1] += gr * bool(t & 2)
+                    d[2] += gr * (bool(t & 4) + bool(t & 8))
+                elif gr and kind == GROUP:  # c = pab * gcov[gi][ja][jb]
+                    gi, ja, jb = arg[o], arg[o + 1], arg[o + 2]
+                    pab = self.group_tables[gi][ja][jb][2]
+                    if ja < 0 or jb < 0:    # pab is 0, entered at [0][0]
+                        ja = jb = 0
+                    dg[gi][ja][jb] += gr * pab
+        # a lift from BOTTOM (TRUE with TRUE) is W_true over Var(w) itself
+        dva = {lifts[s]: x for s, x in dva.items()}
+        for v, w in [vw for vw in dva if vw[0] == BOTTOM]:
+            dvv[w] += dva.pop((v, w))
+        # va(v, p) = va(v, u) * (vv[s] + ev[s]^2) + ea(v, u)^2 * vv[s], s the
+        # sibling of u under p: walk each anchor's path top-down, from the
+        # highest vnode it is lifted to (deepest first: the shallowest stays)
+        top = dict(sorted(dva, key=lambda vw: -vt.depth[vw[1]]))
+        for v, w in top.items():
+            steps, ea, va, u = [], 1, 0, v
+            while u != w:
+                p = vt.parent[u]
+                s = right[p] if left[p] == u else left[p]
+                steps.append((p, s, ea, va))
+                ea, va = _product(ea, va, ev[s], vv[s])
+                u = p
+            gr = 0
+            for p, s, ea, va in reversed(steps):
+                gr = gr + dva.get((v, p), 0)
+                if gr:
+                    dvv[s] += gr * (va + ea * ea)
+                    gr = gr * (vv[s] + ev[s] * ev[s])
+        # the vv recurrence of the constructor, transposed: children have
+        # smaller ids
+        for v in range(vt.n_nodes, 0, -1):
+            gr, lv, rv = dvv[v], left[v], right[v]
+            if gr and lv:
+                dvv[lv] += gr * (vv[rv] + ev[rv] * ev[rv])
+                dvv[rv] += gr * (vv[lv] + ev[lv] * ev[lv])
+            elif gr:
+                d = dmom[vt.var[v]]
+                d[0] += gr
+                d[1] += gr
+                d[2] += 2 * gr
+
+        dvar = [None]
+        for x in range(1, n + 1):
+            at = wm.group_of(x)
+            d = dmom[x]
+            dvar.append((dg[at[0]][at[1]][at[1]] if at else d[0], d[1], d[2]))
+        dgroups = [tuple(map(tuple, rows)) for rows in dg]
+        if self.d is not None:
+            s2 = self.scale ** 2
+
+            def per(parts, s):
+                q = s2 // (s * s)
+                return tuple(Fraction(p, q) for p in parts)
+
+            dvar = [None] + [per(dvar[x], self.d[x - 1])
+                             for x in range(1, n + 1)]
+            dgroups = [tuple(per(row, self.d[g.members[0] - 1])
+                             for row in rows)
+                       for g, rows in zip(wm.groups, dgroups)]
+        return var, dvar, dgroups
 
     # ---- correlated group blocks ----------------------------------------------
 
@@ -460,25 +615,6 @@ class MomentEngine:
                 'vnode %d; gather the group under a registered vnode '
                 'and keep its members fixed by every node there' % anc)
         return None                 # spans several groups but nothing else
-
-    def _block(self, gi, ja, jb):
-        """(ja, jb, pab, mab) for a pair at group gi's vnode whose nodes
-        force members ja and jb true (-1: none): its covariance is
-        pab * gcov[gi][ja][jb] (pab = ja = jb = 0 where one forces none)
-        and mab its nodes' mean product."""
-        mom, members = self.mom, self.wm.groups[gi].members
-        pa = pb = 1
-        for j, x in enumerate(members):
-            mn = mom[x].muN
-            if j != ja:
-                pa = pa * mn
-            if j != jb:
-                pb = pb * mn
-        mab = (pa if ja < 0 else pa * mom[members[ja]].muP) \
-            * (pb if jb < 0 else pb * mom[members[jb]].muP)
-        if ja < 0 or jb < 0:
-            return 0, 0, 0, mab
-        return ja, jb, pa * pb, mab
 
     def _member_pattern(self, c, i, gi, patt):
         """Index of the member forced true under node i of c (which sits at
@@ -510,6 +646,28 @@ class MomentEngine:
                 'node sets two members of a correlated group true; '
                 'covariance of such a block is not expressible')
         return (got.bit_length() - 1) // 2
+
+
+def _group_table(mom, members, cov):
+    """table[ja][jb] = (c, m, pab) of one group, members' moments in mom
+    and covariances in cov, for a pair at its vnode whose nodes force
+    members ja and jb true (-1, the last entry: none).  Each node's mean is
+    the product of the other members' muN, in member order, times the
+    forced one's muP; m is the product of the two.  c = pab * cov[ja][jb],
+    with pab the product of the two muN products, where both force one;
+    else pab is the int 0 and c = 0 * cov[0][0]."""
+    forced = (*range(len(members)), -1)
+    sides = []                      # (muN product, mean) per entry of forced
+    for ja in forced:
+        p = 1
+        for j, x in enumerate(members):
+            if j != ja:
+                p = p * mom[x].muN
+        sides.append((p, p if ja < 0 else p * mom[members[ja]].muP))
+    return [[(pa * pb * cov[ja][jb], ma * mb, pa * pb)
+             if ja >= 0 and jb >= 0 else (0 * cov[0][0], ma * mb, 0)
+             for jb, (pb, mb) in zip(forced, sides)]
+            for ja, (pa, ma) in zip(forced, sides)]
 
 
 def _product(ea, va, eb, vb):
@@ -585,6 +743,10 @@ def cov_wmc(f, g, wm, group_vnodes=None):
     return MomentEngine(f.vt, wm, group_vnodes).cov(f, g)
 
 
+def var_gradient(c, wm, group_vnodes=None):
+    return MomentEngine(c.vt, wm, group_vnodes).var_gradient(c)
+
+
 def locate_group_vnodes(vt, wm):
     """Map each weight-model group to the vtree node gathering exactly it."""
     out = {}
@@ -607,140 +769,3 @@ def _gathers(vt, wm, v, gi):
     g = wm.groups[gi] if 0 <= gi < len(wm.groups) else None
     return g is not None and 0 < v <= vt.n_nodes \
         and vt.n_leaves(v) == len(g.members) == _under(vt, v, g)
-
-
-# ---- gradient of the variance ------------------------------------------------
-
-def var_gradient(c, wm, group_vnodes=None):
-    """Var[W_c] and its partial derivatives in every second moment.
-
-    Returns (var, dvar, dgroups).  dvar[x] holds the partials in variable
-    x's varP, varN and covPN (dvar[0] is None); for a grouped variable
-    varP is its group's diagonal entry, so the first partial repeats that
-    entry's.  dgroups[gi][a][b] is the partial in entry [a][b] of group
-    gi's covariance matrix.
-
-    Var is multilinear, with degree 1, in each variable's second-moment
-    table and in each group's matrix, so these partials give Var exactly
-    after any change to one variable's or one group's second moments.
-    They come from one evaluation of var(c)'s plan and one walk back over
-    its arguments and slots from their ends (reverse mode, with no trace:
-    a split recomputes its lifted parts from its two records and their
-    slots).  Mean products hold first moments only and take no adjoint.
-    The walk carries adjoints to the records' covariances, to each slot's
-    va, down each lift's path to the vv of the siblings on it, down the
-    vtree to each leaf's varP, varN and covPN, and to the group matrix
-    entries.  An exact model runs on the engine's scaled ints: Var is an
-    int over S^2 and each partial one over S^2 / d^2, with S the product
-    of all variable scales and d the moment's variable's or group's.
-    """
-    eng = MomentEngine(c.vt, wm, group_vnodes)
-    vt, ev, vv = eng.vt, eng.ev, eng.vv
-    left, right, n = vt.left, vt.right, vt.n_vars
-    var, val, mp, lifted, (codes, arg, slots, lifts) = eng._pairs(c, c)
-    var = eng._result(var, 2)
-    back = [va + ea2 for ea2, va in lifted]     # slot -> d lifted c / d c
-    adj = [0] * (len(val) - 1) + [1]    # record -> adjoint of its covariance
-    dva = {}                # slot -> adjoint of its va, in order of first use
-    dvv = [0] * (vt.n_nodes + 1)
-    dmom = [[0, 0, 0] for _ in range(n + 1)]   # varP, varN, covPN
-    dg = [[[0] * len(g.members) for _ in g.members] for g in wm.groups]
-
-    o, q = len(arg), len(slots)     # walk both back from their ends
-    for i in range(len(val) - 1, -1, -1):
-        gr, kind = adj[i], codes[i] & 7
-        if kind == SPLIT:       # cl * cr + cl * mr + ml * cr, as evaluated
-            o -= 2
-            jl, jr = arg[o], arg[o + 1]
-            q -= (jl & 1) + (jr & 1)
-            if not gr:
-                continue
-            kl, kr = jl >> 1, jr >> 1
-            cl, ml, cr, mr = val[kl], mp[kl], val[kr], mp[kr]
-            if jl & 1:
-                ea2, va = lifted[sl := slots[q]]
-                cl, ml = va * cl + va * ml + ea2 * cl, ea2 * ml
-            if jr & 1:
-                ea2, va = lifted[sr := slots[q + (jl & 1)]]
-                cr, mr = va * cr + va * mr + ea2 * cr, ea2 * mr
-            g = gr * (cr + mr)
-            if jl & 1:
-                dva[sl] = dva.get(sl, 0) + g * (val[kl] + mp[kl])
-            adj[kl] += g * back[sl] if jl & 1 else g
-            g = gr * (cl + ml)
-            if jr & 1:
-                dva[sr] = dva.get(sr, 0) + g * (val[kr] + mp[kr])
-            adj[kr] += g * back[sr] if jr & 1 else g
-        elif kind == OR:        # its fan-in is written after its reads too
-            o -= arg[o - 1] + 2
-            reads = arg[o + 1:o + 1 + arg[o]]
-            for j in reads:
-                q -= j & 1
-            s = q
-            for j in reads if gr else ():
-                if j & 1:
-                    t, s = slots[s], s + 1
-                    dva[t] = dva.get(t, 0) + gr * (val[j >> 1] + mp[j >> 1])
-                adj[j >> 1] += gr * back[t] if j & 1 else gr
-        else:
-            o -= _NARGS[kind]
-            if gr and kind == LEAF:     # the covariance terms of _evaluate
-                d, t = dmom[arg[o]], arg[o + 1]
-                d[0] += gr * bool(t & 1)
-                d[1] += gr * bool(t & 2)
-                d[2] += gr * (bool(t & 4) + bool(t & 8))
-            elif gr and kind == GROUP:
-                gi = arg[o]
-                ja, jb, pab, _ = eng._block(gi, arg[o + 1], arg[o + 2])
-                dg[gi][ja][jb] += gr * pab
-    # a lift from BOTTOM (TRUE with TRUE) is W_true over Var(w) itself
-    dva = {lifts[s]: x for s, x in dva.items()}
-    for v, w in [vw for vw in dva if vw[0] == BOTTOM]:
-        dvv[w] += dva.pop((v, w))
-    # va(v, p) = va(v, u) * (vv[s] + ev[s]^2) + ea(v, u)^2 * vv[s], s the
-    # sibling of u under p: walk each anchor's path top-down, from the
-    # highest vnode it is lifted to (deepest first: the shallowest stays)
-    top = dict(sorted(dva, key=lambda vw: -vt.depth[vw[1]]))
-    for v, w in top.items():
-        steps, ea, va, u = [], 1, 0, v
-        while u != w:
-            p = vt.parent[u]
-            s = right[p] if left[p] == u else left[p]
-            steps.append((p, s, ea, va))
-            ea, va = _product(ea, va, ev[s], vv[s])
-            u = p
-        gr = 0
-        for p, s, ea, va in reversed(steps):
-            gr = gr + dva.get((v, p), 0)
-            if gr:
-                dvv[s] += gr * (va + ea * ea)
-                gr = gr * (vv[s] + ev[s] * ev[s])
-    # the vv recurrence of MomentEngine, transposed: children have smaller ids
-    for v in range(vt.n_nodes, 0, -1):
-        gr, lv, rv = dvv[v], left[v], right[v]
-        if gr and lv:
-            dvv[lv] += gr * (vv[rv] + ev[rv] * ev[rv])
-            dvv[rv] += gr * (vv[lv] + ev[lv] * ev[lv])
-        elif gr:
-            d = dmom[vt.var[v]]
-            d[0] += gr
-            d[1] += gr
-            d[2] += 2 * gr
-
-    dvar = [None]
-    for x in range(1, n + 1):
-        at = wm.group_of(x)
-        d = dmom[x]
-        dvar.append((dg[at[0]][at[1]][at[1]] if at else d[0], d[1], d[2]))
-    dgroups = [tuple(map(tuple, rows)) for rows in dg]
-    if eng.d is not None:
-        s2 = eng.scale ** 2
-
-        def per(parts, s):
-            q = s2 // (s * s)
-            return tuple(Fraction(p, q) for p in parts)
-
-        dvar = [None] + [per(dvar[x], eng.d[x - 1]) for x in range(1, n + 1)]
-        dgroups = [tuple(per(row, eng.d[g.members[0] - 1]) for row in rows)
-                   for g, rows in zip(wm.groups, dgroups)]
-    return var, dvar, dgroups

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import seeded
+
 from wmcvar.bayes import (BayesNet, Evidence, MarginalPipeline, brute_marginal,
                           demo_networks, enc1, enc2, marginal_moments,
                           sensitivity_sweep)
@@ -430,3 +432,97 @@ class TestSweep:
         bn = demo_networks()['chain2']
         with pytest.raises(ValidationError):
             sensitivity_sweep(bn, factor=0.0)
+
+
+def count_engines(monkeypatch):
+    """The weight model of every MomentEngine built from now on."""
+    built = []
+    init = MomentEngine.__init__
+
+    def counted(self, vt, wm, group_vnodes=None):
+        built.append(wm)
+        init(self, vt, wm, group_vnodes)
+
+    monkeypatch.setattr(MomentEngine, '__init__', counted)
+    return built
+
+
+def binary(bn):
+    return all(bn.k(i) == 2 for i in range(len(bn.names)))
+
+
+class TestKeptEngines:
+    """A pipeline keeps one engine for its own model and one per evidence
+    set's zero model; every answer is the one a fresh pipeline gives."""
+
+    @pytest.mark.parametrize('encoding', ['enc1', 'enc2'])
+    def test_one_engine_per_model(self, monkeypatch, encoding):
+        built = count_engines(monkeypatch)
+        pipe = MarginalPipeline(demo_networks()['alarm5'], encoding)
+        evs = [{'JohnCalls': 't'}, {'Burglary': 'f', 'MaryCalls': 't'}]
+        for ev in evs:
+            for method in ('conjoin', 'zero_weights'):
+                for _ in range(2):
+                    pipe.moments(ev, method)
+            pipe.sweep(ev)
+        excluded = {pipe._resolve(ev) for ev in evs} - {()}
+        assert len(built) == 1 + len(excluded) == 3
+        assert built[0] is pipe.wm
+        for ev in evs:
+            for method in ('conjoin', 'zero_weights'):
+                pipe.moments(ev, method)
+                pipe.sweep(ev, method=method)
+        pipe.moments()
+        assert len(built) == 3
+
+    def test_callers_model_is_not_kept(self, monkeypatch):
+        built = count_engines(monkeypatch)
+        pipe = MarginalPipeline(demo_networks()['alarm5'], 'enc2')
+        wm = scaled_wm(pipe, 0, 0, 0, 0.5)
+        ev = {'JohnCalls': 't'}
+        for method in ('conjoin', 'zero_weights'):
+            for _ in range(2):
+                del built[:]
+                got = pipe.moments(ev, method, wm)
+                assert len(built) == 1
+                fresh = MarginalPipeline(demo_networks()['alarm5'], 'enc2')
+                assert repr(got) == repr(fresh.moments(ev, method, wm))
+        assert pipe._engines == {}
+        assert all(zero is None for _, zero in pipe._conditioned.values())
+
+    @pytest.mark.parametrize('exact', [False, True])
+    def test_answers_do_not_depend_on_order(self, exact):
+        # one pipeline answers every query and sweep, each twice, in a
+        # shuffled order; a fresh pipeline answers each alone
+        rng = seeded('kept-order-%s' % exact)
+        factor = Fraction(1, 4) if exact else 0.1
+        seen = 0
+        for name, bn in demo_networks().items():
+            first, last = 0, len(bn.names) - 1
+            evs = [None, {bn.names[first]: bn.values[first][-1]},
+                   {bn.names[last]: bn.values[last][0]},
+                   {bn.names[first]: bn.values[first][0],
+                    bn.names[last]: bn.values[last][-1]}]
+            for encoding in ('enc1', 'enc2') if binary(bn) else ('enc1',):
+                asks = [(kind, e, method) for kind in ('moments', 'sweep')
+                        for e in range(len(evs))
+                        for method in ('conjoin', 'zero_weights')] * 2
+                rng.shuffle(asks)
+                pipe = MarginalPipeline(bn, encoding, exact=exact)
+                alone = {}
+                for kind, e, method in asks:
+                    key = kind, e, method
+                    if key not in alone:
+                        fresh = MarginalPipeline(bn, encoding, exact=exact)
+                        alone[key] = repr(self.ask(fresh, key, evs, factor))
+                    got = self.ask(pipe, key, evs, factor)
+                    assert repr(got) == alone[key], (name, encoding, key)
+                seen += 1
+        assert seen == 9
+
+    @staticmethod
+    def ask(pipe, key, evs, factor):
+        kind, e, method = key
+        if kind == 'moments':
+            return pipe.moments(evs[e], method)
+        return pipe.sweep(evs[e], factor, method)

@@ -411,6 +411,35 @@ class TestTruthBlocks:
         val = evaluate(c, g)
         assert sum(val[x] for x in c.children[node]) >= 2
 
+    def test_determinism_verdict_kept_per_root(self, monkeypatch):
+        # validate keeps its exhaustive verdict with the structure's: a
+        # repeat under the same root, at a limit that admits the check,
+        # reads it and reports what a first validate does; a refused
+        # structure keeps nothing, and a moved root checks again
+        rng = seeded('verdict-kept')
+        passes = []
+        blocks = Circuit.truth_blocks
+        monkeypatch.setattr(Circuit, 'truth_blocks', lambda self, *a, **kw: (
+            passes.append(self) or blocks(self, *a, **kw)))
+        seen = set()
+        for _ in range(80):
+            c = random_gates(rng, rng.randint(1, 5), range(1, 13))
+            for root in (c.root, rng.randrange(len(c)), c.root):
+                c.root = root
+                first = {}
+                for limit in (0, 20):
+                    c.checked = None
+                    first[limit] = validate(c, limit)
+                c.checked = None
+                del passes[:]
+                got = [validate(c, limit) for limit in (20, 0, 20, 5)]
+                assert got == [first[20], first[0], first[20], first[20]]
+                structured = first[0].structured
+                assert len(passes) == (1 if structured else 3)
+                seen.add((structured, first[20].determinism))
+        assert seen == {(True, 'verified'), (True, 'refuted'),
+                        (False, 'verified'), (False, 'refuted')}
+
 
 class TestNormalize:
     def test_constant_folding(self):

@@ -457,6 +457,27 @@ def test_false_partner_is_zero():
         assert repr(eng.cov(bad, false)) == repr(eng.cov(false, bad)) == zero
 
 
+def test_false_partner_of_a_free_group_is_zero():
+    # Cov(W_c, 0) = 0 also where c leaves the group free, so that a lift
+    # of c's records over it is refused: a pair with FALSE sits at BOTTOM
+    # whatever its other node, and its (0, 0) is read without a lift, in
+    # either order, on the call that builds the plan and on a repeat
+    vt, wm = grouped_model()
+    gv = locate_group_vnodes(vt, wm)
+    for model, zero in ((wm, '0.0'), (wm.to_exact(), 'Fraction(0, 1)')):
+        c, false = (compile_cnf(Cnf(vt.n_vars, cls), vt)
+                    for cls in ([(3, 4)], [(1,), (-1,)]))
+        assert false.root == FALSE
+        assert oracle_cov(c, false, model) == oracle_cov(false, c, model) == 0
+        eng = MomentEngine(vt, model, gv)
+        for _ in range(2):
+            assert repr(eng.cov(false, c)) == repr(eng.cov(c, false)) == zero
+        assert outcome(lambda: eng.var(c)) == (
+            CorrelationScopeError,
+            'adjustment over vtree node 7 spans correlated variables; the '
+            'circuit does not fix them here')
+
+
 @pytest.mark.parametrize('model', [grouped_model, three_member_model])
 def test_grouped_cnfs_match_oracle(model):
     # every grouped var and cov the engine returns on random CNFs (up to 4
@@ -859,9 +880,10 @@ class PairRuleReferee(MomentEngine):
     """The covariance pass as it was before the memo held anchors: tuple
     keys, a lifting closure that recomputes each pair's lca, a split that
     finds a conjunction's orientation by ancestor tests, and leaf records
-    read off the literals' signs.  It applies the same record rule, each
-    pair's (covariance, mean product), in the same order, so its results
-    must be identical."""
+    read off the literals' signs, and group blocks that loop over the
+    members per pair.  It applies the same record rule, each pair's
+    (covariance, mean product), in the same order, so its results must be
+    identical."""
 
     def cov(self, f, g):
         vt = self.vt
@@ -877,7 +899,9 @@ class PairRuleReferee(MomentEngine):
             return (b, a) if same and b < a else (a, b)
 
         def lifted(w, a, b):
-            return self._up(w, lca(fd[a], gd[b]), *memo[key(a, b)])
+            # a pair with FALSE sits at BOTTOM, whatever its other node
+            v = BOTTOM if FALSE in (a, b) else lca(fd[a], gd[b])
+            return self._up(w, v, *memo[key(a, b)])
 
         def leaf(a, b):
             if f.kind[a] not in 'TL' or g.kind[b] not in 'TL':
@@ -949,6 +973,25 @@ class PairRuleReferee(MomentEngine):
 
         self.pairs = len(memo)
         return self._result(lifted(vt.root, *root)[0], 2)
+
+    def _block(self, gi, ja, jb):
+        """(ja, jb, pab, mab) for a pair at group gi's vnode whose nodes
+        force members ja and jb true (-1: none): its covariance is
+        pab * gcov[gi][ja][jb] (pab = ja = jb = 0 where one forces none)
+        and mab its nodes' mean product."""
+        mom, members = self.mom, self.wm.groups[gi].members
+        pa = pb = 1
+        for j, x in enumerate(members):
+            mn = mom[x].muN
+            if j != ja:
+                pa = pa * mn
+            if j != jb:
+                pb = pb * mn
+        mab = (pa if ja < 0 else pa * mom[members[ja]].muP) \
+            * (pb if jb < 0 else pb * mom[members[jb]].muP)
+        if ja < 0 or jb < 0:
+            return 0, 0, 0, mab
+        return ja, jb, pa * pb, mab
 
     def _up(self, w, v, c, m):
         """Lift a record (c, m), both over Var(v), to ancestor vnode w."""
@@ -1277,8 +1320,8 @@ class TestPlan:
     def test_last_record_reads_the_roots(self):
         # every plan ends with an OR of fan-in 1 at the vtree root whose
         # one read is the roots' pair: it lifts exactly when that pair's
-        # record sits below the vtree root, and never for FALSE's (0, 0)
-        # at BOTTOM
+        # record sits below the vtree root, and never for FALSE's (0, 0),
+        # which sits at BOTTOM whatever the other root
         rng = seeded('plan-last')
         seen = set()
         for _ in range(12):
@@ -1296,16 +1339,16 @@ class TestPlan:
                     assert args[-1] == args[-3] == 1
                     j, v = args[-2], codes[-2] >> 3
                     assert j >> 1 == len(codes) - 2
-                    assert v == vt.lca(f.dnode[f.root], g.dnode[g.root])
-                    lift = v != vt.root and not (
-                        v == BOTTOM and FALSE in (f.root, g.root))
+                    false = FALSE in (f.root, g.root)
+                    assert v == (BOTTOM if false else
+                                 vt.lca(f.dnode[f.root], g.dnode[g.root]))
+                    lift = v != vt.root and not false
                     assert j & 1 == lift
                     if lift:
                         assert lifts[slots[-1]] == (v, vt.root)
-                    seen.add((v == BOTTOM, FALSE in (f.root, g.root), lift))
-        assert seen >= {(True, True, False), (True, False, True),
-                        (False, True, True), (False, False, True),
-                        (False, False, False)}
+                    seen.add((v == BOTTOM, false, lift))
+        assert seen == {(True, True, False), (True, False, True),
+                        (False, False, True), (False, False, False)}
 
     def test_sweep_after_zero_weights_query(self, monkeypatch):
         built = count_builds(monkeypatch)
@@ -1418,7 +1461,7 @@ class TestStructureCheck:
                     assert got == [got[0]] * 3
                     assert got[0].structured == (rule is None)
                     if rule is None:
-                        assert c.checked == (c.root, [
+                        assert c.checked[:2] == (c.root, [
                             i for i in c.reachable() if i > TRUE])
                         continue
                     assert outcome(c.checked_nodes) == (ValidationError, rule)

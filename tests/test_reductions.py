@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_circuit, random_cnf, random_vtree, seeded
-from wmcvar.circuit import Circuit, Vtree, parse_sdd, parse_vtree
+from wmcvar.circuit import Circuit, Vtree, parse_sdd, parse_vtree, sdd_text
 from wmcvar.errors import ValidationError
 from wmcvar.moments import var_wmc
 from wmcvar.oracle import enumerate_models
@@ -196,3 +196,22 @@ class TestIte:
         g = compile_cnf(Cnf(3, [(2,)]), f.vt)
         with pytest.raises(ValidationError):
             ite_cov_identity_check(f, g, z=2)
+
+
+def test_repeat_count_enumerates_once(monkeypatch):
+    # validate keeps its exhaustive determinism verdict with the
+    # structure's, per root: eight counts of a parsed circuit, which is
+    # not deterministic by construction, enumerate its 2^16 assignments
+    # once
+    n = 16
+    vt = Vtree.right_linear(n)
+    compiled = compile_cnf(Cnf(n, [(v, v + 1) for v in range(1, n)]), vt)
+    c = parse_sdd(sdd_text(compiled), parse_vtree(vt.to_text()))
+    assert not c.deterministic_by_construction
+    want = count_via_variance(compiled)
+    passes = []
+    blocks = Circuit.truth_blocks
+    monkeypatch.setattr(Circuit, 'truth_blocks', lambda self, *a, **kw: (
+        passes.append(self) or blocks(self, *a, **kw)))
+    assert [count_via_variance(c) for _ in range(8)] == [want] * 8
+    assert passes == [c]

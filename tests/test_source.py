@@ -287,3 +287,70 @@ def test_private_helpers_have_callers():
     used = {name for tree in trees for name in names_used(tree)}
     assert len(private) > 20
     assert sorted(private - used) == []
+
+
+MUTATORS = {'append', 'extend', 'insert', 'pop', 'popitem', 'remove',
+            'clear', 'update', 'setdefault', 'add', 'discard', 'sort',
+            'reverse', 'difference_update', 'intersection_update',
+            'symmetric_difference_update', '__setitem__', '__delitem__'}
+
+
+def module_state_writes(tree):
+    """Where a function of a parsed module declares global, stores into a
+    module-level name by subscript, or calls a mutating method on one
+    (a name its own body or parameters bind does not count)."""
+    top = set()
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, DEFS):
+            top.add(node.name)
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            top.add(node.id)
+        elif isinstance(node, ast.alias):
+            top.add(node.asname or node.name.split('.')[0])
+        stack.extend(ast.iter_child_nodes(node))
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.Lambda)):
+            continue
+        own = {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
+        own |= {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Store)}
+        shared = top - own
+        for node in ast.walk(fn):
+            target = None
+            if isinstance(node, ast.Global):
+                found.append('%d global %s' % (node.lineno,
+                                               ', '.join(node.names)))
+            elif isinstance(node, ast.Subscript) \
+                    and isinstance(node.ctx, (ast.Store, ast.Del)):
+                target = node.value
+            elif isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in MUTATORS:
+                target = node.func.value
+            if isinstance(target, ast.Name) and target.id in shared:
+                found.append('%d %s' % (node.lineno, target.id))
+    return sorted(set(found))
+
+
+def test_no_module_state():
+    # kept state lives on circuits, engines and pipelines, which their
+    # owners can drop: no function keeps any in a module
+    sample = ast.parse(
+        'SEEN, KEYS = {}, []\n'
+        'def f(x, KEYS=()):\n    global TOTAL\n    SEEN[x] = 1\n'
+        '    SEEN.setdefault(x, 2)\n    KEYS.append(x)\n    del SEEN[x]\n'
+        'def g(SEEN):\n    SEEN[0] = 1\n    local = []\n'
+        '    local.append(1)\n')
+    assert module_state_writes(sample) == [
+        '3 global TOTAL', '4 SEEN', '5 SEEN', '7 SEEN']
+    found = []
+    for path in sorted(PACKAGE.rglob('*.py')):
+        tree = ast.parse(path.read_text(), str(path))
+        found += ['%s:%s' % (path.name, at)
+                  for at in module_state_writes(tree)]
+    assert found == []
