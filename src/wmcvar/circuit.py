@@ -641,9 +641,12 @@ def _first_overlap(c, live):
     """(i, g): in the first block of assignments where an or-node of
     live has two children true together, the first such or-node i and
     its first such assignment g; () if there is none.  One pass over
-    all 2^n assignments."""
+    all 2^n assignments, and none when no or-node of live has two or
+    more children."""
     or_nodes = [i for i in live
                 if c.kind[i] == 'O' and len(c.children[i]) > 1]
+    if not or_nodes:
+        return ()
     for start, tabs in c.truth_blocks():
         for i in or_nodes:
             seen = over = 0

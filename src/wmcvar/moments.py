@@ -10,8 +10,8 @@ v = 0 standing for the empty variable set.  Moving an anchored value up to
 an ancestor vnode w multiplies in the moments of W_true over
 Var(w) \\ Var(v); since weights of distinct variables are independent,
 those factors depend only on (v, w).  _lift composes them edge by edge
-on the path from v up to w only; a plan keeps the distinct (v, w) its
-reads lift through as slots, and each evaluation fills each slot once.
+on the path from v up to w only; a plan keeps the distinct (v, w) that
+its LIFT records lift through, and each evaluation fills each one once.
 
 The covariance pass is a recurrence over node pairs (a, b): a is a node
 of f, b a node of g, and the constants FALSE and TRUE are the same ids in
@@ -42,10 +42,12 @@ Circuit.conj and Circuit.disj build (see circuit.py): no conjunction has
 a constant child, so each one splits at its own vnode.
 
 No rule, and no choice of the pairs a pair reads, depends on a weight.
-So the pass is a plan, the product circuit itself (one record per pair,
-in flat int arrays: 15-20 bytes per pair), evaluated under a model.  Its
-last record reads the roots' pair at the vtree root, lifted by the rule
-of every read, so cov(f, g) is that record's c.
+So the pass is a plan, the product circuit itself, evaluated under a
+model: one record per pair, and one LIFT record per distinct record and
+ancestor vnode that a read lifts it to, computed once however many
+records read it (flat int arrays: 14-21 bytes per pair).  Its last record
+reads the roots' pair at the vtree root, lifted as every read is, so
+cov(f, g) is that record's c.
 The first query builds it and keeps it on f (Circuit.plans) per partner
 g (held weakly) and group layout (the registered group vnodes, each
 group's members in order), with the two roots it was built for: models
@@ -91,23 +93,25 @@ from .errors import (CorrelationScopeError, ValidationError,
 from .weights import VarMoments
 
 
-# A plan (codes, args, slots, lifts) has one record per pair, after those
-# it reads.  codes[i] is record i's anchor vnode times 8 plus its kind, and
-# its arguments follow record i - 1's in args:
+# A plan (codes, args, lifts, pairs) has one record per pair, after those
+# it reads, and one LIFT record per distinct lifted read, before its first
+# reader.  codes[i] is record i's anchor vnode times 8 plus its kind, and
+# its arguments follow record i - 1's in args; a read is a record's id:
 #   ZERO    the mean product, 1 for TRUE with TRUE, else 0;
 #   GROUP   gi, ja, jb: the group and the members a and b force true (-1:
 #           none), its entry group_tables[gi][ja][jb] in the engine's tables;
 #   LEAF    x, and the _TERMS entry of the two literals;
 #   OR      m, the reads of the m child pairs, summed at the anchor, and m
 #           again, so that a walk from the end finds them;
-#   SPLIT   the reads of the (left, right) part pairs.
-# The last record is an OR at the vtree root, of fan-in 1: the roots' pair.
-# A read of record j is j << 1, or j << 1 | 1 when j sits below the anchor
-# it is read at (but FALSE's (0, 0), at BOTTOM): then it lifts through the
-# next entry of slots, an index into lifts, the distinct (v, w) in order of
-# first use.  A record's value (c, m) is symmetric, so when f is g one
-# record serves a pair and its reverse.
-ZERO, GROUP, LEAF, OR, SPLIT = range(5)
+#   SPLIT   the reads of the (left, right) part pairs;
+#   LIFT    j, s: record j, which sits below this anchor w, lifted through
+#           lifts[s], the distinct (v, w) in order of first use.
+# A pair is read through a LIFT when its record sits below the anchor it is
+# read at (but FALSE's (0, 0), at BOTTOM, is read as it is).  The last
+# record is an OR at the vtree root, of fan-in 1: the roots' pair.  pairs
+# counts the other records but the LIFTs.  A record's value (c, m) is
+# symmetric, so when f is g one record serves a pair and its reverse.
+ZERO, GROUP, LEAF, OR, SPLIT, LIFT = range(6)
 _NARGS = (1, 3, 2)              # the arguments of ZERO, GROUP, LEAF
 # _TERMS[sign(sa)][sign(sb)]: the weight covariances that literals sa, sb
 # (0: TRUE) sum at a leaf, as bits 0-3: varP, varN, covPN (sa true, sb
@@ -280,20 +284,21 @@ class MomentEngine:
             plan = self._plan(f, g)
             f.plans.setdefault(g, kept)[self.layout] = (f.root, g.root), plan
         val, mp, lifted = self._evaluate(plan)
-        self.pairs = len(val) - 1
+        self.pairs = plan[3]
         return val[-1], val, mp, lifted, plan
 
     def _plan(self, f, g):
         """Resolve the node pairs of cov(f, g) into a plan (codes, args,
-        slots, lifts), bottom-up by the pair rule of the module docstring,
+        lifts, pairs), bottom-up by the pair rule of the module docstring,
         with an explicit stack.  Pairs are keyed a * len(g) + b, the smaller
         id first when f is g (Cov is symmetric), each is resolved once, and
         the last record reads the roots' pair at the vtree root."""
         lca, left, right = self.vt.lca, self.vt.left, self.vt.right
         fd, gd, fk, gk, fl, gl = f.dnode, g.dnode, f.kind, g.kind, f.lit, g.lit
         same, n, split, grouped = f is g, len(g), self._split, self.grouped
-        codes, args, slots = array('i'), array('i'), array('i')
+        codes, args = array('i'), array('i')
         memo = {}                   # pair key -> record index
+        ups = {}                    # (record, w) -> its LIFT's index
         lifts = {}                  # (v, w) -> slot, in order of first use
         patt = {}                   # circuit -> _member_pattern's bitsets
 
@@ -353,62 +358,60 @@ class MomentEngine:
                 args.extend(own)
             else:
                 # a read lifts unless its record sits at the anchor w the
-                # reader needs, or is FALSE's at BOTTOM: (0, 0) needs none
-                if code & 7 == OR:      # the fan-in before and after
-                    put(len(deps))
+                # reader needs, or is FALSE's at BOTTOM: (0, 0) needs none;
+                # then it reads the (record, w)'s LIFT, written at first use
+                reads = []
                 for x, y, kk, _, w in deps:
                     j = memo[kk]
                     v = codes[j] >> 3
-                    if v == w or v == BOTTOM and FALSE in (x, y):
-                        put(j << 1)
-                    else:
-                        put(j << 1 | 1)
-                        slots.append(lifts.setdefault((v, w), len(lifts)))
-                if code & 7 == OR:
-                    put(len(deps))
-            memo[k] = len(memo)
+                    if v != w and (v != BOTTOM or FALSE not in (x, y)):
+                        lj = ups.get((j, w))
+                        if lj is None:
+                            ups[j, w] = lj = len(codes)
+                            codes.append(w << 3 | LIFT)
+                            put(j)
+                            put(lifts.setdefault((v, w), len(lifts)))
+                        j = lj
+                    reads.append(j)
+                if code & 7 == OR:      # the fan-in before and after
+                    put(len(reads))
+                    reads.append(len(reads))
+                args.extend(reads)
+            memo[k] = len(codes)
             codes.append(code)
         # _lift refuses a lift over grouped variables; ask it here, before a
         # plan is kept, in the order _evaluate would lift
         for v, w in lifts:
             if grouped[w] != grouped[v]:
                 self._lift(v, w)
-        return codes, args, slots, tuple(lifts)
+        return codes, args, tuple(lifts), len(memo) - 1
 
     def _evaluate(self, plan):
         """(val, mp, lifted): each record's covariance and mean product
         over Var(its anchor) under this model, and each slot's (ea * ea,
         va), filled from _lift in the plan's order of first use."""
-        mom, tables, (codes, arg, slots, lifts) = \
+        mom, tables, (codes, arg, lifts, _) = \
             self.mom, self.group_tables, plan
         lifted = [(ea * ea, va) for ea, va in starmap(self._lift, lifts)]
-        take = map(lifted.__getitem__, slots).__next__  # a read's lift
         val, mp, o = [], [], 0
         put, putm = val.append, mp.append
         for code in codes:
             kind = code & 7
             if kind == SPLIT:
-                j = arg[o]
-                cl, ml = val[j >> 1], mp[j >> 1]
-                if j & 1:
-                    ea2, va = take()
-                    cl, ml = va * cl + va * ml + ea2 * cl, ea2 * ml
-                j = arg[o + 1]
-                cr, mr = val[j >> 1], mp[j >> 1]
-                if j & 1:
-                    ea2, va = take()
-                    cr, mr = va * cr + va * mr + ea2 * cr, ea2 * mr
+                jl, jr = arg[o], arg[o + 1]
+                cl, ml, cr, mr = val[jl], mp[jl], val[jr], mp[jr]
                 c, m = cl * cr + cl * mr + ml * cr, ml * mr
                 o += 2
             elif kind == OR:
                 end, c, m = o + 1 + arg[o], 0, 0
                 for j in arg[o + 1:end]:
-                    cj, mj = val[j >> 1], mp[j >> 1]
-                    if j & 1:
-                        ea2, va = take()
-                        cj, mj = va * cj + va * mj + ea2 * cj, ea2 * mj
-                    c, m = c + cj, m + mj
+                    c, m = c + val[j], m + mp[j]
                 o = end + 1
+            elif kind == LIFT:
+                j, (ea2, va) = arg[o], lifted[arg[o + 1]]
+                c, m = val[j], mp[j]
+                c, m = va * c + va * m + ea2 * c, ea2 * m
+                o += 2
             elif kind == LEAF:      # the moments that the _TERMS bits pick:
                 # a's weight is muP on bits 0 and 2, muN on 1 and 3, b's
                 # muP on 0 and 3, muN on 1 and 2
@@ -462,66 +465,48 @@ class MomentEngine:
         table and in each group's matrix, so these partials give Var
         exactly after any change to one variable's or one group's second
         moments.  They come from one evaluation of var(c)'s plan and one
-        walk back over its arguments and slots from their ends (reverse
-        mode, with no trace: a split recomputes its lifted parts from its
-        two records and their slots).  Mean products hold first moments
-        only and take no adjoint.  The walk carries adjoints to the
-        records' covariances, to each slot's va, down each lift's path to
-        the vv of the siblings on it, down the vtree to each leaf's varP,
-        varN and covPN, and to the group matrix entries, by the
-        coefficients in the group tables.  An exact model runs on the
+        walk back over its records and arguments from their ends (reverse
+        mode, with no trace: every value a record's partials need is a
+        record it reads).  Mean products hold first moments only and take
+        no adjoint.  The walk carries adjoints to the records'
+        covariances, from each LIFT record to its (v, w)'s va, down each
+        lift's path to the vv of the siblings on it, down the vtree to each
+        leaf's varP, varN and covPN, and to the group matrix entries, by
+        the coefficients in the group tables.  An exact model runs on the
         engine's scaled ints: Var is an int over S^2 and each partial one
         over S^2 / d^2, with S the product of all variable scales and d
         the moment's variable's or group's.
         """
         vt, ev, vv, wm = self.vt, self.ev, self.vv, self.wm
         left, right, n = vt.left, vt.right, vt.n_vars
-        var, val, mp, lifted, (codes, arg, slots, lifts) = self._pairs(c, c)
+        var, val, mp, lifted, (codes, arg, lifts, _) = self._pairs(c, c)
         var = self._result(var, 2)
         back = [va + ea2 for ea2, va in lifted]     # slot -> d lifted c / d c
         adj = [0] * (len(val) - 1) + [1]    # record -> adjoint of its cov
-        dva = {}            # slot -> adjoint of its va, in order of first use
+        dva = [0] * len(lifts)              # slot -> adjoint of its va
         dvv = [0] * (vt.n_nodes + 1)
         dmom = [[0, 0, 0] for _ in range(n + 1)]   # varP, varN, covPN
         dg = [[[0] * len(g.members) for _ in g.members] for g in wm.groups]
 
-        o, q = len(arg), len(slots)     # walk both back from their ends
+        o = len(arg)                        # walk back from its end
         for i in range(len(val) - 1, -1, -1):
             gr, kind = adj[i], codes[i] & 7
             if kind == SPLIT:       # cl * cr + cl * mr + ml * cr, as evaluated
                 o -= 2
-                jl, jr = arg[o], arg[o + 1]
-                q -= (jl & 1) + (jr & 1)
-                if not gr:
-                    continue
-                kl, kr = jl >> 1, jr >> 1
-                cl, ml, cr, mr = val[kl], mp[kl], val[kr], mp[kr]
-                if jl & 1:
-                    ea2, va = lifted[sl := slots[q]]
-                    cl, ml = va * cl + va * ml + ea2 * cl, ea2 * ml
-                if jr & 1:
-                    ea2, va = lifted[sr := slots[q + (jl & 1)]]
-                    cr, mr = va * cr + va * mr + ea2 * cr, ea2 * mr
-                g = gr * (cr + mr)
-                if jl & 1:
-                    dva[sl] = dva.get(sl, 0) + g * (val[kl] + mp[kl])
-                adj[kl] += g * back[sl] if jl & 1 else g
-                g = gr * (cl + ml)
-                if jr & 1:
-                    dva[sr] = dva.get(sr, 0) + g * (val[kr] + mp[kr])
-                adj[kr] += g * back[sr] if jr & 1 else g
+                if gr:
+                    jl, jr = arg[o], arg[o + 1]
+                    adj[jl] += gr * (val[jr] + mp[jr])
+                    adj[jr] += gr * (val[jl] + mp[jl])
             elif kind == OR:        # its fan-in is written after its reads too
                 o -= arg[o - 1] + 2
-                reads = arg[o + 1:o + 1 + arg[o]]
-                for j in reads:
-                    q -= j & 1
-                s = q
-                for j in reads if gr else ():
-                    if j & 1:
-                        t, s = slots[s], s + 1
-                        dva[t] = dva.get(t, 0) \
-                            + gr * (val[j >> 1] + mp[j >> 1])
-                    adj[j >> 1] += gr * back[t] if j & 1 else gr
+                for j in arg[o + 1:o + 1 + arg[o]] if gr else ():
+                    adj[j] += gr
+            elif kind == LIFT:      # va * c + va * m + ea2 * c
+                o -= 2
+                if gr:
+                    j, sl = arg[o], arg[o + 1]
+                    dva[sl] += gr * (val[j] + mp[j])
+                    adj[j] += gr * back[sl]
             else:
                 o -= _NARGS[kind]
                 if gr and kind == LEAF:     # the covariance terms of _evaluate
@@ -535,8 +520,8 @@ class MomentEngine:
                     if ja < 0 or jb < 0:    # pab is 0, entered at [0][0]
                         ja = jb = 0
                     dg[gi][ja][jb] += gr * pab
+        dva = dict(zip(lifts, dva))         # (v, w) -> adjoint of its va
         # a lift from BOTTOM (TRUE with TRUE) is W_true over Var(w) itself
-        dva = {lifts[s]: x for s, x in dva.items()}
         for v, w in [vw for vw in dva if vw[0] == BOTTOM]:
             dvv[w] += dva.pop((v, w))
         # va(v, p) = va(v, u) * (vv[s] + ev[s]^2) + ea(v, u)^2 * vv[s], s the

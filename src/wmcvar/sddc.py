@@ -191,11 +191,13 @@ class SddBuilder:
         return self._app.get((op, a, b))
 
     def _negate(self, n):
+        # negated subs stay distinct and n is not trimmable, so neither is
+        # its negation: it needs no compression
         out = []
         for p, s in self.elems[n]:
             t = self._settled(s, s, _NEG)
             out.append((p, (yield self._negate(s)) if t is None else t))
-        r = yield from self._decision(self.vnode[n], out)
+        r = self._unique(self.vnode[n], out)
         self._neg[n], self._neg[r] = r, n
         return r
 
@@ -216,12 +218,15 @@ class SddBuilder:
             p, q = by_sub[self.false], by_sub[self.true]
             self._neg[p], self._neg[q] = q, p
             return q
-        elements = tuple(sorted(zip(by_sub.values(), by_sub)))
-        key = (v, elements)
+        return self._unique(v, zip(by_sub.values(), by_sub))
+
+    def _unique(self, v, elements):
+        # the decision at v of the (prime, sub) elements, from the unique
+        # table or made
+        key = (v, tuple(sorted(elements)))
         n = self._uniq.get(key)
         if n is None:
-            n = self._push('D', 0, v, elements)
-            self._uniq[key] = n
+            n = self._uniq[key] = self._push('D', 0, v, key[1])
         return n
 
     def _apply(self, a, b, op):

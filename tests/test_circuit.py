@@ -415,7 +415,8 @@ class TestTruthBlocks:
         # validate keeps its exhaustive verdict with the structure's: a
         # repeat under the same root, at a limit that admits the check,
         # reads it and reports what a first validate does; a refused
-        # structure keeps nothing, and a moved root checks again
+        # structure keeps nothing, and a moved root checks again.  A root
+        # with no or-node of two or more children needs no pass at all
         rng = seeded('verdict-kept')
         passes = []
         blocks = Circuit.truth_blocks
@@ -435,10 +436,35 @@ class TestTruthBlocks:
                 got = [validate(c, limit) for limit in (20, 0, 20, 5)]
                 assert got == [first[20], first[0], first[20], first[20]]
                 structured = first[0].structured
-                assert len(passes) == (1 if structured else 3)
-                seen.add((structured, first[20].determinism))
-        assert seen == {(True, 'verified'), (True, 'refuted'),
-                        (False, 'verified'), (False, 'refuted')}
+                forks = any(c.kind[i] == 'O' and len(c.children[i]) > 1
+                            for i in c.reachable())
+                assert len(passes) == (0 if not forks else
+                                       1 if structured else 3)
+                seen.add((structured, forks, first[20].determinism))
+        assert seen == {(True, True, 'verified'), (True, True, 'refuted'),
+                        (False, True, 'verified'), (False, True, 'refuted'),
+                        (True, False, 'verified'), (False, False, 'verified')}
+
+    def test_no_or_node_no_enumeration(self, monkeypatch):
+        # a conjunction of literals, parsed, so determinism is not known
+        # by construction: no or-node can overlap, so no assignment is
+        # enumerated, and the verdict is still verified
+        n = 18
+        vt = Vtree.balanced(n)
+        compiled = compile_cnf(Cnf(n, [(v if v % 3 else -v,)
+                                       for v in range(1, n + 1)]), vt)
+        c = parse_sdd(sdd_text(compiled), parse_vtree(vt.to_text()))
+        assert not c.deterministic_by_construction
+        assert 'O' not in {c.kind[i] for i in c.reachable()}
+        passes = []
+        blocks = Circuit.truth_blocks
+        monkeypatch.setattr(Circuit, 'truth_blocks', lambda self, *a, **kw: (
+            passes.append(self) or blocks(self, *a, **kw)))
+        for limit in (20, 18):
+            rep = validate(c, limit)
+            assert rep.ok and rep.determinism == 'verified'
+        assert validate(c, 17).determinism == 'assumed'
+        assert passes == []
 
 
 class TestNormalize:

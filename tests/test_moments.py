@@ -18,7 +18,8 @@ from wmcvar.bayes import BayesNet, MarginalPipeline, demo_networks
 from wmcvar.circuit import (BOTTOM, FALSE, TRUE, Circuit, Vtree, parse_sdd,
                             rebuild, sdd_text, validate)
 from wmcvar.errors import CorrelationScopeError, ValidationError
-from wmcvar.moments import (OR, MomentEngine, cov_wmc, exp_wmc,
+from wmcvar.moments import (GROUP, LEAF, LIFT, OR, SPLIT, ZERO,
+                            MomentEngine, cov_wmc, exp_wmc,
                             locate_group_vnodes, var_gradient, var_wmc)
 from wmcvar.oracle import enumerate_models, oracle_cov, oracle_exp, oracle_var
 from wmcvar.reductions import (count_via_variance, entails_via_cov,
@@ -1152,6 +1153,32 @@ def count_builds(monkeypatch):
     return built
 
 
+def plan_records(plan):
+    """(anchor, kind, arguments) of each record of a plan, in order; an
+    OR's arguments are its reads, without the fan-in written around them."""
+    codes, args, _, _ = plan
+    out, o = [], 0
+    for code in codes:
+        kind = code & 7
+        if kind == OR:
+            m = args[o]
+            assert args[o + m + 1] == m
+            out.append((code >> 3, kind, tuple(args[o + 1:o + m + 1])))
+            o += m + 2
+        else:
+            k = {ZERO: 1, GROUP: 3, LEAF: 2, SPLIT: 2, LIFT: 2}[kind]
+            out.append((code >> 3, kind, tuple(args[o:o + k])))
+            o += k
+    assert o == len(args)
+    return out
+
+
+def lifted_reads(recs):
+    """The reads of LIFT records among plan_records' ORs and SPLITs."""
+    return [j for _, kind, reads in recs if kind in (OR, SPLIT)
+            for j in reads if recs[j][1] == LIFT]
+
+
 class TestPlan:
     """Each circuit pair's plan is built once, kept on f and keyed by what
     it depends on: the partner, both roots and the group layout."""
@@ -1268,17 +1295,17 @@ class TestPlan:
         assert kept <= 20 * pairs, (kept, pairs)
 
     def test_network_bytes_per_pair(self):
-        # a network plan reads many records through lifts: each lifted
-        # read costs one slot, and each distinct lift one (v, w) pair,
-        # counted here too (about 18.7 bytes per pair)
+        # a network plan reads many records through lifts: each distinct
+        # lifted read costs one LIFT record, and each distinct lift one
+        # (v, w) pair, counted here too (about 19.2 bytes per pair)
         pipe = MarginalPipeline(windowed_network(8, seeded('net-bytes')))
         c, wm, gv = pipe._query({'X7': 't'}, 'zero_weights')
         eng = MomentEngine(pipe.vt, wm, gv)
         eng.var(c)
         (_, plan), = c.plans[c].values()
-        assert len(plan[2]) > eng.pairs / 4     # lifted reads
-        kept = sum(sys.getsizeof(a) for a in plan) \
-            + sum(map(sys.getsizeof, plan[3]))
+        assert len(lifted_reads(plan_records(plan))) > eng.pairs / 4
+        kept = sum(map(sys.getsizeof, plan[:3])) \
+            + sum(map(sys.getsizeof, plan[2]))
         assert kept <= 20 * eng.pairs, (kept, eng.pairs)
 
     def test_each_lift_once_per_evaluation(self, monkeypatch):
@@ -1334,21 +1361,91 @@ class TestPlan:
             for f in cs:
                 for g in cs:
                     MomentEngine(vt, wm).cov(f, g)
-                    (_, (codes, args, slots, lifts)), = f.plans[g].values()
+                    (_, plan), = f.plans[g].values()
+                    codes, args, lifts, _ = plan
+                    recs = plan_records(plan)
                     assert codes[-1] == vt.root << 3 | OR
                     assert args[-1] == args[-3] == 1
-                    j, v = args[-2], codes[-2] >> 3
-                    assert j >> 1 == len(codes) - 2
+                    # the roots' record, read through a LIFT written
+                    # just before the last record when it lifts
+                    j = args[-2]
+                    assert j == len(codes) - 2
+                    lift = recs[j][1] == LIFT
+                    if lift:
+                        j, s = recs[j][2]
+                        assert j == len(codes) - 3
+                    v = recs[j][0]
                     false = FALSE in (f.root, g.root)
                     assert v == (BOTTOM if false else
                                  vt.lca(f.dnode[f.root], g.dnode[g.root]))
-                    lift = v != vt.root and not false
-                    assert j & 1 == lift
+                    assert lift == (v != vt.root and not false)
                     if lift:
-                        assert lifts[slots[-1]] == (v, vt.root)
+                        assert lifts[s] == (v, vt.root)
                     seen.add((v == BOTTOM, false, lift))
         assert seen == {(True, True, False), (True, False, True),
                         (False, False, True), (False, False, False)}
+
+    def test_one_lift_per_distinct_read(self):
+        # every read is a record id: a pair's record where the reader
+        # needs it (or FALSE's, at BOTTOM), else the one LIFT of that
+        # record to that anchor, which reads a pair's record, not a LIFT
+        # and not FALSE's
+        rng = seeded('plan-lifts')
+        vt, wm = grouped_model()
+        grouped = [(vt, wm, locate_group_vnodes(vt, wm),
+                    TestGroupedWeights().grouped_circuit(vt, rng))
+                   for _ in range(4)]
+        pipe = MarginalPipeline(windowed_network(6, rng))
+        net = [(pipe.vt, wm, gv, c) for c, wm, gv in (
+            pipe._query({'X5': 't'}, 'zero_weights'),
+            pipe._query({'X2': 'f'}, 'conjoin'))]
+        plain = []
+        for _ in range(10):
+            n = rng.randint(3, 9)
+            vt = random_vtree(rng, n)
+            plain.append((vt, random_weights(rng, n), None,
+                          compile_cnf(random_cnf(rng, n), vt)))
+        kinds, count = set(), 0
+        for vt, wm, gv, c in grouped + net + plain:
+            eng = MomentEngine(vt, wm, gv)
+            eng.var(c)
+            (_, plan), = c.plans[c].values()
+            codes, args, lifts, pairs = plan
+            recs = plan_records(plan)
+            ups = [r for _, kind, r in recs if kind == LIFT]
+            assert len(set(ups)) == len(ups)
+            assert pairs == eng.pairs == len(recs) - len(ups) - 1
+            assert sorted({s for _, s in ups}) == list(range(len(lifts)))
+            false = {i for i, r in enumerate(recs)
+                     if r == (BOTTOM, ZERO, (0,))}
+            for i, (w, kind, reads) in enumerate(recs):
+                if kind == LIFT:
+                    j, s = reads
+                    v = recs[j][0]
+                    assert j < i and lifts[s] == (v, w)
+                    assert recs[j][1] != LIFT and j not in false
+                    assert v != w and vt.is_ancestor(w, v)
+                elif kind in (OR, SPLIT):
+                    need = (w,) * len(reads) if kind == OR else \
+                        (vt.left[w], vt.right[w])
+                    for j, u in zip(reads, need):
+                        assert j < i
+                        assert recs[j][0] == u or j in false
+                kinds.add(kind)
+            count += len(ups)
+        assert kinds == {ZERO, GROUP, LEAF, OR, SPLIT, LIFT}
+        assert count > 100
+
+    def test_network_reads_lifts_many_times(self):
+        # a windowed network reads the same lifted records again and
+        # again: each is computed once for all of its readers
+        pipe = MarginalPipeline(windowed_network(8, seeded('net-lifts')))
+        c, wm, gv = pipe._query(None, 'zero_weights')
+        MomentEngine(pipe.vt, wm, gv).var(c)
+        (_, plan), = c.plans[c].values()
+        recs = plan_records(plan)
+        ups = sum(kind == LIFT for _, kind, _ in recs)
+        assert len(lifted_reads(recs)) > 2 * ups > 0
 
     def test_sweep_after_zero_weights_query(self, monkeypatch):
         built = count_builds(monkeypatch)
